@@ -13,9 +13,8 @@ from .core import (
     NoSuchFluxError,
     QuadratureError,
     UnitSystem,
-    ddE,
+    central_difference,
     integrate,
-    unwrap_phase,
 )
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from .scattering import (

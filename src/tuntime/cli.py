@@ -27,6 +27,8 @@ import numpy as np
 from . import emguide
 from .core import UNITS, ContractViolation
 from .double_barrier import (
+    OPACITY_HARD_FLOOR,
+    OPACITY_WARN_BELOW,
     opaque_coefficients,
     phase_time_total,
     resonance_denominator,
@@ -310,7 +312,7 @@ def _obs_hartman(cfg: dict):
         tau_ph = phase_time(pot, E)
         tau_bl = bl_time(pot, E) if E < V0 else float("nan")
         tau_dw = dwell_time_stationary(pot, E, RegionMarkers(0.0, a))
-        return [a, kappa * a, tau_ph, tau_bl, tau_dw, *_OK_FLAGS.values()]
+        return [a, kappa * a, tau_ph, tau_bl, tau_dw, 1, 0, int(kappa * a < OPACITY_WARN_BELOW)]
 
     header = ["a", "kappa_a", "tau_phase_fs", "tau_bl_fs", "tau_dwell_fs", *FLAGS]
     return header, _run_rows(row, _scan_values(scan), cfg["workers"])
@@ -332,7 +334,7 @@ def _obs_or_times(cfg: dict):
             fsa = prop.flux_series(a)
             s0 = mean_time(fs0, "+")
             sa = mean_time(fsa, "+")
-            tau_ph = np.array([phase_time(pot, float(E)) for E in prop.table.E])
+            tau_ph = phase_time(pot, prop.table.E)
             tail = fs0.tail_captured and fsa.tail_captured
             return [pk_cfg["E_bar"], pk_cfg["delta_k"], a, s0.mean, sa.mean,
                     sa.mean - s0.mean, float(packet.energy_average(tau_ph)),
@@ -378,8 +380,8 @@ def _obs_double(cfg: dict):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tau = phase_time_total(V0, a, L, E)
-            sol = opaque_coefficients(V0, a, L, E) if chi * a >= 5 else None
-        opaque_warn = int(chi * a < 8)
+            sol = opaque_coefficients(V0, a, L, E) if chi * a >= OPACITY_HARD_FLOOR else None
+        opaque_warn = int(chi * a < OPACITY_WARN_BELOW)
         delta = sol.delta if sol is not None else float("nan")
         im_ratio = (abs(sol.A_real_factor.imag) / abs(sol.A_real_factor)
                     if sol is not None else float("nan"))

@@ -1,8 +1,12 @@
-"""Shared numerical plumbing: unit system, quadrature grids, differentiation.
+"""Shared numerical plumbing: the unit system, the error types, quadrature
+grids, and the package's one numerical derivative.
 
 Internal units are eV / Angstrom / fs throughout.  The only physical inputs
 are hbar, the kinetic constant hbar^2/(2 m_e), and the speed of light; every
 wavenumber, velocity and time in the package derives from these three.
+Every stationary time that is an energy (or wavenumber) derivative takes it
+through `central_difference`, which evaluates a vectorised function once on
+a stacked array of shifted arguments.
 """
 
 from __future__ import annotations
@@ -145,54 +149,43 @@ def integrate(values, grid: Grid1D):
     return values @ grid.weights
 
 
-def ddE(f, E: float, rel_step: float = 1e-6, richardson: bool = False):
-    """Central-difference derivative of f with respect to energy at E > 0.
+def central_difference(f, x, rel_step: float = 1e-6, periodic: bool = False):
+    """Central-difference derivative df/dx at x > 0, a scalar or an array.
 
-    Step h = rel_step * E, reduced automatically if E - h would be <= 0.
-    With richardson=True a second pass at h/2 removes the leading h^2 error.
+    f is vectorised: it is called once on the stacked array [x - h, x + h]
+    with h = rel_step * x, and must return one finite value per entry.  A
+    periodic f (a phase) has each difference wrapped into [-pi, pi]; entries
+    whose wrapped difference still exceeds pi/2 straddle a fast phase swing
+    and are evaluated again at a hundredth of the step, until the step falls
+    below 1e-13 * x, where QuadratureError is raised.  A scalar x returns a
+    float.
     """
-    if not E > 0:
-        raise ContractViolation("ddE requires E > 0")
-    h = rel_step * E
-    while E - h <= 0.0:
-        h *= 0.5
-
-    def central(step):
-        hi, lo = f(E + step), f(E - step)
-        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
-            raise QuadratureError(f"non-finite function value near E={E}")
-        return (hi - lo) / (2.0 * step)
-
-    d1 = central(h)
-    if not richardson:
-        return d1
-    d2 = central(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def phase_derivative(g, E: float, rel_step: float = 1e-6) -> float:
-    """d(arg g)/dE via the phase of the ratio g(E+h)/g(E-h).
-
-    Immune to principal-value branch cuts as long as the true phase change
-    across 2h stays below pi, which a relative step of 1e-6 guarantees for
-    every amplitude in this package away from resonances; callers probing
-    resonances pass a smaller rel_step.
-    """
-    if not E > 0:
-        raise ContractViolation("phase_derivative requires E > 0")
-    h = rel_step * E
-    while E - h <= 0.0:
-        h *= 0.5
-    hi, lo = g(E + h), g(E - h)
-    if hi == 0 or lo == 0 or not (np.isfinite(hi) and np.isfinite(lo)):
-        raise QuadratureError(f"amplitude vanished or blew up near E={E}")
-    return float(np.angle(hi / lo) / (2.0 * h))
-
-
-def unwrap_phase(phases) -> np.ndarray:
-    """Continuity-tracked phase over an ordered parameter sweep.
-
-    Adds +-2 pi whenever consecutive samples jump by more than pi, turning a
-    principal-value arg into a smooth function suitable for differentiation.
-    """
-    return np.unwrap(np.asarray(phases, dtype=float))
+    if not 0 < rel_step < 1:
+        raise ContractViolation("central_difference needs 0 < rel_step < 1")
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
+        raise ContractViolation("central_difference needs x > 0")
+    xs = x.ravel()
+    out = np.empty(xs.shape)
+    todo = np.arange(len(xs))
+    while len(todo):
+        h = rel_step * xs[todo]
+        vals = np.asarray(f(np.concatenate([xs[todo] - h, xs[todo] + h])))
+        lo, hi = vals[: len(todo)], vals[len(todo):]
+        bad = ~(np.isfinite(lo) & np.isfinite(hi))
+        if np.any(bad):
+            raise ContractViolation(f"non-finite function value near x={xs[todo][bad][0]}")
+        diff = hi - lo
+        if periodic:
+            diff -= 2.0 * np.pi * np.round(diff / (2.0 * np.pi))
+        out[todo] = diff / (2.0 * h)
+        if not periodic:
+            break
+        swing = np.abs(diff) > 0.5 * np.pi
+        if np.any(swing) and rel_step < 1e-13:
+            raise QuadratureError(
+                f"phase swings faster than any resolvable step at x={xs[todo][swing][0]}"
+            )
+        todo = todo[swing]
+        rel_step *= 0.01
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNITS, ContractViolation, UnitSystem
+from .core import UNITS, ContractViolation, UnitSystem, central_difference
 from .potential import double_rectangular
 from .scattering import SolutionTable, solve
 from .stationary_times import phase_time
@@ -214,15 +214,13 @@ def opaque_phase_time(V0: float, E: float, rel_step: float = 1e-6,
     generalized-Hartman plateau, independent of every geometric parameter."""
     if not 0 < E < V0:
         raise ContractViolation("need 0 < E < V0")
-    h = rel_step * E
 
-    def deltap(Ee: float) -> complex:
-        k = float(units.wavenumber(Ee))
-        chi = float(units.decay_constant(V0, Ee))
-        ik = 1j * k
-        return -4j * k * chi / (ik - chi) ** 2
+    def arg_deltap(Es):
+        k = units.wavenumber(Es)
+        chi = units.decay_constant(V0, Es)
+        return np.angle(-4j * k * chi / (1j * k - chi) ** 2)
 
-    return float(units.hbar * cmath.phase(deltap(E + h) / deltap(E - h)) / (2 * h))
+    return units.hbar * central_difference(arg_deltap, E, rel_step, periodic=True)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import UNITS, ContractViolation, UnitSystem
+from .core import UNITS, ContractViolation, UnitSystem, central_difference
 from .potential import PiecewisePotential, rectangular
-from .scattering import solve
+from .scattering import SolutionTable
 
 CM = 1e8  # Angstrom per cm
 
@@ -186,12 +186,11 @@ def mapped_phase_time(spec: WaveguideSpec, rel_k_step: float = 1e-6,
     """
     bm = map_to_barrier(spec, units)
     pot = bm.potential
-    h = rel_k_step * bm.k_op
-    amps = []
-    for kk in (bm.k_op - h, bm.k_op + h):
-        amps.append(solve(pot, float(units.energy(kk)), units).A_T)
-    dphi = math.atan2((amps[1] / amps[0]).imag, (amps[1] / amps[0]).real)
-    return (dphi / (2 * h) + bm.a_eff) / units.c
+    dphi = central_difference(
+        lambda ks: SolutionTable(pot, units.energy(ks), units).arg_A_T,
+        bm.k_op, rel_k_step, periodic=True,
+    )
+    return (dphi + bm.a_eff) / units.c
 
 
 def ftir_shifts(tau_ph: float, v_z: float, tau_la_z: float, Omega: float):

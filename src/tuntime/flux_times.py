@@ -314,10 +314,8 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
     stat_in_f = _stats(prop, markers.x_f, "+", component="free")
     mean = stat_T.mean - stat_in.mean
 
-    tau_ph = np.array([
-        phase_time(pot, float(E), markers, units=units) for E in prop.table.E
-    ])
-    tau_ph_avg = float(packet.energy_average(tau_ph))
+    tau_ph_avg = float(packet.energy_average(phase_time(pot, prop.table.E, markers,
+                                                        units=units)))
     projected = stat_full_f.mean - stat_in.mean
 
     absAT = np.abs(prop.table.A_T)

@@ -107,7 +107,9 @@ class SolutionTable:
     """Vectorised stationary solutions on an array of energies.
 
     Used wherever many energies are needed at once (spectral packets, energy
-    scans); row(i) materialises a ScatteringSolution for one energy.
+    scans, the stacked energies of a central difference); row(i)
+    materialises a ScatteringSolution for one energy.  The transmission is
+    held as log_abs_A_T and arg_A_T, from which A_T is derived.
     """
 
     def __init__(self, pot: PiecewisePotential, Es, units: UnitSystem = UNITS):
@@ -143,6 +145,7 @@ class SolutionTable:
             self.A_T = np.ones(n, dtype=complex)
             self.A_R = np.zeros(n, dtype=complex)
             self.log_abs_A_T = np.zeros(n)
+            self.arg_A_T = np.zeros(n)
             return
 
         x1 = regions[0][0]
@@ -187,13 +190,14 @@ class SolutionTable:
 
         # det(T_true) = q_left/q_right = 1 (free on both sides), so
         # A_T = e^{ik(x1-xm)} / T11_true with T11_true = T11 e^{logscale}.
+        # Modulus and phase are kept apart so that derivatives of either
+        # can avoid the (possibly underflowed) complex amplitude.
         k = self.k
         b0_over_a0 = -T[:, 1, 0] / T[:, 1, 1]
         self.A_R = b0_over_a0 * np.exp(2j * k * x1)
         self.log_abs_A_T = -logscale - np.log(np.abs(T[:, 1, 1]))
-        self.A_T = np.exp(self.log_abs_A_T) * np.exp(
-            1j * (np.angle(1.0 / T[:, 1, 1]) + k * (x1 - xm))
-        )
+        self.arg_A_T = -np.angle(T[:, 1, 1]) + k * (x1 - xm)
+        self.A_T = np.exp(self.log_abs_A_T) * np.exp(1j * self.arg_A_T)
 
         # backward substitution for region coefficients
         nreg = len(heights)

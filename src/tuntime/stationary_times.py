@@ -8,7 +8,6 @@ to the same quantities, and the near-resonance Lorentzian delay.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,10 +19,11 @@ from .core import (
     Grid1D,
     QuadratureError,
     UnitSystem,
+    central_difference,
     integrate,
 )
 from .potential import PiecewisePotential, RegionMarkers, rectangular
-from .scattering import rect_amplitude, solve, two_phase
+from .scattering import SolutionTable, rect_amplitude, solve, two_phase
 
 
 @dataclass(frozen=True)
@@ -44,62 +44,62 @@ def _markers_or_extent(pot: PiecewisePotential, markers) -> tuple:
     return pot.x_left, pot.x_right
 
 
+def _like(E, tau):
+    """A float for a scalar energy, an array for an array of energies."""
+    return float(tau) if np.ndim(E) == 0 else tau
+
+
 def phase_time(
     pot: PiecewisePotential,
-    E: float,
+    E,
     markers: RegionMarkers | None = None,
     rel_step: float = 1e-6,
     units: UnitSystem = UNITS,
-) -> float:
+):
     """Stationary-phase traversal time (x_f - x_i)/v + hbar d(arg A_T)/dE.
 
     Defaults to the barrier extent (x_i, x_f) = outermost edges, for which the
     expression equals hbar d(arg A_T + k a_total)/dE; for free space over a
-    marker distance d it reduces to the ballistic d/v.  The phase derivative
-    is taken on the ratio A_T(E+h)/A_T(E-h), which is an unwrapped difference
-    by construction.
+    marker distance d it reduces to the ballistic d/v.  The derivative is a
+    central difference of the phase of the complex amplitude A_T, wrapped
+    mod 2 pi and refined across fast phase swings (core.central_difference).
+    That phase loses precision once |A_T| is subnormal (kappa a past about
+    717) and ContractViolation is raised where A_T underflows to zero.
+    E may be a scalar (returns a float) or an array (one table for all).
     """
-    if not E > 0:
-        raise ContractViolation("phase_time needs E > 0")
     x_i, x_f = _markers_or_extent(pot, markers)
-    h = rel_step * E
-    while E - h <= 0:
-        h *= 0.5
-    lo, hi = solve(pot, E - h, units), solve(pot, E + h, units)
-    dphi = cmath.phase(hi.A_T / lo.A_T)
-    if abs(dphi) > 0.5 * math.pi:
-        # the two-sided step straddled a fast phase swing: refine the step
-        if rel_step < 1e-13:
-            raise QuadratureError(
-                f"phase of A_T swings faster than any resolvable step at E={E}"
-            )
-        return phase_time(pot, E, markers, rel_step * 0.01, units)
-    k = units.wavenumber(E)
-    v = units.velocity(k)
-    return float((x_f - x_i) / v + units.hbar * dphi / (2 * h))
+
+    def phase(Es):
+        A_T = SolutionTable(pot, Es, units).A_T
+        return np.where(A_T != 0, np.angle(A_T), np.nan)
+
+    dphi = central_difference(phase, E, rel_step, periodic=True)
+    v = units.velocity(units.wavenumber(E))
+    return _like(E, (x_f - x_i) / v + units.hbar * dphi)
 
 
 def bl_time(
     pot: PiecewisePotential,
-    E: float,
+    E,
     rel_step: float = 1e-6,
     units: UnitSystem = UNITS,
-) -> float:
+):
     """Modulus-sensitivity time hbar |d ln|A_T| / dE|.
 
     This is the monochromatic limit of the spin-flip Larmor component and is
     identified with the Buttiker-Landauer oscillating-barrier time; it grows
     linearly with width for opaque barriers instead of saturating.  Computed
     from the log-magnitude form of the amplitude, so extreme opacities
-    (kappa a > 700) need no special casing.
+    (kappa a > 700) need no special casing.  E may be a scalar (returns a
+    float) or an array of sub-barrier energies.
     """
-    if not 0 < E < pot.max_height:
+    E_arr = np.asarray(E)
+    if not np.all((E_arr > 0) & (E_arr < pot.max_height)):
         raise ContractViolation("bl_time is defined in the sub-barrier regime")
-    h = rel_step * E
-    while E - h <= 0:
-        h *= 0.5
-    lo, hi = solve(pot, E - h, units), solve(pot, E + h, units)
-    return float(units.hbar * abs(hi.log_abs_A_T - lo.log_abs_A_T) / (2 * h))
+    dlog = central_difference(
+        lambda Es: SolutionTable(pot, Es, units).log_abs_A_T, E, rel_step
+    )
+    return _like(E, units.hbar * np.abs(dlog))
 
 
 def dwell_time_stationary(
@@ -202,22 +202,19 @@ def two_phase_times(
     tau_phase = hbar d(phi2)/dE and tau_z = hbar d(phi1)/dE cot(phi1); the
     latter is evaluated as hbar d ln sin(phi1) / dE, which is the same product
     without the 0 * inf ambiguity when phi1 -> 0 deep in the opaque regime.
-    Branch continuity between the two evaluation energies is enforced mod 2pi.
+    Both angles come from two_phase() on the solved amplitudes, an independent
+    route to phase_time and bl_time; phi2 is differenced mod 2 pi.
     """
     a = pot.extent
-    h = rel_step * E
-    while E - h <= 0:
-        h *= 0.5
-    tps = []
-    for Ee in (E - h, E + h):
-        sol = solve(pot, Ee, units)
-        tps.append(two_phase(sol, a))
-    dphi2 = tps[1].phi2 - tps[0].phi2
-    dphi2 -= 2 * math.pi * round(dphi2 / (2 * math.pi))
-    tau_ph = units.hbar * dphi2 / (2 * h)
-    dlogsin = math.log(math.sin(tps[1].phi1)) - math.log(math.sin(tps[0].phi1))
-    tau_z = units.hbar * dlogsin / (2 * h)
-    return float(tau_ph), float(tau_z)
+
+    def angles(Es, which):
+        table = SolutionTable(pot, Es, units)
+        return np.array([getattr(two_phase(table.row(i), a), which)
+                         for i in range(len(table))])
+
+    dphi2 = central_difference(lambda Es: angles(Es, "phi2"), E, rel_step, periodic=True)
+    dlogsin = central_difference(lambda Es: np.log(np.sin(angles(Es, "phi1"))), E, rel_step)
+    return float(units.hbar * dphi2), float(units.hbar * dlogsin)
 
 
 def resonance_delay(E: float, E_r: float, Gamma: float, tau_nr: float) -> float:
@@ -257,6 +254,7 @@ def time_catalog(
 
 def packet_averaged(fn, pot: PiecewisePotential, packet) -> float:
     """Average a stationary time fn(pot, E) over a spectral packet with the
-    energy-measure weight v |G|^2 dE (the quasi-monochromatic bracket)."""
-    vals = np.array([fn(pot, float(E)) for E in packet.E])
-    return float(packet.energy_average(vals))
+    energy-measure weight v |G|^2 dE (the quasi-monochromatic bracket).
+
+    fn is called once, on the array of the packet's energies."""
+    return float(packet.energy_average(fn(pot, packet.E)))

@@ -121,6 +121,19 @@ def test_run_hartman_scan(tmp_path, capsys):
     assert (out_dir / "run_info.json").exists()
 
 
+def test_hartman_scan_flags_thin_barriers(tmp_path):
+    # configs/hartman.json scans a in [1, 12] at kappa = 1.1456 / A: the
+    # opaque warning is raised exactly where kappa a < 8, i.e. a < 6.98 A
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "hartman.json"
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out_dir)]) == 0
+    header, rows = read_csv(out_dir / "hartman-scan.csv")
+    col = header.index("opaque_warning")
+    thin = [float(r[0]) < 6.98 for r in rows]
+    assert any(thin) and not all(thin)
+    assert [r[col] for r in rows] == ["1" if t else "0" for t in thin]
+
+
 def test_run_deterministic_csv(tmp_path):
     cfg = write(tmp_path, "hartman.json", {
         "observables": ["hartman-scan"],

@@ -9,10 +9,8 @@ from tuntime.core import (
     Grid1D,
     QuadratureError,
     UnitSystem,
-    ddE,
+    central_difference,
     integrate,
-    phase_derivative,
-    unwrap_phase,
 )
 
 
@@ -90,47 +88,77 @@ def test_composite_gauss_oscillatory():
 
 
 def test_ddE_linear():
-    assert ddE(lambda E: E, 3.7) == pytest.approx(1.0, abs=1e-9)
+    assert central_difference(lambda E: E, 3.7) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ddE_quadratic():
-    assert ddE(lambda E: E**2, 2.0) == pytest.approx(4.0, rel=1e-6)
+    assert central_difference(lambda E: E**2, 2.0) == pytest.approx(4.0, rel=1e-6)
 
 
 def test_ddE_constant():
-    assert ddE(lambda E: 42.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_ddE_richardson_improves():
-    f = np.exp
-    base = abs(ddE(f, 1.0, rel_step=1e-4) - np.e)
-    rich = abs(ddE(f, 1.0, rel_step=1e-4, richardson=True) - np.e)
-    assert rich < base
+    assert central_difference(lambda E: 0 * E + 42.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ddE_small_energy_step_reduction():
-    # E(1 - rel_step) <= 0 would need rel_step >= 1; the step must shrink
-    val = ddE(lambda E: E**2, 0.5, rel_step=2.0)
-    assert val == pytest.approx(1.0, rel=1e-5)
+    # the step h = rel_step * E stays below E for every allowed rel_step, so
+    # E - h > 0 holds without any step halving
+    val = central_difference(lambda E: E**2, 0.5, rel_step=0.9)
+    assert val == pytest.approx(1.0, rel=1e-12)
+    for bad in (0.0, 1.0, 2.0):
+        with pytest.raises(ContractViolation):
+            central_difference(lambda E: E**2, 0.5, rel_step=bad)
 
 
 def test_ddE_contract():
+    for x in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(ContractViolation):
+            central_difference(lambda E: E, x)
     with pytest.raises(ContractViolation):
-        ddE(lambda E: E, 0.0)
-    with pytest.raises(QuadratureError):
-        ddE(lambda E: float("nan"), 1.0)
+        central_difference(lambda E: np.full_like(E, np.nan), 1.0)
+
+
+def test_ddE_array_matches_scalar():
+    xs = np.array([[0.5, 1.0], [2.0, 3.5]])
+    d = central_difference(np.sin, xs)
+    assert d.shape == xs.shape
+    for x, dx in zip(xs.ravel(), d.ravel()):
+        assert dx == central_difference(np.sin, x)
+    assert np.allclose(d, np.cos(xs), rtol=1e-9)
 
 
 def test_phase_derivative_plane_rotation():
-    # g = e^{i w E}: d(arg)/dE = w
+    # g = e^{i w E}: d(arg)/dE = w, from the principal-value arg
     w = 0.7
-    assert phase_derivative(lambda E: np.exp(1j * w * E), 5.0) == pytest.approx(
-        w, rel=1e-9
-    )
+    assert central_difference(
+        lambda E: np.angle(np.exp(1j * w * E)), 5.0, periodic=True
+    ) == pytest.approx(w, rel=1e-9)
 
 
-def test_unwrap_phase_linear_ramp():
-    E = np.linspace(0, 10, 400)
-    truth = 2.2 * E
-    wrapped = np.angle(np.exp(1j * truth))
-    assert np.allclose(unwrap_phase(wrapped), truth, atol=1e-12)
+def test_phase_difference_wraps_across_the_branch_cut():
+    # arg = w E mod 2 pi jumps by -2 pi between E - h and E + h at E = pi / w
+    w = 2.0
+    E0 = np.pi / w
+    d = central_difference(lambda E: np.angle(np.exp(1j * w * E)), E0, periodic=True)
+    assert d == pytest.approx(w, rel=1e-9)
+
+
+def test_phase_swing_refined_per_entry():
+    # arg e^{i c x^2} turns by 4 c x h across the difference: 1 rad at x = 0.5,
+    # but 4 and 16 rad at x = 1 and 2, which wrap to more than pi/2, so only
+    # those two entries are evaluated again, at a hundredth of the step
+    c, calls = 1e6, []
+
+    def phase(x):
+        calls.append(len(x))
+        return np.angle(np.exp(1j * c * x**2))
+
+    x = np.array([0.5, 1.0, 2.0])
+    assert central_difference(phase, x, periodic=True) == pytest.approx(2 * c * x, rel=1e-6)
+    assert calls == [6, 4]
+
+
+def test_unresolvable_phase_swing_raises():
+    # a true discontinuity of 0.9 pi is never resolved by shrinking the step
+    with pytest.raises(QuadratureError):
+        central_difference(lambda x: np.where(x < 1.0, 0.0, 0.9 * np.pi), 1.0,
+                           periodic=True)

@@ -23,6 +23,7 @@ from tuntime.stationary_times import (
     time_catalog,
     two_phase_times,
 )
+from tuntime.wavepacket import gaussian_packet
 
 V0, E = 10.0, 5.0
 KAPPA = 1.1455750187578737
@@ -72,6 +73,22 @@ def test_phase_time_plateau_value_two_routes():
     lo = rect_amplitude(V0, 10.0, E - h)[0] * np.exp(1j * k(E - h) * 10.0)
     analytic_route = UNITS.hbar * np.angle(hi / lo) / (2 * h)
     assert tau == pytest.approx(analytic_route, rel=1e-9)
+    # opaque barriers short of a subnormal |A_T| keep the plateau
+    for kappa_a in (300.0, 700.0):
+        assert phase_time(rectangular(V0, kappa_a / KAPPA), E) == pytest.approx(
+            PLATEAU, rel=1e-6
+        )
+
+
+def test_array_energies_match_scalar_calls():
+    # one stacked table for all 512 packet nodes gives the per-node values
+    pot = rectangular(V0, 5.0)
+    Es = gaussian_packet(KAPPA, 0.02, n_k=512).E
+    for fn in (phase_time, bl_time):
+        taus = fn(pot, Es)
+        assert isinstance(taus, np.ndarray) and taus.shape == Es.shape
+        scalar = np.array([fn(pot, float(Ee)) for Ee in Es])
+        assert np.max(np.abs(taus - scalar) / np.abs(scalar)) < 1e-9
 
 
 # ------------------------------------------------------------------ BL time
