@@ -56,7 +56,6 @@ from .wavepacket import (
     FluxSeries,
     Propagator,
     SpectralPacket,
-    flux,
     flux_series,
     gaussian_packet,
     propagator,

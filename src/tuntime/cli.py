@@ -34,11 +34,11 @@ from .double_barrier import (
     resonance_denominator,
     RESONANCE_DENOMINATOR_TOL,
 )
-from .flux_times import causality_check, mean_time
+from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from .scattering import solve, two_phase
 from .stationary_times import bl_time, dwell_time_stationary, phase_time, two_phase_times
-from .wavepacket import gaussian_packet, propagator
+from .wavepacket import TAIL_TOL, gaussian_packet, propagator
 
 
 class ConfigError(ValueError):
@@ -489,8 +489,8 @@ def cmd_run(args) -> int:
         "tolerances": {
             "unitarity": 1e-10,
             "oracle_equivalence": 1e-12,
-            "dwell_form_agreement": 1e-3,
-            "tail_capture": 1e-4,
+            "dwell_form_agreement": DWELL_FORM_TOL,
+            "tail_capture": TAIL_TOL,
         },
         "outputs": outputs,
         "warning_count": warning_count,

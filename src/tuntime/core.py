@@ -11,6 +11,7 @@ a stacked array of shifted arguments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,15 @@ class UnitSystem:
 UNITS = UnitSystem()
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], one eigenvalue solve per n
+    (read-only, since every later grid of that order is built from them)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Quadrature rule: strictly increasing sample points with positive weights."""
@@ -110,7 +120,7 @@ class Grid1D:
     def gauss_legendre(cls, lo: float, hi: float, n: int) -> "Grid1D":
         if not hi > lo:
             raise ContractViolation("need hi > lo")
-        x, w = np.polynomial.legendre.leggauss(int(n))
+        x, w = _legendre_rule(int(n))
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return cls(mid + half * x, half * w)
 
@@ -119,7 +129,7 @@ class Grid1D:
         """Panel-wise Gauss-Legendre; robust for oscillatory integrands."""
         if not hi > lo:
             raise ContractViolation("need hi > lo")
-        x, w = np.polynomial.legendre.leggauss(int(order))
+        x, w = _legendre_rule(int(order))
         edges = np.linspace(lo, hi, int(panels) + 1)
         mids = 0.5 * (edges[1:] + edges[:-1])
         halfs = 0.5 * np.diff(edges)

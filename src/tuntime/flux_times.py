@@ -29,14 +29,17 @@ from .core import (
     NoSuchFluxError,
     QuadratureError,
     UnitSystem,
+    central_difference,
     integrate,
 )
 from .potential import PiecewisePotential, RegionMarkers
+from .scattering import SolutionTable
 from .stationary_times import phase_time
 from .wavepacket import FluxSeries, Propagator, SpectralPacket, propagator
 
 MASS_FLOOR = 1e-10        # relative weight below which a sign channel is "absent"
 DWELL_FORM_TOL = 1e-3     # relative disagreement of the two dwell forms
+DWELL_N_T = 4096          # time samples of the shared dwell window
 
 DURATION_KINDS = (
     "transmission", "tunnelling", "penetration", "reflection",
@@ -66,6 +69,19 @@ class DurationReport:
     components: dict = field(default_factory=dict)
 
 
+def _moments(J, grid: Grid1D, floor: float = 0.0, label: str = "flux channel") -> tuple:
+    """(mass, mean instant, variance) of a non-negative flux channel on a time grid.
+
+    A channel whose mass does not exceed `floor` is absent: NoSuchFluxError.
+    """
+    mass = float(integrate(J, grid))
+    if not mass > floor:
+        raise NoSuchFluxError(f"{label} carries mass {mass:.3e}, not above {floor:.3e}")
+    mean = float(integrate(grid.points * J, grid)) / mass
+    var = float(integrate((grid.points - mean) ** 2 * J, grid)) / mass
+    return mass, mean, var
+
+
 def mean_time(fs: FluxSeries, sign: str) -> TimeStatistics:
     """Statistics of the chosen sign channel of a flux series.
 
@@ -74,33 +90,20 @@ def mean_time(fs: FluxSeries, sign: str) -> TimeStatistics:
     """
     if sign not in ("+", "-"):
         raise ContractViolation("sign must be '+' or '-'")
-    J = fs.J_plus if sign == "+" else -fs.J_minus
-    mass = float(integrate(J, fs.t_grid))
-    if not mass > MASS_FLOOR * max(fs.abs_mass, 1e-300):
-        raise NoSuchFluxError(
-            f"flux channel '{sign}' at x={fs.x} carries {mass:.3e} "
-            f"of |J| mass {fs.abs_mass:.3e}"
-        )
-    ts = fs.t
-    mean = float(integrate(ts * J, fs.t_grid)) / mass
-    var = float(integrate((ts - mean) ** 2 * J, fs.t_grid)) / mass
+    mass, mean, var = _moments(fs.J_plus if sign == "+" else -fs.J_minus, fs.t_grid,
+                               MASS_FLOOR * max(fs.abs_mass, 1e-300),
+                               f"flux channel '{sign}' at x={fs.x}")
     return TimeStatistics(mean=mean, variance=var, std_dev=math.sqrt(max(var, 0.0)),
                           weight_mass=mass)
 
 
-def _stats(prop: Propagator, x: float, sign: str, component: str = "full",
-           t_range=None) -> TimeStatistics:
-    return mean_time(prop.flux_series(x, t_range=t_range, component=component), sign)
+def _stats(prop: Propagator, x: float, sign: str, component: str = "full") -> TimeStatistics:
+    return mean_time(prop.flux_series(x, component=component), sign)
 
 
 def _union_window(prop: Propagator, xs, components=("full",)) -> tuple:
-    los, his = [], []
-    for x in xs:
-        for comp in components:
-            fs = prop.flux_series(x, component=comp)
-            los.append(fs.t_grid.lo)
-            his.append(fs.t_grid.hi)
-    return min(los), max(his)
+    grids = [prop.flux_series(x, component=c).t_grid for x in xs for c in components]
+    return min(g.lo for g in grids), max(g.hi for g in grids)
 
 
 def _validate_markers(pot: PiecewisePotential, kind: str, markers: RegionMarkers):
@@ -158,28 +161,60 @@ def duration(pot: PiecewisePotential, packet: SpectralPacket, kind: str,
     )
 
 
+def _dwell_fluxes(pot: PiecewisePotential, packet: SpectralPacket,
+                  markers: RegionMarkers, units: UnitSystem) -> tuple:
+    """(prop, time grid, J(x_f), J(x_i), incident mass N, flux-moment dwell form),
+    evaluated once for dwell and its decomposition on one union window."""
+    _validate_markers(pot, "dwell", markers)
+    prop = propagator(pot, packet, units)
+    lo, hi = _union_window(prop, (markers.x_i, markers.x_f))
+    tg = Grid1D.uniform(lo, hi, DWELL_N_T)
+    J_f = prop.flux(markers.x_f, tg.points)
+    J_i = prop.flux(markers.x_i, tg.points)
+    N = float(integrate(prop.flux(markers.x_i, tg.points, "free"), tg))
+    flux_form = (float(integrate(tg.points * J_f, tg))
+                 - float(integrate(tg.points * J_i, tg))) / N
+    return prop, tg, J_f, J_i, N, flux_form
+
+
+def _decomposition(prop: Propagator, markers: RegionMarkers, tg: Grid1D,
+                   J_f, J_i, N: float, flux_form: float) -> DurationReport:
+    Mp, t_plus_i, D_plus_i = _moments(np.where(J_i > 0, J_i, 0.0), tg)
+    _, t_minus_i, D_minus_i = _moments(np.where(J_i < 0, -J_i, 0.0), tg)
+    _, t_plus_f, D_plus_f = _moments(np.where(J_f > 0, J_f, 0.0), tg)
+
+    r_xi = (Mp - N) / N
+    T_E = float(prop.packet.energy_average(np.abs(prop.table.A_T) ** 2))
+    R_E = 1.0 - T_E
+    tau_T = t_plus_f - t_plus_i
+    tau_R = t_minus_i - t_plus_i
+    R_xi = R_E + r_xi
+    recon = T_E * tau_T + R_xi * tau_R
+    resid = abs(flux_form - recon) / max(abs(flux_form), 1e-300)
+    D_T, D_R = D_plus_f + D_plus_i, D_minus_i + D_plus_i
+    return DurationReport(
+        kind="dwell", markers=markers, mean=flux_form, variance=T_E * D_T + R_xi * D_R,
+        mean_square=flux_form**2 + T_E * D_T + R_xi * D_R,
+        components={
+            "T_E": T_E, "R_E": R_E, "r_xi": r_xi, "R_at_xi": R_xi,
+            "tau_T": tau_T, "tau_R": tau_R, "D_tau_T": D_T, "D_tau_R": D_R,
+            "reconstruction": recon, "reconstruction_residual": resid,
+            "incident_mass": N,
+        },
+    )
+
+
 def dwell(pot: PiecewisePotential, packet: SpectralPacket,
-          markers: RegionMarkers, n_t: int = 4096,
-          units: UnitSystem = UNITS) -> DurationReport:
+          markers: RegionMarkers, units: UnitSystem = UNITS) -> DurationReport:
     """Mean dwell time in (x_i, x_f), computed in both equivalent forms.
 
     Returns the space-time form (density integral over incident flux mass);
     the flux-moment form and their relative residual ride along in the
     components.  Disagreement beyond DWELL_FORM_TOL raises QuadratureError,
-    the usual symptom being a truncated time tail.
+    the usual symptom being a truncated time tail.  The variance is the
+    indirect one of dwell_decomposition (there is no direct definition).
     """
-    _validate_markers(pot, "dwell", markers)
-    prop = propagator(pot, packet, units)
-    lo, hi = _union_window(prop, (markers.x_i, markers.x_f))
-    tg = Grid1D.uniform(lo, hi, n_t)
-
-    J_f = prop.flux(markers.x_f, tg.points)
-    J_i = prop.flux(markers.x_i, tg.points)
-    J_in = prop.flux(markers.x_i, tg.points, "free")
-    N = float(integrate(J_in, tg))
-    flux_form = (float(integrate(tg.points * J_f, tg))
-                 - float(integrate(tg.points * J_i, tg))) / N
-
+    prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers, units)
     xg = _density_grid(pot, packet, markers, units)
     rho = np.abs(prop.psi_grid(xg.points, tg.points)) ** 2
     space_form = float(integrate(integrate(rho.T, xg), tg)) / N
@@ -191,10 +226,7 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
             f"({space_form!r} vs {flux_form!r}); extend the time window"
         )
 
-    # indirect variance via the weighted decomposition (no direct definition)
-    decomp = dwell_decomposition(pot, packet, markers, units=units)
-    var = decomp.components["T_E"] * decomp.components["D_tau_T"] \
-        + decomp.components["R_at_xi"] * decomp.components["D_tau_R"]
+    var = _decomposition(prop, markers, tg, J_f, J_i, N, flux_form).variance
     return DurationReport(
         kind="dwell", markers=markers, mean=space_form, variance=var,
         mean_square=space_form**2 + var,
@@ -230,52 +262,8 @@ def dwell_decomposition(pot: PiecewisePotential, packet: SpectralPacket,
     <r(x)> = integral (J_+ - J_in) dt / N, the interference deficit of the
     forward flux, negative near the barrier face and vanishing upstream.
     """
-    _validate_markers(pot, "dwell", markers)
-    prop = propagator(pot, packet, units)
-    lo, hi = _union_window(prop, (markers.x_i, markers.x_f))
-    tg = Grid1D.uniform(lo, hi, 4096)
-
-    J_f = prop.flux(markers.x_f, tg.points)
-    J_i = prop.flux(markers.x_i, tg.points)
-    J_in = prop.flux(markers.x_i, tg.points, "free")
-    N = float(integrate(J_in, tg))
-
-    def stats(J):
-        mass = float(integrate(J, tg))
-        mean = float(integrate(tg.points * J, tg)) / mass
-        var = float(integrate((tg.points - mean) ** 2 * J, tg)) / mass
-        return mass, mean, var
-
-    Jp_i = np.where(J_i > 0, J_i, 0.0)
-    Jm_i = np.where(J_i < 0, -J_i, 0.0)
-    Jp_f = np.where(J_f > 0, J_f, 0.0)
-    Mp, t_plus_i, D_plus_i = stats(Jp_i)
-    _, t_minus_i, D_minus_i = stats(Jm_i)
-    _, t_plus_f, D_plus_f = stats(Jp_f)
-
-    r_xi = (Mp - N) / N
-    A_T = prop.table.A_T
-    T_E = float(packet.energy_average(np.abs(A_T) ** 2))
-    R_E = 1.0 - T_E
-    tau_T = t_plus_f - t_plus_i
-    tau_R = t_minus_i - t_plus_i
-    dwell_flux = (float(integrate(tg.points * J_f, tg))
-                  - float(integrate(tg.points * J_i, tg))) / N
-    recon = T_E * tau_T + (R_E + r_xi) * tau_R
-    resid = abs(dwell_flux - recon) / max(abs(dwell_flux), 1e-300)
-    return DurationReport(
-        kind="dwell", markers=markers, mean=dwell_flux,
-        variance=T_E * (D_plus_f + D_plus_i) + (R_E + r_xi) * (D_minus_i + D_plus_i),
-        mean_square=dwell_flux**2
-        + T_E * (D_plus_f + D_plus_i) + (R_E + r_xi) * (D_minus_i + D_plus_i),
-        components={
-            "T_E": T_E, "R_E": R_E, "r_xi": r_xi, "R_at_xi": R_E + r_xi,
-            "tau_T": tau_T, "tau_R": tau_R,
-            "D_tau_T": D_plus_f + D_plus_i, "D_tau_R": D_minus_i + D_plus_i,
-            "reconstruction": recon, "reconstruction_residual": resid,
-            "incident_mass": N,
-        },
-    )
+    prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers, units)
+    return _decomposition(prop, markers, tg, J_f, J_i, N, flux_form)
 
 
 def interference_deficit(pot: PiecewisePotential, packet: SpectralPacket,
@@ -318,8 +306,9 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
                                                         units=units)))
     projected = stat_full_f.mean - stat_in.mean
 
-    absAT = np.abs(prop.table.A_T)
-    dabs = np.gradient(absAT, prop.table.E)
+    absAT = np.abs(prop.table.A_T)  # d|A_T|/dE = |A_T| d ln|A_T|/dE
+    dabs = absAT * central_difference(
+        lambda Es: SolutionTable(pot, Es, units).log_abs_A_T, prop.table.E)
     eq_var = units.hbar**2 * packet.energy_average(dabs**2) \
         / packet.energy_average(absAT**2)
 
@@ -420,11 +409,8 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
     j = i_peak + int(sign_change[0])
     t0 = _bisect_crossing(prop, x_f, tg.points[j], tg.points[j + 1])
     sel = tg.points <= t0
-    w = tg.weights[sel]
-    ts = tg.points[sel]
-    m_fin = float(np.dot(w, ts * J_fin_p[sel])) / float(np.dot(w, J_fin_p[sel]))
-    m_in = float(np.dot(w, ts * J_in[sel])) / float(np.dot(w, J_in[sel]))
-    margin = m_fin - m_in
+    before = Grid1D(tg.points[sel], tg.weights[sel])
+    margin = _moments(J_fin_p[sel], before)[1] - _moments(J_in[sel], before)[1]
     return CausalityResult("delay", margin >= 0.0, margin, detail=f"t0={t0:.4f} fs")
 
 

@@ -59,25 +59,6 @@ class ScatteringSolution:
     refs: tuple            # phase reference (left edge) per region
     flags: tuple = ()
 
-    @property
-    def segment_coeffs(self) -> tuple:
-        """(forward, backward) coefficient pairs for the interior regions."""
-        return tuple(zip(self.fwd[1:-1], self.bwd[1:-1]))
-
-    def psi(self, x: float) -> complex:
-        j = self._region_index(x)
-        ea = cmath.exp(1j * self.q[j] * (x - self.refs[j]))
-        return self.fwd[j] * ea + self.bwd[j] / ea
-
-    def dpsi(self, x: float) -> complex:
-        j = self._region_index(x)
-        ea = cmath.exp(1j * self.q[j] * (x - self.refs[j]))
-        return 1j * self.q[j] * (self.fwd[j] * ea - self.bwd[j] / ea)
-
-    def _region_index(self, x: float) -> int:
-        idx = int(np.searchsorted(np.asarray(self.bounds[1:-1]), x, side="right"))
-        return idx
-
     def psi_array(self, xs) -> np.ndarray:
         """Vectorised psi over an array of positions."""
         xs = np.asarray(xs, dtype=float)

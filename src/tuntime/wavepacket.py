@@ -28,7 +28,9 @@ from .core import UNITS, ContractViolation, Grid1D, UnitSystem, integrate
 from .potential import PiecewisePotential
 from .scattering import SolutionTable
 
-COMPONENTS = ("full", "free", "incident", "transmitted", "reflected")
+TAIL_TOL = 1e-4          # relative |J|-mass change that ends the tail extension
+MAX_TAIL_EXTENSIONS = 8  # 25% window extensions before tail_captured=False
+PHASE_BLOCK = 1 << 19    # entries of exp(-iEt/hbar) built at once by one evaluation
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,6 @@ class SpectralPacket:
     def v(self) -> np.ndarray:
         return self.dispersion.velocity(self.k)
 
-    @property
-    def is_real_weight(self) -> bool:
-        return self.x0 == 0.0 and self.t0 == 0.0
-
     def norm_dE(self) -> float:
         """integral |G|^2 dE on the grid; 1 by construction."""
         hbar = self.dispersion.units.hbar
@@ -106,7 +104,7 @@ class SpectralPacket:
     def energy_average(self, values) -> float:
         """<...>_E with the v |G|^2 dE measure of the quasi-monochromatic bracket."""
         wts = self.w * self.v**2 * np.abs(self.G) ** 2
-        return float(np.dot(wts, np.asarray(values)) / np.sum(wts))
+        return float(wts @ np.asarray(values) / np.sum(wts))
 
     def incident_flux_mass(self) -> float:
         """Analytic integral of the free-packet flux over all time: 2 pi |G|^2 dk."""
@@ -216,30 +214,39 @@ class Propagator:
         k = self.packet.k
         if component == "full":
             return self.table.psi_dpsi(x)
-        if component in ("free", "incident"):
+        if component == "free":
             ps = np.exp(1j * k * x)
             return ps, 1j * k * ps
         if component == "transmitted":
             ps = self.table.A_T * np.exp(1j * k * x)
             return ps, 1j * k * ps
-        if component == "reflected":
-            ps = self.table.A_R * np.exp(-1j * k * x)
-            return ps, -1j * k * ps
         raise ContractViolation(f"unknown component {component!r}")
 
-    def _phases(self, ts) -> np.ndarray:
+    def _phases(self, ts: np.ndarray) -> np.ndarray:
+        ph = np.empty((self.packet.E.size, ts.size), dtype=complex)
+        np.multiply.outer(self.packet.E, ts, out=ph)
+        ph *= -1j  # in place throughout: the block is the only n_k x n_t array
+        ph /= self.units.hbar
+        return np.exp(ph, out=ph)
+
+    def _contract(self, rows, ts) -> np.ndarray:
+        """rows @ exp(-iEt/hbar) with the phases built PHASE_BLOCK entries at a time,
+        so the memory of an evaluation (and of concurrent ones) is fixed, not ~n_t."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.exp(-1j * np.outer(self.packet.E, ts) / self.units.hbar)
+        step = max(1, PHASE_BLOCK // self.packet.E.size)
+        out = np.empty((len(rows), ts.size), dtype=complex)
+        for j in range(0, ts.size, step):
+            np.matmul(rows, self._phases(ts[j:j + step]), out=out[:, j:j + step])
+        return out
 
     # -- field evaluations ----------------------------------------------
     def psi(self, x: float, ts, component: str = "full") -> np.ndarray:
         ps, _ = self._modes(x, component)
-        return (self._cw * ps) @ self._phases(ts)
+        return self._contract([self._cw * ps], ts)[0]
 
     def psi_dpsi(self, x: float, ts, component: str = "full"):
         ps, dps = self._modes(x, component)
-        phases = self._phases(ts)
-        return (self._cw * ps) @ phases, (self._cw * dps) @ phases
+        return tuple(self._contract([self._cw * ps, self._cw * dps], ts))
 
     def flux(self, x: float, ts, component: str = "full") -> np.ndarray:
         Psi, dPsi = self.psi_dpsi(x, ts, component)
@@ -251,19 +258,13 @@ class Propagator:
     def density_rate(self, x: float, ts, component: str = "full") -> np.ndarray:
         """d|Psi|^2/dt from the analytic time derivative of the superposition."""
         ps, _ = self._modes(x, component)
-        phases = self._phases(ts)
-        Psi = (self._cw * ps) @ phases
-        dPsi_dt = (self._cw * ps * (-1j * self.packet.E / self.units.hbar)) @ phases
+        cw = self._cw * ps
+        Psi, dPsi_dt = self._contract([cw, cw * (-1j * self.packet.E / self.units.hbar)], ts)
         return 2.0 * np.real(np.conj(Psi) * dPsi_dt)
 
     def psi_grid(self, xs, ts, component: str = "full") -> np.ndarray:
         """Psi on an (x, t) product grid, shape (len(xs), len(ts))."""
-        phases = self._phases(ts)
-        out = np.empty((len(xs), phases.shape[1]), dtype=complex)
-        for i, x in enumerate(xs):
-            ps, _ = self._modes(float(x), component)
-            out[i] = (self._cw * ps) @ phases
-        return out
+        return self._contract([self._cw * self._modes(float(x), component)[0] for x in xs], ts)
 
     # -- default analysis window -----------------------------------------
     def suggest_window(self, x: float) -> tuple:
@@ -288,14 +289,13 @@ class Propagator:
         x: float,
         t_range: tuple | None = None,
         n_t: int = 2048,
-        eps_tail: float = 1e-4,
+        eps_tail: float = TAIL_TOL,
         component: str = "full",
-        max_extensions: int = 8,
     ) -> FluxSeries:
         """Flux samples at x with tail-capture control.
 
         The window is extended by 25% on both ends until the integral of |J|
-        moves by less than eps_tail relative, up to max_extensions rounds; a
+        moves by less than eps_tail relative, up to MAX_TAIL_EXTENSIONS rounds; a
         failure is reported through tail_captured=False rather than raised.
         """
         if n_t < 256:
@@ -311,7 +311,7 @@ class Propagator:
 
         g, J, mass = series(lo, hi)
         captured = False
-        for _ in range(max_extensions):
+        for _ in range(MAX_TAIL_EXTENSIONS):
             pad = 0.25 * (hi - lo)
             g2, J2, mass2 = series(lo - pad, hi + pad)
             if abs(mass2 - mass) <= eps_tail * max(mass2, 1e-300):
@@ -350,15 +350,9 @@ def psi(pot: PiecewisePotential, packet: SpectralPacket, x: float, t: float,
     return complex(propagator(pot, packet).psi(x, [t], component)[0])
 
 
-def flux(pot: PiecewisePotential, packet: SpectralPacket, x: float, t: float,
-         component: str = "full") -> float:
-    """Probability flux J(x, t) with the spatial derivative taken analytically."""
-    return float(propagator(pot, packet).flux(x, [t], component)[0])
-
-
 def flux_series(pot: PiecewisePotential, packet: SpectralPacket, x: float,
                 t_range: tuple | None = None, n_t: int = 2048,
-                eps_tail: float = 1e-4, component: str = "full") -> FluxSeries:
+                eps_tail: float = TAIL_TOL, component: str = "full") -> FluxSeries:
     return propagator(pot, packet).flux_series(
         x, t_range=t_range, n_t=n_t, eps_tail=eps_tail, component=component
     )

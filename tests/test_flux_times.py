@@ -23,7 +23,7 @@ from tuntime.flux_times import (
 )
 from tuntime.potential import PiecewisePotential, RegionMarkers, rectangular
 from tuntime.stationary_times import phase_time, packet_averaged
-from tuntime.wavepacket import flux_series, gaussian_packet, propagator
+from tuntime.wavepacket import Propagator, flux_series, gaussian_packet, propagator
 
 E_BAR = 5.0
 K_BAR = float(UNITS.wavenumber(E_BAR))
@@ -164,6 +164,42 @@ def test_transparent_barrier_dwell_equals_transmission():
     rep_d = dwell(pot, pk, markers)
     rep_t = duration(pot, pk, "transmission", markers)
     assert rep_d.mean == pytest.approx(rep_t.mean, rel=1e-3)
+
+
+def test_dwell_evaluates_each_flux_once(monkeypatch):
+    # one union window (a flux series per marker, each with one tail
+    # extension) and J(x_f), J(x_i), J_in(x_i) once, shared with the
+    # decomposition that supplies the variance
+    counts = {"flux": 0, "flux_series": 0}
+    for name in counts:
+        original = getattr(Propagator, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Propagator, name, counted)
+    dwell(POT, gaussian_packet(K_BAR, 0.02, n_k=128), RegionMarkers(-25.0, 30.0))
+    assert counts == {"flux": 7, "flux_series": 2}
+
+
+def test_free_dwell_has_no_reflected_channel():
+    # free space reflects nothing: the decomposition's round-trip channel,
+    # and with it the dwell variance, is reported absent
+    pk = gaussian_packet(K_BAR, 0.02, n_k=128)
+    for fn in (dwell, dwell_decomposition):
+        with pytest.raises(NoSuchFluxError):
+            fn(FREE, pk, RegionMarkers(0.0, 10.0))
+
+
+def test_dwell_variance_is_the_decomposition_variance():
+    pk = gaussian_packet(K_BAR, 0.02, n_k=128)
+    markers = RegionMarkers(-30.0, 35.0)
+    rep = dwell(POT, pk, markers)
+    dec = dwell_decomposition(POT, pk, markers)
+    assert rep.variance == dec.variance
+    assert rep.components["flux_moment_form"] == dec.mean
+    assert rep.components["incident_mass"] == dec.components["incident_mass"]
 
 
 # ------------------------------------------------------------- decomposition

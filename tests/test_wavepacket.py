@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from tuntime import wavepacket
 from tuntime.core import UNITS, ContractViolation, Grid1D, integrate
 from tuntime.potential import PiecewisePotential, rectangular
 from tuntime.wavepacket import (
@@ -21,7 +22,6 @@ from tuntime.wavepacket import (
     PHOTON,
     Propagator,
     SpectralPacket,
-    flux,
     flux_series,
     gaussian_packet,
     propagator,
@@ -50,6 +50,29 @@ def test_kbar_for_5ev():
     assert K_BAR == pytest.approx(1.1455, abs=1e-4)
     pk = gaussian_packet(K_BAR, 0.02)
     assert pk.k_bar == K_BAR
+
+
+def test_gauss_legendre_rule_solved_once_per_order(monkeypatch):
+    # the n-node rule is a dense eigenvalue solve: solved once per n and
+    # shared read-only, with packets bit-identical to a freshly solved rule
+    calls = []
+    solve_rule = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or solve_rule(n))
+    pk1 = gaussian_packet(K_BAR, 0.02, n_k=337)
+    pk2 = gaussian_packet(K_BAR, 0.02, n_k=337)
+    assert calls == [337]
+    x, w = solve_rule(337)
+    lo, hi = K_BAR - 12.0 * 0.02, K_BAR + 12.0 * 0.02
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    for pk in (pk1, pk2):
+        assert np.array_equal(pk.k, mid + half * x)
+        assert np.array_equal(pk.w, half * w)
+    assert np.array_equal(pk1.G, pk2.G)
+    from tuntime.core import _legendre_rule
+
+    with pytest.raises(ValueError):
+        _legendre_rule(337)[0][0] = 0.0
 
 
 def test_packet_normalization():
@@ -182,6 +205,29 @@ def test_flux_quiet_before_arrival():
     prop = propagator(FREE, pk)
     J = prop.flux(300.0, np.linspace(-40.0, -20.0, 301))
     assert np.max(np.abs(J)) < 1e-12
+
+
+def test_phases_built_in_bounded_blocks(monkeypatch):
+    # an evaluation builds exp(-iEt/hbar) at most PHASE_BLOCK entries at a
+    # time, so its memory does not grow with the time grid; the blocks give
+    # the one-block values to rounding
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
+    ts = np.linspace(-400.0, 800.0, 1001)
+    xs = [-30.0, 2.0, 30.0]
+    J, grid = prop.flux(2.0, ts), prop.psi_grid(xs, ts)  # 128 x 1001 entries: one block
+    sizes = []
+    build = Propagator._phases
+    monkeypatch.setattr(wavepacket, "PHASE_BLOCK", 128 * 96)
+    monkeypatch.setattr(Propagator, "_phases",
+                        lambda self, t: sizes.append(t.size) or build(self, t))
+    J_blocked = prop.flux(2.0, ts)
+    assert sizes == [96] * 10 + [41]
+    assert np.max(np.abs(J_blocked - J)) <= 1e-13 * np.max(np.abs(J))
+    grid_blocked = prop.psi_grid(xs, ts)
+    assert grid_blocked.shape == (3, 1001)
+    assert np.max(np.abs(grid_blocked - grid)) <= 1e-13 * np.max(np.abs(grid))
+    for x, row in zip(xs, grid_blocked):
+        assert np.max(np.abs(row - prop.psi(x, ts))) <= 1e-13 * np.max(np.abs(grid))
 
 
 def test_flux_series_autoextends_from_small_window():
