@@ -5,6 +5,8 @@ CSV per requested observable; every row carries the diagnostic flag columns
 (tail_captured, on_resonance, opaque_warning) so downstream plotting can
 filter.  Outputs are deterministic for a fixed config; the wall-clock data
 lives in a separate run_info.json so the CSVs and manifest stay byte-stable.
+Rows are evaluated in order; the `workers` key and `--workers` flag are
+accepted and echoed in the manifest but select nothing.
 
 Exit codes: 0 success (possibly with warnings), 1 config error, 2 numerical
 failure.
@@ -13,7 +15,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -223,14 +224,6 @@ def _scan_values(scan: dict) -> np.ndarray:
     return np.linspace(scan["min"], scan["max"], scan["steps"])
 
 
-def _run_rows(fn, values, workers: int):
-    """Evaluate fn over scan values, concurrently but output-ordered."""
-    if workers <= 1:
-        return [fn(v) for v in values]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
-
-
 FLAGS = ("tail_captured", "on_resonance", "opaque_warning")
 _OK_FLAGS = {"tail_captured": 1, "on_resonance": 0, "opaque_warning": 0}
 
@@ -279,7 +272,7 @@ def _obs_stationary(cfg: dict, which: str):
         return [v, E, val, *_OK_FLAGS.values()]
 
     header = [scan["parameter"], "E_eV", f"{which.replace('-', '_')}_fs", *FLAGS]
-    return header, _run_rows(row, _scan_values(scan), cfg["workers"])
+    return header, [row(v) for v in _scan_values(scan)]
 
 
 def _obs_two_phase(cfg: dict):
@@ -296,7 +289,7 @@ def _obs_two_phase(cfg: dict):
         return [E, tp.phi1, tp.phi2, tau_ph, tau_z, *_OK_FLAGS.values()]
 
     header = ["E_eV", "phi1_rad", "phi2_rad", "tau_phase_fs", "tau_z_fs", *FLAGS]
-    return header, _run_rows(row, _scan_values(scan), cfg["workers"])
+    return header, [row(v) for v in _scan_values(scan)]
 
 
 def _obs_hartman(cfg: dict):
@@ -315,7 +308,7 @@ def _obs_hartman(cfg: dict):
         return [a, kappa * a, tau_ph, tau_bl, tau_dw, 1, 0, int(kappa * a < OPACITY_WARN_BELOW)]
 
     header = ["a", "kappa_a", "tau_phase_fs", "tau_bl_fs", "tau_dwell_fs", *FLAGS]
-    return header, _run_rows(row, _scan_values(scan), cfg["workers"])
+    return header, [row(v) for v in _scan_values(scan)]
 
 
 def _obs_or_times(cfg: dict):
@@ -340,7 +333,7 @@ def _obs_or_times(cfg: dict):
                     sa.mean - s0.mean, float(packet.energy_average(tau_ph)),
                     int(tail), 0, 0]
 
-        rows.extend(_run_rows(row, _scan_values(scan), cfg["workers"]))
+        rows.extend(row(a) for a in _scan_values(scan))
     header = ["E_bar_eV", "delta_k", "a", "t_plus_0_fs", "t_plus_a_fs",
               "tau_tun_fs", "tau_phase_avg_fs", *FLAGS]
     return header, rows
@@ -389,7 +382,7 @@ def _obs_double(cfg: dict):
 
     header = ["a", "L_minus_a", "chi_a", "tau_total_fs", "delta_rad",
               "A_im_over_abs", *FLAGS]
-    return header, _run_rows(row, pairs, cfg["workers"])
+    return header, [row(pair) for pair in pairs]
 
 
 def _obs_waveguide(cfg: dict):
@@ -525,7 +518,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario config and write CSVs")
     p_run.add_argument("config")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=int, default=None,
+                       help="accepted and echoed in the manifest; selects nothing")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(fn=cmd_run)
 

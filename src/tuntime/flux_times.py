@@ -179,19 +179,26 @@ def _dwell_fluxes(pot: PiecewisePotential, packet: SpectralPacket,
 
 def _decomposition(prop: Propagator, markers: RegionMarkers, tg: Grid1D,
                    J_f, J_i, N: float, flux_form: float) -> DurationReport:
-    Mp, t_plus_i, D_plus_i = _moments(np.where(J_i > 0, J_i, 0.0), tg)
-    _, t_minus_i, D_minus_i = _moments(np.where(J_i < 0, -J_i, 0.0), tg)
-    _, t_plus_f, D_plus_f = _moments(np.where(J_f > 0, J_f, 0.0), tg)
+    x_i, x_f = markers.x_i, markers.x_f
+    Mp, t_plus_i, D_plus_i = _moments(np.where(J_i > 0, J_i, 0.0), tg,
+                                      label=f"flux channel '+' at x_i={x_i}")
+    _, t_plus_f, D_plus_f = _moments(np.where(J_f > 0, J_f, 0.0), tg,
+                                     label=f"flux channel '+' at x_f={x_f}")
+    J_back = np.where(J_i < 0, -J_i, 0.0)
+    if J_back.any():
+        _, t_minus_i, D_minus_i = _moments(J_back, tg, label=f"flux channel '-' at x_i={x_i}")
+        tau_R, D_R = t_minus_i - t_plus_i, D_minus_i + D_plus_i
+    else:  # nothing comes back through x_i (free space): no round trip to weigh
+        tau_R = D_R = 0.0
 
     r_xi = (Mp - N) / N
     T_E = float(prop.packet.energy_average(np.abs(prop.table.A_T) ** 2))
     R_E = 1.0 - T_E
     tau_T = t_plus_f - t_plus_i
-    tau_R = t_minus_i - t_plus_i
     R_xi = R_E + r_xi
     recon = T_E * tau_T + R_xi * tau_R
     resid = abs(flux_form - recon) / max(abs(flux_form), 1e-300)
-    D_T, D_R = D_plus_f + D_plus_i, D_minus_i + D_plus_i
+    D_T = D_plus_f + D_plus_i
     return DurationReport(
         kind="dwell", markers=markers, mean=flux_form, variance=T_E * D_T + R_xi * D_R,
         mean_square=flux_form**2 + T_E * D_T + R_xi * D_R,

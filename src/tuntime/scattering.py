@@ -7,12 +7,16 @@ running product is rescaled whenever its entries grow large and the pulled-out
 magnitude is tracked as a log, which keeps |A_T| available in log form for
 arbitrarily opaque barriers (kappa a far beyond the e^{-745} underflow line).
 
-Region coefficients for wavefunction reconstruction are recovered by backward
-substitution from the transmitted side, which is the well-conditioned
-direction: extracting the decaying and growing components at a segment's right
-edge involves no cancellation.  Continuity at interior joints then holds by
-construction and the residual at the leftmost joint measures the global
-accuracy of the solve.
+Region coefficients are recovered by backward substitution from the
+transmitted side, the well-conditioned direction: extracting the decaying and
+growing components at a segment's right edge involves no cancellation.  Region
+j holds psi = e^{s_j} (f_j e^{i q_j (x - l_j)} + b_j e^{-i q_j (x - r_j)}),
+each component referenced to the edge (left l_j, right r_j) where it is
+largest.  The pair (f_j, b_j) has unit size and the growth (e^{kappa d},
+|A_T|) is the log scale s_j, so no opacity overflows; a component underflows
+only where it is negligible beside the other.  Continuity at interior joints
+holds by construction and the residual at the leftmost joint measures the
+global accuracy of the solve.
 """
 
 from __future__ import annotations
@@ -59,17 +63,6 @@ class ScatteringSolution:
     refs: tuple            # phase reference (left edge) per region
     flags: tuple = ()
 
-    def psi_array(self, xs) -> np.ndarray:
-        """Vectorised psi over an array of positions."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape, dtype=complex)
-        idx = np.searchsorted(np.asarray(self.bounds[1:-1]), xs, side="right")
-        for j in np.unique(idx):
-            sel = idx == j
-            ea = np.exp(1j * self.q[j] * (xs[sel] - self.refs[j]))
-            out[sel] = self.fwd[j] * ea + self.bwd[j] / ea
-        return out
-
     def boundary_residual(self) -> float:
         """Mismatch of the reconstructed incident/reflected pair at the first joint.
 
@@ -90,7 +83,9 @@ class SolutionTable:
     Used wherever many energies are needed at once (spectral packets, energy
     scans, the stacked energies of a central difference); row(i)
     materialises a ScatteringSolution for one energy.  The transmission is
-    held as log_abs_A_T and arg_A_T, from which A_T is derived.
+    held as log_abs_A_T and arg_A_T, from which A_T is derived; region j as
+    the pair f, b and its log_scale, referenced to refs (left edges) and ends
+    (right edges; equal to refs in the outer regions).
     """
 
     def __init__(self, pot: PiecewisePotential, Es, units: UnitSystem = UNITS):
@@ -115,14 +110,15 @@ class SolutionTable:
                 self.shifted |= close
         self.E = Es
         self.k = units.wavenumber(Es)
+        n = len(Es)
 
         if not regions:
-            n = len(Es)
             self.bounds = np.array([-np.inf, np.inf])
-            self.refs = np.array([0.0])
+            self.refs = self.ends = np.array([0.0])
             self.q = self.k.astype(complex)[:, None]
-            self.fwd = np.ones((n, 1), dtype=complex)
-            self.bwd = np.zeros((n, 1), dtype=complex)
+            self.log_scale = np.zeros((n, 1))
+            self.f = np.ones((n, 1), dtype=complex)
+            self.b = np.zeros((n, 1), dtype=complex)
             self.A_T = np.ones(n, dtype=complex)
             self.A_R = np.zeros(n, dtype=complex)
             self.log_abs_A_T = np.zeros(n)
@@ -133,10 +129,11 @@ class SolutionTable:
         xm = regions[-1][1]
         self.bounds = np.array([-np.inf] + [r[0] for r in regions] + [xm, np.inf])
         self.refs = np.array([x1] + [r[0] for r in regions] + [xm])
-        widths = np.array([0.0] + [hi - lo for (lo, hi, _) in regions])
+        self.ends = np.array([x1] + [r[1] for r in regions] + [xm])
+        widths = self.ends - self.refs
         q = _wavenumbers(Es, heights, units)  # (nE, n_regions)
         self.q = q
-        n = len(Es)
+        nreg = len(heights)
 
         # forward accumulation of the global transfer matrix, log-rescaled;
         # propagation across a region is chunked so e^{+kappa d} never
@@ -152,7 +149,7 @@ class SolutionTable:
                 T[big] /= mags[big, None, None]
                 logscale[big] += np.log(mags[big])
 
-        for j in range(len(widths)):
+        for j in range(nreg - 1):
             d = widths[j]
             if d > 0:
                 grow = float(np.max(np.abs(np.imag(q[:, j])))) * d
@@ -180,27 +177,26 @@ class SolutionTable:
         self.arg_A_T = -np.angle(T[:, 1, 1]) + k * (x1 - xm)
         self.A_T = np.exp(self.log_abs_A_T) * np.exp(1j * self.arg_A_T)
 
-        # backward substitution for region coefficients
-        nreg = len(heights)
-        fwd = np.empty((n, nreg), dtype=complex)
-        bwd = np.empty((n, nreg), dtype=complex)
-        fwd[:, -1] = self.A_T * np.exp(1j * k * xm)
-        bwd[:, -1] = 0.0
+        # backward substitution from the transmitted wave A_T e^{ik(x - xm)}
+        self.log_scale = np.empty((n, nreg))
+        self.f = np.empty((n, nreg), dtype=complex)
+        self.b = np.empty((n, nreg), dtype=complex)
+        self.log_scale[:, -1] = self.log_abs_A_T
+        self.f[:, -1] = np.exp(1j * (self.arg_A_T + k * xm))
+        self.b[:, -1] = 0.0
         for j in range(nreg - 2, -1, -1):
-            qn = q[:, j + 1]
-            psi = fwd[:, j + 1] + bwd[:, j + 1]
-            dpsi = 1j * qn * (fwd[:, j + 1] - bwd[:, j + 1])
-            # clip the evanescent growth so reconstruction stays finite even
-            # past kappa*width ~ 700; coefficients there saturate, the
-            # amplitudes themselves remain exact through the log form
-            ex = 1j * q[:, j] * widths[j]
-            u = np.exp(np.real(ex).clip(-700, 700) + 1j * np.imag(ex))
-            u = np.where(np.abs(u) < 1e-300, 1e-300, u)
-            half = 0.5 * dpsi / (1j * q[:, j])
-            fwd[:, j] = (0.5 * psi + half) / u
-            bwd[:, j] = (0.5 * psi - half) * u
-        self.fwd = fwd
-        self.bwd = bwd
+            # psi and psi'/(i q_j) at the joint, in units of e^{log_scale[j+1]}
+            back = self.b[:, j + 1] * np.exp(1j * q[:, j + 1] * widths[j + 1])
+            psi = self.f[:, j + 1] + back
+            dpsi = q[:, j + 1] / q[:, j] * (self.f[:, j + 1] - back)
+            fwd_right, bwd_right = 0.5 * (psi + dpsi), 0.5 * (psi - dpsi)
+            # f_j = fwd_right e^{-i q_j d}, which grows by e^{kappa d}; the
+            # larger of |f_j| and |b_j| becomes 1 and its log joins the scale
+            grow = q[:, j].imag * widths[j]
+            s = grow + np.log(np.maximum(np.abs(fwd_right), np.abs(bwd_right) * np.exp(-grow)))
+            self.f[:, j] = fwd_right * np.exp(-1j * q[:, j] * widths[j] - s)
+            self.b[:, j] = bwd_right * np.exp(-s)
+            self.log_scale[:, j] = self.log_scale[:, j + 1] + s
 
     def __len__(self) -> int:
         return len(self.E)
@@ -208,13 +204,40 @@ class SolutionTable:
     def psi_dpsi(self, x: float):
         """Arrays over energy of psi(x) and psi'(x)."""
         j = int(np.searchsorted(self.bounds[1:-1], x, side="right"))
-        ea = np.exp(1j * self.q[:, j] * (x - self.refs[j]))
-        ps = self.fwd[:, j] * ea + self.bwd[:, j] / ea
-        dps = 1j * self.q[:, j] * (self.fwd[:, j] * ea - self.bwd[:, j] / ea)
-        return ps, dps
+        iq, s = 1j * self.q[:, j], self.log_scale[:, j]
+        ef = self.f[:, j] * np.exp(s + iq * (x - self.refs[j]))
+        eb = self.b[:, j] * np.exp(s - iq * (x - self.ends[j]))
+        return ef + eb, iq * (ef - eb)
+
+    def density_integral(self, x_i: float, x_f: float) -> np.ndarray:
+        """Integral of |psi|^2 over (x_i, x_f), an array over energy.
+
+        Each region's share has a closed form in the scaled pair, where no
+        exponential exceeds 1, so it is exact to rounding at any opacity.  q
+        is real or i kappa, so with kappa = Im q and k = Re q one of the two
+        vanishes and one formula covers both.
+        """
+        total = np.zeros(len(self.E))
+        for j in range(self.q.shape[1]):
+            lo, hi = max(x_i, self.bounds[j]), min(x_f, self.bounds[j + 1])
+            if not hi > lo:
+                continue
+            w = hi - lo
+            kap, kre = self.q[:, j].imag, self.q[:, j].real
+            c = 2.0 * kap * w  # decay = integral of e^{-2 kappa t} over (0, w)
+            decay = w * np.where(c > 0, -np.expm1(-c) / np.where(c > 0, c, 1.0), 1.0)
+            ref, end = self.refs[j], self.ends[j]
+            f, b = self.f[:, j], self.b[:, j]
+            squares = (np.abs(f) ** 2 * np.exp(-2.0 * kap * (lo - ref))
+                       + np.abs(b) ** 2 * np.exp(-2.0 * kap * (end - hi))) * decay
+            cross = (f * np.conj(b) * w * np.sinc(kre * w / np.pi)
+                     * np.exp(-kap * (end - ref) + 1j * kre * (lo + hi - ref - end)))
+            total += np.exp(2.0 * self.log_scale[:, j]) * (squares + 2.0 * cross.real)
+        return total
 
     def row(self, i: int) -> ScatteringSolution:
         flags = ("energy_shifted",) if self.shifted[i] else ()
+        q, s = self.q[i], self.log_scale[i]
         return ScatteringSolution(
             pot=self.pot,
             E=float(self.E[i]),
@@ -223,9 +246,9 @@ class SolutionTable:
             A_R=complex(self.A_R[i]),
             log_abs_A_T=float(self.log_abs_A_T[i]),
             bounds=tuple(self.bounds),
-            q=tuple(self.q[i]),
-            fwd=tuple(self.fwd[i]),
-            bwd=tuple(self.bwd[i]),
+            q=tuple(q),
+            fwd=tuple(self.f[i] * np.exp(s)),
+            bwd=tuple(self.b[i] * np.exp(s + 1j * q * (self.ends - self.refs))),
             refs=tuple(self.refs),
             flags=flags,
         )
@@ -241,7 +264,9 @@ def rect_amplitude(V0: float, a: float, E: float, units: UnitSystem = UNITS):
 
     A_T = 4 i k kappa [(k^2 - kappa^2) D_- + 2 i k kappa D_+]^{-1} e^{-(kappa + ik) a}
     with D_+- = 1 +- e^{-2 kappa a}; the reflection follows from the same
-    matching, A_R = -(i/2)(k/kappa + kappa/k) sinh(kappa a) A_T e^{ika}.
+    matching, A_R = -(i/2)(k/kappa + kappa/k) sinh(kappa a) A_T e^{ika}, taken
+    with the e^{-kappa a} of A_T folded into sinh(kappa a) e^{-kappa a} = D_-/2
+    so that no opacity overflows (A_T itself underflows to 0 past kappa a ~ 745).
     """
     if not (0 < E < V0):
         raise ContractViolation("rect_amplitude needs 0 < E < V0; use solve above barrier")
@@ -249,14 +274,11 @@ def rect_amplitude(V0: float, a: float, E: float, units: UnitSystem = UNITS):
         raise ContractViolation("need a > 0")
     k = float(units.wavenumber(E))
     kap = float(units.decay_constant(V0, E))
-    em = math.exp(-2.0 * kap * a)
-    Dm, Dp = 1.0 - em, 1.0 + em
-    A_T = (
-        4j * k * kap
-        / ((k**2 - kap**2) * Dm + 2j * k * kap * Dp)
-        * cmath.exp(-(kap + 1j * k) * a)
-    )
-    A_R = -0.5j * (k / kap + kap / k) * math.sinh(kap * a) * A_T * cmath.exp(1j * k * a)
+    Dm = -math.expm1(-2.0 * kap * a)
+    Dp = 2.0 - Dm
+    unscaled = 4j * k * kap / ((k**2 - kap**2) * Dm + 2j * k * kap * Dp)
+    A_T = unscaled * cmath.exp(-(kap + 1j * k) * a)
+    A_R = -0.25j * (k / kap + kap / k) * Dm * unscaled
     return A_T, A_R
 
 

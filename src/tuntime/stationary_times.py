@@ -8,22 +8,15 @@ to the same quantities, and the near-resonance Lorentzian delay.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    UNITS,
-    ContractViolation,
-    Grid1D,
-    QuadratureError,
-    UnitSystem,
-    central_difference,
-    integrate,
-)
+from .core import UNITS, ContractViolation, UnitSystem, central_difference
 from .potential import PiecewisePotential, RegionMarkers, rectangular
-from .scattering import SolutionTable, rect_amplitude, solve, two_phase
+from .scattering import SolutionTable, rect_amplitude, two_phase
 
 
 @dataclass(frozen=True)
@@ -104,68 +97,44 @@ def bl_time(
 
 def dwell_time_stationary(
     pot: PiecewisePotential,
-    E: float,
+    E,
     markers: RegionMarkers,
-    n_per_wavelength: int = 8,
-    tol: float = 1e-8,
     units: UnitSystem = UNITS,
-) -> float:
+):
     """Stationary dwell time: integral of |psi_E|^2 over (x_i, x_f) divided by
-    the incident flux v, for the unit-incidence scattering state.
+    the incident velocity v, for the unit-incidence scattering state.
 
-    The x-quadrature is panelled Gauss-Legendre split at segment joints; the
-    result must be stable under grid doubling to `tol` relative or a
-    QuadratureError is raised.
+    The integral is the closed form of each region's share of (x_i, x_f)
+    (SolutionTable.density_integral), exact to rounding at any opacity; for an
+    opaque barrier it saturates at hbar k/(kappa V0).  E may be a scalar
+    (returns a float) or an array of energies (one table for all).
     """
-    if not E > 0:
-        raise ContractViolation("dwell needs E > 0")
-    sol = solve(pot, E, units)
-    k = float(units.wavenumber(E))
-    v = float(units.velocity(k))
     x_i, x_f = markers.x_i, markers.x_f
     if not x_f > x_i:
         raise ContractViolation("markers must span a nonempty interval")
-
-    cuts = sorted({x_i, x_f} | {e for e in pot.edges() if x_i < e < x_f})
-    wavelength = 2 * math.pi / k
-
-    def quad(scale: int) -> float:
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            panels = max(2, int(math.ceil((hi - lo) / wavelength * scale)))
-            g = Grid1D.composite_gauss(lo, hi, panels, order=12)
-            total += float(integrate(np.abs(sol.psi_array(g.points)) ** 2, g))
-        return total
-
-    coarse = quad(n_per_wavelength)
-    fine = quad(2 * n_per_wavelength)
-    if abs(fine - coarse) > tol * max(abs(fine), 1e-300):
-        raise QuadratureError(
-            f"dwell quadrature not converged: {coarse!r} vs {fine!r} on doubling"
-        )
-    return fine / v
+    rho = SolutionTable(pot, E, units).density_integral(x_i, x_f).reshape(np.shape(E))
+    return _like(E, rho / units.velocity(units.wavenumber(E)))
 
 
 def rect_dwell_closed(V0: float, a: float, E: float, units: UnitSystem = UNITS) -> float:
     """Closed-form barrier-interval dwell time for a rectangular barrier.
 
-    Uses the analytic evanescent/anti-evanescent pair (alpha, beta) of the
-    matched solution; the in-barrier density integrates in closed form, which
-    makes this an algebra-only route independent of both the transfer-matrix
-    solve and the x-quadrature.
+    psi = alpha e^{-kappa x} + beta e^{kappa x} in the barrier, with alpha from
+    the incident side and beta e^{kappa a} = A_T e^{ika} (1 + ik/kappa)/2 from
+    the transmitted side, where neither cancels; the density then integrates
+    with no growing exponential.  An algebra-only route, independent of
+    SolutionTable, for any opacity.
     """
     A_T, A_R = rect_amplitude(V0, a, E, units)
     k = float(units.wavenumber(E))
     kap = float(units.decay_constant(V0, E))
     v = float(units.velocity(k))
     alpha = 0.5 * ((1 + A_R) - 1j * k * (1 - A_R) / kap)
-    beta = 0.5 * ((1 + A_R) + 1j * k * (1 - A_R) / kap)
-    em = math.exp(-2 * kap * a)
+    beta_end = 0.5 * A_T * cmath.exp(1j * k * a) * (1 + 1j * k / kap)
     ep = -math.expm1(-2 * kap * a)  # 1 - e^{-2 kappa a}, accurate for small kap*a
     integral = (
-        abs(alpha) ** 2 * ep / (2 * kap)
-        + abs(beta) ** 2 * (math.exp(2 * kap * a) - 1) / (2 * kap)
-        + 2 * (alpha * beta.conjugate()).real * a
+        (abs(alpha) ** 2 + abs(beta_end) ** 2) * ep / (2 * kap)
+        + 2 * (alpha * beta_end.conjugate()).real * math.exp(-kap * a) * a
     )
     return integral / v
 
@@ -233,9 +202,10 @@ def time_catalog(
 ) -> TimeCatalog:
     """Every stationary time for a rectangular barrier at one energy.
 
-    tau_larmor_y is the closed-form dwell (independent algebra route) and is
-    expected to coincide with the quadrature dwell; tau_larmor_z is by
-    definition the same expression as the BL time.
+    tau_dwell and tau_larmor_y are both closed-form dwells, by two independent
+    routes (SolutionTable's region integral and rect_dwell_closed's analytic
+    pair), and coincide at every opacity; tau_larmor_z is by definition the
+    same expression as the BL time.
     """
     if not 0 < E < V0:
         raise ContractViolation("time_catalog needs 0 < E < V0")

@@ -10,6 +10,7 @@ crosses x = 0 at t = 0 exactly and the tunnel-duration identity
 import numpy as np
 import pytest
 
+from tuntime import flux_times
 from tuntime.core import UNITS, ContractViolation, NoSuchFluxError
 from tuntime.flux_times import (
     asymptotic_transmission,
@@ -184,12 +185,27 @@ def test_dwell_evaluates_each_flux_once(monkeypatch):
 
 
 def test_free_dwell_has_no_reflected_channel():
-    # free space reflects nothing: the decomposition's round-trip channel,
-    # and with it the dwell variance, is reported absent
+    # free space reflects nothing: the round trip carries no weight in the
+    # decomposition, and both dwell forms give the ballistic time d/v
     pk = gaussian_packet(K_BAR, 0.02, n_k=128)
-    for fn in (dwell, dwell_decomposition):
-        with pytest.raises(NoSuchFluxError):
-            fn(FREE, pk, RegionMarkers(0.0, 10.0))
+    markers = RegionMarkers(0.0, 10.0)
+    rep = dwell(FREE, pk, markers)
+    dec = dwell_decomposition(FREE, pk, markers)
+    assert rep.mean == pytest.approx(10.0 / V_BAR, rel=1e-3)
+    assert dec.mean == pytest.approx(rep.mean, rel=1e-12)
+    assert dec.components["tau_R"] == dec.components["D_tau_R"] == 0.0
+    assert dec.components["T_E"] == pytest.approx(1.0, abs=1e-12)
+    assert rep.variance == dec.variance
+    assert dec.variance == pytest.approx(dec.components["D_tau_T"], rel=1e-12)
+
+
+def test_empty_decomposition_channel_is_named():
+    # a transmitted channel without mass is a real failure and says where
+    pk = gaussian_packet(K_BAR, 0.02, n_k=128)
+    markers = RegionMarkers(-30.0, 35.0)
+    prop, tg, J_f, J_i, N, flux_form = flux_times._dwell_fluxes(POT, pk, markers, UNITS)
+    with pytest.raises(NoSuchFluxError, match=r"'\+' at x_f=35.0"):
+        flux_times._decomposition(prop, markers, tg, np.zeros_like(J_f), J_i, N, flux_form)
 
 
 def test_dwell_variance_is_the_decomposition_variance():

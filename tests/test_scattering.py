@@ -6,6 +6,7 @@ barrier; unitarity and reciprocity are parameter-free invariants.
 """
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,41 @@ def test_extreme_opacity_log_form():
     s2 = solve(rectangular(V0, 1200.0), E)
     assert np.isfinite(s1.log_abs_A_T)
     assert s2.log_abs_A_T - s1.log_abs_A_T == pytest.approx(-kappa * 200.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("kappa_a", [700.0, 2000.0, 1e4])
+def test_arbitrarily_opaque_barrier(kappa_a):
+    # the module docstring's claim: past the e^{-745} underflow line log|A_T|
+    # stays exact, every region coefficient is finite, psi is finite and
+    # continuous across the barrier (no warning is raised) and the entry
+    # joint reproduces the incident wave
+    V0, E = 10.0, 5.0  # k = kappa, so |A_T| = 2 e^{-kappa a} / (1 + e^{-2 kappa a})
+    a = kappa_a / float(UNITS.decay_constant(V0, E))
+    table = SolutionTable(rectangular(V0, a), [E])
+    assert table.log_abs_A_T[0] == pytest.approx(np.log(2.0) - kappa_a, rel=1e-13)
+    sol = table.row(0)
+    assert np.all(np.isfinite(sol.fwd)) and np.all(np.isfinite(sol.bwd))
+    assert sol.boundary_residual() < 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi, dpsi = zip(*(table.psi_dpsi(x) for x in a * np.array([0.0, 1e-3, 0.5, 1.0])))
+    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
+    assert abs(psi[0][0] - (1.0 + sol.A_R)) < 1e-10
+    assert abs(dpsi[0][0] - 1j * sol.k * (1.0 - sol.A_R)) < 1e-10
+    kappa = float(UNITS.decay_constant(V0, E))
+    assert psi[1][0] == pytest.approx(psi[0][0] * np.exp(-kappa * 1e-3 * a), rel=1e-10)
+
+
+@pytest.mark.parametrize("kappa_a", [300.0, 800.0, 1e4])
+def test_rect_amplitude_opaque(kappa_a):
+    # closed form past the sinh overflow: |A_R| = 1 and it matches the solve
+    V0, E = 10.0, 3.0
+    a = kappa_a / float(UNITS.decay_constant(V0, E))
+    A_T, A_R = rect_amplitude(V0, a, E)
+    sol = solve(rectangular(V0, a), E)
+    assert abs(A_T) ** 2 + abs(A_R) ** 2 == pytest.approx(1.0, abs=1e-13)
+    assert abs(A_R - sol.A_R) < 1e-12
+    assert abs(A_T - sol.A_T) < 1e-12
 
 
 # ---------------------------------------------------------------- two-phase

@@ -9,10 +9,12 @@ Frozen references (CODATA constants, V0 = 10 eV, E = 5 eV):
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis.strategies import floats
 
 from tuntime.core import UNITS, ContractViolation
 from tuntime.potential import PiecewisePotential, RegionMarkers, rectangular
-from tuntime.scattering import rect_amplitude
+from tuntime.scattering import rect_amplitude, solve
 from tuntime.stationary_times import (
     bl_time,
     dwell_time_stationary,
@@ -138,11 +140,39 @@ def test_dwell_opaque_limit():
     assert tau == pytest.approx(DWELL_PLATEAU, rel=0.01)
 
 
-def test_dwell_matches_closed_form():
-    for a in (2.0, 5.0, 9.0):
-        quad = dwell_time_stationary(rectangular(V0, a), E, RegionMarkers(0.0, a))
-        closed = rect_dwell_closed(V0, a, E)
-        assert quad == pytest.approx(closed, abs=1e-9)
+@example(V0=V0, ratio=E / V0, kappa_a=2.0 * KAPPA)
+@example(V0=V0, ratio=E / V0, kappa_a=5.0 * KAPPA)
+@example(V0=V0, ratio=E / V0, kappa_a=9.0 * KAPPA)
+@example(V0=V0, ratio=E / V0, kappa_a=1e4)
+@given(V0=floats(1.0, 20.0), ratio=floats(0.05, 0.95),
+       kappa_a=floats(-1.0, 4.0).map(lambda p: 10.0**p))
+def test_dwell_matches_closed_form(V0, ratio, kappa_a):
+    # rectangular barriers up to kappa a = 1e4: the region integral equals the
+    # independent closed form, follows the opaque limit hbar k/(kappa V0), an
+    # energy array gives the scalar values, and the solve stays consistent
+    Ed = ratio * V0
+    a = kappa_a / float(UNITS.decay_constant(V0, Ed))
+    pot, markers = rectangular(V0, a), RegionMarkers(0.0, a)
+    tau = dwell_time_stationary(pot, Ed, markers)
+    assert tau == pytest.approx(rect_dwell_closed(V0, a, Ed), abs=1e-9)
+    if kappa_a >= 10.0:
+        limit = opaque_dwell_limits(V0, Ed)["with_interference"]
+        assert tau == pytest.approx(limit, rel=0.01)
+    Es = np.array([0.5 * Ed, Ed, min(1.5 * Ed, 0.99 * V0)])
+    scalar = [dwell_time_stationary(pot, float(e), markers) for e in Es]
+    assert dwell_time_stationary(pot, Es, markers) == pytest.approx(scalar, rel=1e-10)
+    assert solve(pot, Ed).boundary_residual() < 1e-10
+
+
+@pytest.mark.parametrize("kappa_a", [700.0, 745.0, 2000.0, 1e4])
+def test_dwell_opaque_plateau_past_underflow(kappa_a):
+    # |A_T| is subnormal or zero here; the dwell still saturates at
+    # hbar k/(kappa V0) and the solve stays consistent at the entry joint
+    a = kappa_a / KAPPA
+    pot = rectangular(V0, a)
+    tau = dwell_time_stationary(pot, E, RegionMarkers(0.0, a))
+    assert tau == pytest.approx(DWELL_PLATEAU, rel=1e-9)
+    assert solve(pot, E).boundary_residual() < 1e-10
 
 
 def test_opaque_dwell_limits_side_by_side():
