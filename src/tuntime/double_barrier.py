@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNITS, ContractViolation, UnitSystem, central_difference
+from .core import UNITS, ContractViolation, UnitSystem, bracket_search, central_difference
 from .potential import double_rectangular
 from .scattering import SolutionTable, solve
 from .stationary_times import phase_time
@@ -35,6 +35,7 @@ from .stationary_times import phase_time
 RESONANCE_DENOMINATOR_TOL = 1e-6
 OPACITY_HARD_FLOOR = 5.0
 OPACITY_WARN_BELOW = 8.0
+RESONANCE_SCAN = 2001  # energies of find_resonances' scan over its window
 
 
 class OpacityWarning(UserWarning):
@@ -234,14 +235,16 @@ class Resonance:
 
 
 def find_resonances(V0: float, a: float, L: float, E_range: tuple,
-                    n_scan: int = 2001, units: UnitSystem = UNITS) -> list:
+                    units: UnitSystem = UNITS) -> list:
     """Locate Fabry-Perot transmission resonances of the double barrier.
 
-    Scans log |A_T,total|^2 (whose inter-resonance dips span the whole level
-    spacing, so even Gamma << scan step peaks are bracketed), refines each
-    peak by golden section, then measures Gamma as the half-width of the
-    transmission peak by bisection.  Peaks whose half-width falls below
-    1e-12 eV are reported position-only.
+    Scans log |A_T,total|^2 on RESONANCE_SCAN energies (whose inter-resonance
+    dips span the whole level spacing, so even Gamma << scan step peaks are
+    bracketed) and narrows every peak together by core.bracket_search.  Gamma
+    is the mean distance from E_r to the half-maximum crossings, each searched
+    inside E_range between E_r and the nearest scan energy below half; a side
+    without one gives no width.  Peaks whose half-width falls below 1e-12 eV,
+    or that have no width on either side, are reported position-only.
     """
     lo, hi = float(E_range[0]), float(E_range[1])
     if not (0 < lo < hi < V0):
@@ -250,70 +253,32 @@ def find_resonances(V0: float, a: float, L: float, E_range: tuple,
     if L == a:
         return []
 
-    Es = np.linspace(lo, hi, int(n_scan))
-    table = SolutionTable(pot, Es, units)
-    logT = 2.0 * table.log_abs_A_T
+    def logT(Es):
+        return 2.0 * SolutionTable(pot, Es, units).log_abs_A_T
 
-    def logT_at(E: float) -> float:
-        return 2.0 * solve(pot, E, units).log_abs_A_T
+    Es = np.linspace(lo, hi, RESONANCE_SCAN)
+    scan = logT(Es)
+    i = 1 + np.nonzero((scan[1:-1] >= scan[:-2]) & (scan[1:-1] >= scan[2:]))[0]
+    if not len(i):
+        return []
+    E_r = bracket_search(logT, Es[i - 1], Es[i + 1], "max", 1e-14 * (Es[i - 1] + Es[i + 1]))
+    peak = logT(E_r)
+    genuine = np.exp(peak) > np.exp(scan[i - 1]) * 1.0000001  # not a flat plateau
+    E_r, peak = E_r[genuine], peak[genuine]
 
-    def T_at(E: float) -> float:
-        return math.exp(logT_at(E))
-
+    # each crossing is searched from E_r to the nearest scan energy below half
+    half = peak + math.log(0.5)
+    below = scan <= half[:, None]
+    far = np.concatenate([np.where(below & (Es < E_r[:, None]), Es, -np.inf).max(axis=1),
+                          np.where(below & (Es > E_r[:, None]), Es, np.inf).min(axis=1)])
+    found, near = np.isfinite(far), np.tile(E_r, 2)  # a side without one: width 0
+    cross = bracket_search(logT, near, np.where(found, far, near), "sign", 0.0,
+                           level=np.tile(half, 2))
+    n_widths = found.reshape(2, -1).sum(axis=0)
+    Gamma = np.abs(cross - near).reshape(2, -1).sum(axis=0) / np.maximum(n_widths, 1)
     out = []
-    for i in range(1, len(Es) - 1):
-        if not (logT[i] >= logT[i - 1] and logT[i] >= logT[i + 1]):
-            continue
-        E_r = _golden_max(logT_at, Es[i - 1], Es[i + 1])
-        T_peak = T_at(E_r)
-        if T_peak <= math.exp(logT[i - 1]) * 1.0000001:
-            continue  # flat plateau, not a genuine peak
-        half = 0.5 * T_peak
-        widths = []
-        for sign in (-1.0, 1.0):
-            w = _half_crossing(T_at, E_r, sign, half, hi - lo)
-            if w is not None:
-                widths.append(w)
-        if widths:
-            Gamma = float(np.mean(widths))
-            resolved = Gamma >= 1e-12
-            out.append(Resonance(E_r=E_r, Gamma=Gamma if resolved else None,
-                                 T_peak=T_peak, resolved=resolved))
-        else:
-            out.append(Resonance(E_r=E_r, Gamma=None, T_peak=T_peak, resolved=False))
+    for E, T, G, n in zip(E_r, np.exp(peak), Gamma, n_widths):
+        resolved = bool(n and G >= 1e-12)
+        out.append(Resonance(E_r=float(E), Gamma=float(G) if resolved else None,
+                             T_peak=float(T), resolved=resolved))
     return out
-
-
-def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-14) -> float:
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - gr * (hi - lo), lo + gr * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > rel_tol * (abs(lo) + abs(hi)):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
-def _half_crossing(T_at, E_r: float, sign: float, half: float, span: float):
-    """Distance from E_r to the half-maximum crossing on one side."""
-    step = 1e-13
-    while T_at(E_r + sign * step) > half:
-        step *= 2.0
-        if step > span:
-            return None
-    lo, hi = step / 2.0, step
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if T_at(E_r + sign * mid) > half:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, E_r):
-            break
-    return 0.5 * (lo + hi)

@@ -29,6 +29,7 @@ from .core import (
     NoSuchFluxError,
     QuadratureError,
     UnitSystem,
+    bracket_search,
     central_difference,
     integrate,
 )
@@ -40,6 +41,7 @@ from .wavepacket import FluxSeries, Propagator, SpectralPacket, propagator
 MASS_FLOOR = 1e-10        # relative weight below which a sign channel is "absent"
 DWELL_FORM_TOL = 1e-3     # relative disagreement of the two dwell forms
 DWELL_N_T = 4096          # time samples of the shared dwell window
+FLUX_NOISE_FLOOR = 1e-12  # flux gaps below this fraction of the peak J_in are rounding
 
 DURATION_KINDS = (
     "transmission", "tunnelling", "penetration", "reflection",
@@ -370,6 +372,10 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
     delay:     time-averaged forward-front delay up to the first post-peak
                envelope crossing t0; inapplicable when the attenuated final
                envelope stays entirely beneath the free one (passed=None).
+               Samples whose gap |J_fin,+ - J_in| is within FLUX_NOISE_FLOOR
+               (1e-12) of the peak J_in carry no sign, so the rounding-level
+               tail places no crossing; gaps all within that floor read
+               "fluxes identical" (passed, margin 0).
     effective: t_eff(x_f) - t_eff(x_i) with t_eff = <t> +- sigma, the
                spread-widened arrival/start instants; x_i defaults to the
                barrier's left edge.
@@ -402,38 +408,27 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
 
     # delay variant
     diff = J_fin_p - J_in
-    scale = float(np.max(J_in))
-    if float(np.max(np.abs(diff))) <= 1e-12 * scale:
+    floor = FLUX_NOISE_FLOOR * float(np.max(J_in))
+    if float(np.max(np.abs(diff))) <= floor:
         return CausalityResult("delay", True, 0.0, detail="fluxes identical")
     i_peak = int(np.argmax(J_fin_p))
-    sign_change = np.nonzero(np.diff(np.sign(diff[i_peak:])) != 0)[0]
+    # samples within the noise floor carry no sign, so a crossing runs between
+    # consecutive samples above it whose gaps have opposite signs
+    kept = i_peak + np.nonzero(np.abs(diff[i_peak:]) > floor)[0]
+    sign_change = np.nonzero(np.sign(diff[kept[1:]]) != np.sign(diff[kept[:-1]]))[0]
     if len(sign_change) == 0:
         return CausalityResult(
             "delay", None, math.nan,
             detail="no post-peak envelope crossing: final flux stays beneath "
                    "the free envelope; condition inapplicable",
         )
-    j = i_peak + int(sign_change[0])
-    t0 = _bisect_crossing(prop, x_f, tg.points[j], tg.points[j + 1])
+    t_lo, t_hi = tg.points[kept[sign_change[0]:sign_change[0] + 2]]
+
+    def gap(ts):
+        return np.maximum(prop.flux(x_f, ts), 0.0) - prop.flux(x_f, ts, "free")
+
+    t0 = float(bracket_search(gap, t_lo, t_hi, "sign", 1e-12)[0])
     sel = tg.points <= t0
     before = Grid1D(tg.points[sel], tg.weights[sel])
     margin = _moments(J_fin_p[sel], before)[1] - _moments(J_in[sel], before)[1]
     return CausalityResult("delay", margin >= 0.0, margin, detail=f"t0={t0:.4f} fs")
-
-
-def _bisect_crossing(prop: Propagator, x: float, t_lo: float, t_hi: float) -> float:
-    def f(t):
-        Jf = float(prop.flux(x, [t])[0])
-        Ji = float(prop.flux(x, [t], "free")[0])
-        return max(Jf, 0.0) - Ji
-
-    f_lo = f(t_lo)
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if f(mid) * f_lo > 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo < 1e-12:
-            break
-    return 0.5 * (t_lo + t_hi)

@@ -135,9 +135,9 @@ class SolutionTable:
         self.q = q
         nreg = len(heights)
 
-        # forward accumulation of the global transfer matrix, log-rescaled;
-        # propagation across a region is chunked so e^{+kappa d} never
-        # overflows inside a single step even for kappa d >> 700
+        # forward accumulation of the global transfer matrix, log-rescaled; a
+        # region is crossed in chunks of kappa d < 300 per energy, so no step
+        # overflows and no row depends on the other energies of its table
         T = np.zeros((n, 2, 2), dtype=complex)
         T[:, 0, 0] = T[:, 1, 1] = 1.0
         logscale = np.zeros(n)
@@ -152,12 +152,12 @@ class SolutionTable:
         for j in range(nreg - 1):
             d = widths[j]
             if d > 0:
-                grow = float(np.max(np.abs(np.imag(q[:, j])))) * d
-                chunks = max(1, int(grow / 300.0) + 1)
+                chunks = 1 + (q[:, j].imag * (d / 300.0)).astype(int)
                 ph = np.exp(1j * q[:, j] * (d / chunks))
-                for _ in range(chunks):
-                    T[:, 0, :] *= ph[:, None]
-                    T[:, 1, :] /= ph[:, None]
+                for step in range(chunks.max()):  # every energy has a first chunk
+                    p = np.where(step < chunks, ph, 1.0) if step else ph
+                    T[:, 0, :] *= p[:, None]
+                    T[:, 1, :] /= p[:, None]
                     rescale(T, logscale)
             r = q[:, j] / q[:, j + 1]
             M = np.empty((n, 2, 2), dtype=complex)

@@ -201,6 +201,40 @@ def test_no_resonances_without_cavity():
     assert find_resonances(V0, 5.0, 5.0, (0.5, 9.5)) == []
 
 
+@pytest.mark.parametrize("E_range", [(0.5, 9.5), (2.0, 6.0)])
+def test_find_resonances_batches_its_solves(monkeypatch, E_range):
+    # each round of each search is one table over every peak: no one-energy
+    # solve, and a few dozen tables where scalar searches built hundreds
+    from tuntime import double_barrier, scattering
+
+    counts = {"tables": 0, "solves": 0}
+    init = scattering.SolutionTable.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["tables"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scattering.SolutionTable, "__init__", counted_init)
+    monkeypatch.setattr(double_barrier, "solve", counted_solve)
+    assert find_resonances(V0, 5.0, 15.0, E_range)
+    assert counts["solves"] == 0
+    assert counts["tables"] <= 40
+
+
+def test_half_width_searched_inside_window():
+    # a window ending above half maximum, just past the peak, measures Gamma
+    # from the lower crossing alone: the search never leaves E_range
+    r = find_resonances(V0, 5.0, 15.0, (2.0, 6.0))[-1]
+    window = (r.E_r - 10 * r.Gamma, r.E_r + 0.5 * r.Gamma)
+    (one_sided,) = find_resonances(V0, 5.0, 15.0, window)
+    assert one_sided.E_r == pytest.approx(r.E_r, abs=1e-3 * r.Gamma)
+    assert one_sided.Gamma == pytest.approx(r.Gamma, rel=1e-2)
+
+
 def test_phase_time_fits_lorentzian_near_resonance():
     a, L = 5.0, 15.0
     res = find_resonances(V0, a, L, (2.0, 6.0))

@@ -347,6 +347,37 @@ def test_causality_opaque_scenario(packet):
     assert delay.passed is None  # envelope stays beneath: inapplicable
 
 
+def test_causality_delay_ignores_rounding_level_crossings():
+    # the first post-peak sign change of J_fin,+ - J_in lies in the tail,
+    # where both fluxes are ~1e-33 of the peak: no genuine crossing, so the
+    # delay condition is inapplicable rather than failed
+    pk = gaussian_packet(float(UNITS.wavenumber(3.0)), 0.03, n_k=256)
+    res = causality_check(rectangular(8.0, 4.0), pk, 7.0, "delay")
+    assert res.passed is None
+    assert np.isnan(res.margin)
+
+
+def test_causality_delay_genuine_crossing():
+    # the final envelope crosses the free one well above the noise floor;
+    # the margin is held to 1e-12, as the goldens are, since BLAS threading
+    # moves its last digits
+    pk = gaussian_packet(float(UNITS.wavenumber(4.5)), 0.06, n_k=256)
+    res = causality_check(rectangular(6.0, 5.0), pk, 7.0, "delay")
+    assert res.passed is False
+    assert res.detail == "t0=5.1001 fs"
+    assert res.margin == pytest.approx(-0.10229119940318993, rel=1e-12)
+
+
+def test_causality_delay_slow_crossing_through_noise_floor():
+    # a smooth crossing in the tail (fluxes ~1e-10 of the peak): the gap
+    # passes through the noise-floor band over two samples, then stays above
+    # it with the other sign, so it is still a crossing
+    pk = gaussian_packet(float(UNITS.wavenumber(5.0)), 0.06, n_k=256)
+    res = causality_check(rectangular(6.7, 4.8), pk, 7.2, "delay")
+    assert res.passed is False
+    assert res.detail == "t0=5.0600 fs"
+
+
 def test_causality_effective_zaichenko_penetration(packet):
     # x_i = -a/5 and x_f inside (0, 2a/5): whatever sign the mean penetration
     # duration takes (reported negative in one later calculation, positive for
