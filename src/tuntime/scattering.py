@@ -201,13 +201,34 @@ class SolutionTable:
     def __len__(self) -> int:
         return len(self.E)
 
-    def psi_dpsi(self, x: float):
-        """Arrays over energy of psi(x) and psi'(x)."""
-        j = int(np.searchsorted(self.bounds[1:-1], x, side="right"))
+    def _waves(self, j: int, x):
+        """Region j's forward and backward waves at x (a scalar, or a column of
+        positions for one row each) and i q_j."""
         iq, s = 1j * self.q[:, j], self.log_scale[:, j]
         ef = self.f[:, j] * np.exp(s + iq * (x - self.refs[j]))
         eb = self.b[:, j] * np.exp(s - iq * (x - self.ends[j]))
+        return ef, eb, iq
+
+    def psi_dpsi(self, x: float):
+        """Arrays over energy of psi(x) and psi'(x)."""
+        j = int(np.searchsorted(self.bounds[1:-1], x, side="right"))
+        ef, eb, iq = self._waves(j, x)
         return ef + eb, iq * (ef - eb)
+
+    def psi(self, xs) -> np.ndarray:
+        """psi at every x of xs, without psi', shape (len(xs), n_E).
+
+        The positions of each region are evaluated together and written into
+        the one result; each row equals psi_dpsi(x)[0].
+        """
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty((xs.size, len(self.E)), dtype=complex)
+        regions = np.searchsorted(self.bounds[1:-1], xs, side="right")
+        for j in np.unique(regions):
+            at = regions == j
+            ef, eb, _ = self._waves(int(j), xs[at, None])
+            out[at] = np.add(ef, eb, out=ef)
+        return out
 
     def density_integral(self, x_i: float, x_f: float) -> np.ndarray:
         """Integral of |psi|^2 over (x_i, x_f), an array over energy.

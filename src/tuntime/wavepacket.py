@@ -15,6 +15,14 @@ packet's dispersion: quadratic (massive) or linear (photon analog, which
 propagates without any spreading); the stationary states are always solved
 from the Schroedinger-form equation, whose sub-barrier decay profile is what
 the waveguide mapping reproduces.
+
+Every evaluation is a contraction of spectral rows c_k psi_k(x) with
+e^{-iE_k t/hbar}.  On a uniform time grid, cut into blocks of
+B = ceil(sqrt(n_t)) samples starting at s_m, that phase factors as
+e^{-iE s_m/hbar} e^{-iE j dt/hbar}: n_k (B + ceil(n_t/B)) exponentials per
+evaluation instead of n_k n_t, and one matrix product per block.  No phase
+build exceeds PHASE_BLOCK entries, so an evaluation's memory does not grow
+with n_t beyond its own output.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .scattering import SolutionTable
 
 TAIL_TOL = 1e-4          # relative |J|-mass change that ends the tail extension
 MAX_TAIL_EXTENSIONS = 8  # 25% window extensions before tail_captured=False
-PHASE_BLOCK = 1 << 19    # entries of exp(-iEt/hbar) built at once by one evaluation
+PHASE_BLOCK = 1 << 19    # most exp(-iEt/hbar) entries one phase build (base or starts) makes
 
 
 @dataclass(frozen=True)
@@ -211,38 +219,72 @@ class Propagator:
 
     # -- spectral rows -------------------------------------------------
     def _modes(self, x: float, component: str):
-        k = self.packet.k
         if component == "full":
             return self.table.psi_dpsi(x)
-        if component == "free":
-            ps = np.exp(1j * k * x)
-            return ps, 1j * k * ps
+        ps = self._psi_rows([x], component)[0]
+        return ps, 1j * self.packet.k * ps
+
+    def _psi_rows(self, xs, component: str) -> np.ndarray:
+        """psi_k(x) at every x of xs, without psi', shape (len(xs), n_k)."""
+        xs = np.asarray(xs, dtype=float)
+        if component == "full":
+            return self.table.psi(xs)
+        if component not in ("free", "transmitted"):
+            raise ContractViolation(f"unknown component {component!r}")
+        rows = np.exp(1j * np.multiply.outer(xs, self.packet.k))
         if component == "transmitted":
-            ps = self.table.A_T * np.exp(1j * k * x)
-            return ps, 1j * k * ps
-        raise ContractViolation(f"unknown component {component!r}")
+            np.multiply(self.table.A_T, rows, out=rows)
+        return rows
 
     def _phases(self, ts: np.ndarray) -> np.ndarray:
         ph = np.empty((self.packet.E.size, ts.size), dtype=complex)
         np.multiply.outer(self.packet.E, ts, out=ph)
-        ph *= -1j  # in place throughout: the block is the only n_k x n_t array
+        ph *= -1j  # in place throughout
         ph /= self.units.hbar
         return np.exp(ph, out=ph)
 
     def _contract(self, rows, ts) -> np.ndarray:
-        """rows @ exp(-iEt/hbar) with the phases built PHASE_BLOCK entries at a time,
-        so the memory of an evaluation (and of concurrent ones) is fixed, not ~n_t."""
+        """rows @ exp(-iEt/hbar), with the phases factored on a uniform grid.
+
+        On t = s_m + j dt, s_m = ts[m B] the start of block m and 0 <= j < B,
+        the phase is e^{-iE s_m/hbar} e^{-iE j dt/hbar}.  The base
+        e^{-iE j dt/hbar} (n_k x B) is built once and block m is one product
+        (rows * e^{-iE s_m/hbar}) @ base; when the rows outnumber B, the start
+        phase scales the smaller operand, the base, instead.  That is
+        n_k (B + M) exponentials with M = ceil(n_t/B), in place of n_k n_t.
+        B = ceil(sqrt(n_t)), capped so that neither the base nor a batch of
+        start phases exceeds PHASE_BLOCK entries; no n_k x n_t array is
+        built.  A grid that is not uniform to rounding is the case B = 1:
+        base 1 and s_m = t_m.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        step = max(1, PHASE_BLOCK // self.packet.E.size)
-        out = np.empty((len(rows), ts.size), dtype=complex)
-        for j in range(0, ts.size, step):
-            np.matmul(rows, self._phases(ts[j:j + step]), out=out[:, j:j + step])
+        rows = np.asarray(rows, dtype=complex)
+        n_t, cap = ts.size, max(1, PHASE_BLOCK // self.packet.E.size)
+        if n_t == 0:
+            return np.empty((len(rows), 0), dtype=complex)
+        dt = (ts[-1] - ts[0]) / max(n_t - 1, 1)
+        # linspace samples sit within a few ulps of max|t| of ts[0] + i dt
+        uniform = np.all(np.abs(np.diff(ts) - dt) <= 8 * np.finfo(float).eps * np.max(np.abs(ts)))
+        B = min(math.isqrt(n_t - 1) + 1, cap) if uniform else 1
+        base = self._phases(dt * np.arange(B))
+        scale_rows = len(rows) <= B
+        buf = np.empty_like(rows if scale_rows else base)
+        out = np.empty((len(rows), n_t), dtype=complex)
+        for c in range(0, n_t, cap * B):
+            starts = self._phases(ts[c:c + cap * B:B])
+            for m in range(starts.shape[1]):
+                blk = out[:, c + m * B:c + (m + 1) * B]
+                w = blk.shape[1]
+                if scale_rows:
+                    np.matmul(np.multiply(rows, starts[:, m], out=buf), base[:, :w], out=blk)
+                else:
+                    np.matmul(rows, np.multiply(starts[:, m, None], base[:, :w], out=buf[:, :w]),
+                              out=blk)
         return out
 
     # -- field evaluations ----------------------------------------------
     def psi(self, x: float, ts, component: str = "full") -> np.ndarray:
-        ps, _ = self._modes(x, component)
-        return self._contract([self._cw * ps], ts)[0]
+        return self.psi_grid([x], ts, component)[0]
 
     def psi_dpsi(self, x: float, ts, component: str = "full"):
         ps, dps = self._modes(x, component)
@@ -257,14 +299,14 @@ class Propagator:
 
     def density_rate(self, x: float, ts, component: str = "full") -> np.ndarray:
         """d|Psi|^2/dt from the analytic time derivative of the superposition."""
-        ps, _ = self._modes(x, component)
-        cw = self._cw * ps
+        cw = self._cw * self._psi_rows([x], component)[0]
         Psi, dPsi_dt = self._contract([cw, cw * (-1j * self.packet.E / self.units.hbar)], ts)
         return 2.0 * np.real(np.conj(Psi) * dPsi_dt)
 
     def psi_grid(self, xs, ts, component: str = "full") -> np.ndarray:
         """Psi on an (x, t) product grid, shape (len(xs), len(ts))."""
-        return self._contract([self._cw * self._modes(float(x), component)[0] for x in xs], ts)
+        rows = self._psi_rows(xs, component)
+        return self._contract(np.multiply(self._cw, rows, out=rows), ts)
 
     # -- default analysis window -----------------------------------------
     def suggest_window(self, x: float) -> tuple:

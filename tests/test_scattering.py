@@ -162,6 +162,20 @@ def test_wavefunction_continuity_at_joints():
             assert abs(dpsiL - dpsiR) / max(abs(dpsiR), 1e-30) < 1e-10
 
 
+def test_psi_at_many_positions_matches_psi_dpsi():
+    # SolutionTable.psi evaluates psi alone at many positions in one array;
+    # each row is psi_dpsi(x)[0], in every region of a double barrier, at the
+    # joints, in free space and whatever the order of the positions
+    rng = np.random.default_rng(3)
+    for pot in (double_rectangular(10.0, 4.0, 10.0), PiecewisePotential(())):
+        table = SolutionTable(pot, np.linspace(1.0, 15.0, 64))
+        xs = np.concatenate([rng.permutation(np.linspace(-10.0, 24.0, 97)), table.bounds[1:-1]])
+        rows = table.psi(xs)
+        assert rows.shape == (xs.size, 64)
+        np.testing.assert_allclose(rows, [table.psi_dpsi(x)[0] for x in xs], rtol=1e-14, atol=0)
+    assert table.psi([]).shape == (0, 64)
+
+
 def test_degeneracy_shift_flag():
     sol = solve(rectangular(10.0, 2.0), 10.0)  # E exactly at the barrier top
     assert "energy_shifted" in sol.flags

@@ -10,6 +10,7 @@ which every full evaluation must reproduce in free space.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from tuntime import wavepacket
 from tuntime.core import UNITS, ContractViolation, Grid1D, integrate
 from tuntime.potential import PiecewisePotential, rectangular
+from tuntime.scattering import SolutionTable
 from tuntime.wavepacket import (
     MASSIVE,
     PHOTON,
@@ -208,26 +210,137 @@ def test_flux_quiet_before_arrival():
 
 
 def test_phases_built_in_bounded_blocks(monkeypatch):
-    # an evaluation builds exp(-iEt/hbar) at most PHASE_BLOCK entries at a
-    # time, so its memory does not grow with the time grid; the blocks give
-    # the one-block values to rounding
-    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
-    ts = np.linspace(-400.0, 800.0, 1001)
+    # on a uniform grid an evaluation factors exp(-iEt/hbar) into a base of
+    # B = ceil(sqrt(n_t)) steps and one start phase per block of B samples:
+    # n_k (B + ceil(n_t/B)) exponentials, never an n_k x n_t array.  With
+    # PHASE_BLOCK patched small no single build exceeds it, and the shorter
+    # blocks give the same values to rounding.  The window keeps |Et/hbar|
+    # near 1e3 rad, where rounding the phase costs well under 1e-13 of the
+    # peak (test_contract_as_accurate_as_direct_sum_at_large_phases covers
+    # larger phases)
+    n_k, n_t = 128, 1001
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=n_k))
+    ts = np.linspace(-60.0, 100.0, n_t)
     xs = [-30.0, 2.0, 30.0]
-    J, grid = prop.flux(2.0, ts), prop.psi_grid(xs, ts)  # 128 x 1001 entries: one block
-    sizes = []
+    builds = []
     build = Propagator._phases
-    monkeypatch.setattr(wavepacket, "PHASE_BLOCK", 128 * 96)
     monkeypatch.setattr(Propagator, "_phases",
-                        lambda self, t: sizes.append(t.size) or build(self, t))
+                        lambda self, t: builds.append(t.size) or build(self, t))
+
+    def exponentials(evaluate):
+        builds.clear()
+        tracemalloc.start()
+        value = evaluate()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < n_k * n_t * 16 / 4  # a complex n_k x n_t array is never held
+        return value, n_k * sum(builds)
+
+    assert prop.flux(2.0, []).shape == (0,)
+    B = math.isqrt(n_t - 1) + 1
+    J, count = exponentials(lambda: prop.flux(2.0, ts))
+    assert count <= n_k * (B + math.ceil(n_t / B))
+    grid, count = exponentials(lambda: prop.psi_grid(xs, ts))
+    assert count <= n_k * (B + math.ceil(n_t / B))
+
+    monkeypatch.setattr(wavepacket, "PHASE_BLOCK", n_k * 8)
+    builds.clear()
     J_blocked = prop.flux(2.0, ts)
-    assert sizes == [96] * 10 + [41]
+    assert n_k * max(builds) <= wavepacket.PHASE_BLOCK
+    assert n_k * sum(builds) <= n_k * (8 + math.ceil(n_t / 8))
     assert np.max(np.abs(J_blocked - J)) <= 1e-13 * np.max(np.abs(J))
     grid_blocked = prop.psi_grid(xs, ts)
     assert grid_blocked.shape == (3, 1001)
     assert np.max(np.abs(grid_blocked - grid)) <= 1e-13 * np.max(np.abs(grid))
     for x, row in zip(xs, grid_blocked):
         assert np.max(np.abs(row - prop.psi(x, ts))) <= 1e-13 * np.max(np.abs(grid))
+
+
+def _direct_sum(prop, x, ts):
+    """Psi and J at x with exp(-iEt/hbar) built in full, and the bounds
+    sum_k |c_k psi_k(x)| of |Psi| and (hbar/m) |c psi|_1 |c psi'|_1 of |J|."""
+    cps, cdps = prop._cw * np.array(prop._modes(x, "full"))
+    phases = np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / prop.units.hbar)
+    Psi, dPsi = cps @ phases, cdps @ phases
+    J = prop._flux_pref * np.imag(np.conj(Psi) * dPsi)
+    l1 = np.sum(np.abs(cps))
+    return Psi, J, l1, prop._flux_pref * l1 * np.sum(np.abs(cdps))
+
+
+SLOW_K = float(UNITS.wavenumber(0.05))  # |Et/hbar| ~ 1e3 rad at |t| = 1e4 fs
+
+
+@pytest.mark.parametrize("k_bar, x, ts", [
+    (K_BAR, -30.0, np.array([-2.0])),
+    *((K_BAR, -30.0, np.linspace(-60.0, 100.0, n)) for n in (2, 3, 256, 1001, 4097)),
+    (K_BAR, 2.0, np.linspace(-60.0, 100.0, 1001)),
+    (SLOW_K, -50.0, np.linspace(-1e4, 1e4, 4097)),
+    (SLOW_K, -50.0, np.linspace(-2e3, 1e4, 3001)),
+    (K_BAR, -30.0, np.sort(np.random.default_rng(5).uniform(-60.0, 100.0, 1001))),
+], ids=["n1", "n2", "n3", "n256", "n1001", "n4097", "in-barrier",
+        "slow-1e4fs", "slow-late", "random-grid"])
+def test_contract_matches_direct_phase_sum(k_bar, x, ts):
+    # independent oracle for the factored contraction: |Psi| and J against the
+    # sum over the full exp(-iEt/hbar) array, to 1e-13 of their peak bounds
+    # (on the windows that hold the passage |Psi| peaks at 0.87 to 1.0 of its
+    # bound).  n_t = 1001 and 4097 are not multiples of B (32 and
+    # 65); the slow packet takes the window to |t| = 1e4 fs with E t/hbar ~ 1e3
+    # rad (170 turns), and the sorted random grid is not uniform.  Psi's
+    # phase is left out: the factored sum puts sample i at ts[mB] + j dt, a
+    # few ulps of t from ts[i], which turns Psi by E dt/hbar ~ 2e-13 rad and
+    # leaves |Psi| and J, all that the package reads, where they were
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(k_bar, k_bar / 60.0, n_k=128))
+    Psi, J, psi_peak, J_peak = _direct_sum(prop, x, ts)
+    assert np.max(np.abs(np.abs(prop.psi(x, ts)) - np.abs(Psi))) <= 1e-13 * psi_peak
+    assert np.max(np.abs(prop.flux(x, ts) - J)) <= 1e-13 * J_peak
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+@pytest.mark.parametrize("lo, hi, n_t", [(-400.0, 800.0, 1001), (-1e4, 1e4, 4097)])
+def test_contract_as_accurate_as_direct_sum_at_large_phases(lo, hi, n_t):
+    # at 5 eV, |Et/hbar| reaches 9e3 and 1e5 rad here: rounding E t/hbar puts
+    # any float64 sum 1e-13 to 4e-12 of the peak from the exact one, the
+    # direct sum included.  Against the exact sum of the same float64 inputs
+    # (extended precision), the factored |Psi| and J are no further off than
+    # the direct sum is
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
+    ts = np.linspace(lo, hi, n_t)
+    ps, dps = prop._modes(-30.0, "full")
+    rows = np.array([prop._cw * ps, prop._cw * dps])
+    arg = np.multiply.outer(prop.packet.E.astype(np.longdouble), ts.astype(np.longdouble))
+    exact = rows.astype(np.clongdouble) @ np.exp(-1j * (arg / np.longdouble(prop.units.hbar)))
+    direct = rows @ np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / prop.units.hbar)
+    factored = prop._contract(rows, ts)
+
+    def errors(Psi):
+        J = np.imag(np.conj(Psi[0]) * Psi[1])
+        J_exact = np.imag(np.conj(exact[0]) * exact[1]).astype(float)
+        size = np.abs(exact[0]).astype(float)
+        return (np.max(np.abs(np.abs(Psi[0]) - size)) / np.max(size),
+                np.max(np.abs(J - J_exact)) / np.max(np.abs(J_exact)))
+
+    for err, err_direct in zip(errors(factored), errors(direct)):
+        assert err <= 2.0 * err_direct
+
+
+def test_psi_grid_rows_are_psi_only(monkeypatch):
+    # psi_grid builds its n_x x n_k rows in one array from psi alone: the rows
+    # equal the per-x spectral rows of every component, psi' is never
+    # evaluated, and an unknown component is refused
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
+    xs = np.linspace(-20.0, 30.0, 101)
+    plane = np.array([np.exp(1j * prop.packet.k * x) for x in xs])
+    per_x = {"full": np.array([prop.table.psi_dpsi(x)[0] for x in xs]),
+             "free": plane, "transmitted": prop.table.A_T * plane}
+    monkeypatch.setattr(SolutionTable, "psi_dpsi",
+                        lambda *a: pytest.fail("psi_grid evaluated psi'"))
+    for component, rows in per_x.items():
+        np.testing.assert_allclose(prop._psi_rows(xs, component), rows, rtol=1e-14, atol=0)
+        grid = prop.psi_grid(xs, [7.0], component)[:, 0]
+        direct = (prop._cw * rows) @ np.exp(-1j * prop.packet.E * 7.0 / UNITS.hbar)
+        assert np.max(np.abs(grid - direct)) <= 1e-13 * np.max(np.abs(direct))
+    with pytest.raises(ContractViolation):
+        prop.psi_grid(xs, [7.0], "reflected")
 
 
 def test_flux_series_autoextends_from_small_window():
