@@ -39,7 +39,7 @@ from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from .scattering import solve, two_phase
 from .stationary_times import bl_time, dwell_time_stationary, phase_time, two_phase_times
-from .wavepacket import TAIL_TOL, gaussian_packet, propagator
+from .wavepacket import _CACHE, TAIL_TOL, gaussian_packet, propagator
 
 
 class ConfigError(ValueError):
@@ -468,6 +468,8 @@ def cmd_run(args) -> int:
         except Exception as exc:  # numerical failure
             print(f"numerical failure in observable {name!r}: {exc}", file=sys.stderr)
             return 2
+        finally:  # no observable reuses another's propagators: drop them and their memos
+            _CACHE.clear()
         path = out_dir / f"{name}.csv"
         _write_csv(path, header, rows)
         outputs.append({"observable": name, "file": path.name, "rows": len(rows)})

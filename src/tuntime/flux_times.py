@@ -12,7 +12,10 @@ the variance of a correlated difference).  The mean-square duration identity
 The dwell time is computed in both of its equivalent forms -- the space-time
 density integral and the flux first-moment form -- and their residual is a
 built-in diagnostic: the two can only drift apart through quadrature-tail
-truncation, since their equality is the continuity equation.
+truncation, since their equality is the continuity equation.  The density
+integral is taken in the energy representation, where time is conjugate to
+energy: the time sum of |Psi|^2 becomes a closed-form kernel in E - E'
+(Propagator.density_integral), so no Psi(x, t) array is built.
 """
 
 from __future__ import annotations
@@ -219,14 +222,18 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
 
     Returns the space-time form (density integral over incident flux mass);
     the flux-moment form and their relative residual ride along in the
-    components.  Disagreement beyond DWELL_FORM_TOL raises QuadratureError,
-    the usual symptom being a truncated time tail.  The variance is the
-    indirect one of dwell_decomposition (there is no direct definition).
+    components.  The space form is the trapezoid rule over the shared time
+    window and composite Gauss over (x_i, x_f), summed in the energy
+    representation as Re sum_kk' S_kk' F_kk': S the overlap of the spectral
+    rows c_k psi_k over x, F the closed-form time sum of
+    e^{i(E_k - E_k')t/hbar}.  Disagreement beyond DWELL_FORM_TOL raises
+    QuadratureError, the usual symptom being a truncated time tail.  The
+    variance is the indirect one of dwell_decomposition (there is no direct
+    definition).
     """
     prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers, units)
     xg = _density_grid(pot, packet, markers, units)
-    rho = np.abs(prop.psi_grid(xg.points, tg.points)) ** 2
-    space_form = float(integrate(integrate(rho.T, xg), tg)) / N
+    space_form = prop.density_integral(xg, (tg.lo, tg.hi), len(tg)) / N
 
     resid = abs(space_form - flux_form) / max(abs(space_form), 1e-300)
     if resid > DWELL_FORM_TOL:

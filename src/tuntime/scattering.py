@@ -224,10 +224,11 @@ class SolutionTable:
         xs = np.asarray(xs, dtype=float)
         out = np.empty((xs.size, len(self.E)), dtype=complex)
         regions = np.searchsorted(self.bounds[1:-1], xs, side="right")
-        for j in np.unique(regions):
+        for j in range(len(self.bounds) - 1):
             at = regions == j
-            ef, eb, _ = self._waves(int(j), xs[at, None])
-            out[at] = np.add(ef, eb, out=ef)
+            if at.any():
+                ef, eb, _ = self._waves(j, xs[at, None])
+                out[at] = np.add(ef, eb, out=ef)
         return out
 
     def density_integral(self, x_i: float, x_f: float) -> np.ndarray:

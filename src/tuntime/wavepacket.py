@@ -20,14 +20,19 @@ Every evaluation is a contraction of spectral rows c_k psi_k(x) with
 e^{-iE_k t/hbar}.  On a uniform time grid, cut into blocks of
 B = ceil(sqrt(n_t)) samples starting at s_m, that phase factors as
 e^{-iE s_m/hbar} e^{-iE j dt/hbar}: n_k (B + ceil(n_t/B)) exponentials per
-evaluation instead of n_k n_t, and one matrix product per block.  No phase
-build exceeds PHASE_BLOCK entries, so an evaluation's memory does not grow
-with n_t beyond its own output.
+evaluation instead of n_k n_t, and a few rows take many blocks per matrix
+product.  No phase build exceeds PHASE_BLOCK entries, so an evaluation's
+memory does not grow with n_t beyond its own output.  The space-time
+integral of |Psi|^2 skips the time samples altogether: in the energy
+representation the trapezoid sum over t has a closed form in E - E'.  Flux
+windows are memoised per propagator, so a window that several analyses share
+is evaluated once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,8 @@ from .scattering import SolutionTable
 
 TAIL_TOL = 1e-4          # relative |J|-mass change that ends the tail extension
 MAX_TAIL_EXTENSIONS = 8  # 25% window extensions before tail_captured=False
-PHASE_BLOCK = 1 << 19    # most exp(-iEt/hbar) entries one phase build (base or starts) makes
+PHASE_BLOCK = 1 << 19    # most entries of one phase build, stacked operand or E-E' batch,
+                         # and most samples one propagator's flux memo holds
 
 
 @dataclass(frozen=True)
@@ -200,8 +206,12 @@ class Propagator:
     """Per-(potential, packet) cache of stationary states and evaluators.
 
     Building the table solves scattering once per spectral node; every psi,
-    flux and moment afterwards is a dense-array contraction against it, so
-    evaluations at distinct (x, t) are pure reads and thread-safe.
+    flux and moment afterwards is a dense-array contraction against it.
+    `flux` keeps a memo of its results, keyed by x, component and a 64-bit
+    hash of the samples and holding at most PHASE_BLOCK samples (oldest out
+    first), so a window that several analyses share is evaluated once; the
+    arrays it returns are read-only, since a repeated call returns the same
+    one.  The memo is updated under a lock, so evaluations are thread-safe.
     """
 
     def __init__(self, pot: PiecewisePotential, packet: SpectralPacket,
@@ -216,6 +226,9 @@ class Propagator:
         else:
             self._flux_pref = units.c / packet.k_bar
         self._cw = packet.w * packet.G
+        self._memo: dict = {}
+        self._memo_samples = 0
+        self._memo_lock = threading.Lock()
 
     # -- spectral rows -------------------------------------------------
     def _modes(self, x: float, component: str):
@@ -248,39 +261,40 @@ class Propagator:
 
         On t = s_m + j dt, s_m = ts[m B] the start of block m and 0 <= j < B,
         the phase is e^{-iE s_m/hbar} e^{-iE j dt/hbar}.  The base
-        e^{-iE j dt/hbar} (n_k x B) is built once and block m is one product
-        (rows * e^{-iE s_m/hbar}) @ base; when the rows outnumber B, the start
-        phase scales the smaller operand, the base, instead.  That is
+        e^{-iE j dt/hbar} (n_k x B) is built once, so an evaluation makes
         n_k (B + M) exponentials with M = ceil(n_t/B), in place of n_k n_t.
-        B = ceil(sqrt(n_t)), capped so that neither the base nor a batch of
-        start phases exceeds PHASE_BLOCK entries; no n_k x n_t array is
-        built.  A grid that is not uniform to rounding is the case B = 1:
-        base 1 and s_m = t_m.
+        With at most B rows, the rows scaled by the start phases of B // rows
+        blocks are stacked into one (rows x blocks) x n_k operand of at most
+        n_k B entries, and one product per row with the base fills all those
+        blocks; with more rows, the start phase scales the smaller operand,
+        the base, and each block is one product.  The output is padded to
+        whole blocks and trimmed on return.  B = ceil(sqrt(n_t)), capped so
+        that neither the base nor a batch of start phases exceeds PHASE_BLOCK
+        entries; no n_k x n_t array is built.  A grid that is not uniform to
+        rounding is the case B = 1: base 1 and s_m = t_m.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         rows = np.asarray(rows, dtype=complex)
-        n_t, cap = ts.size, max(1, PHASE_BLOCK // self.packet.E.size)
+        n_t, n_r, cap = ts.size, len(rows), max(1, PHASE_BLOCK // self.packet.E.size)
         if n_t == 0:
-            return np.empty((len(rows), 0), dtype=complex)
+            return np.empty((n_r, 0), dtype=complex)
         dt = (ts[-1] - ts[0]) / max(n_t - 1, 1)
         # linspace samples sit within a few ulps of max|t| of ts[0] + i dt
         uniform = np.all(np.abs(np.diff(ts) - dt) <= 8 * np.finfo(float).eps * np.max(np.abs(ts)))
         B = min(math.isqrt(n_t - 1) + 1, cap) if uniform else 1
         base = self._phases(dt * np.arange(B))
-        scale_rows = len(rows) <= B
-        buf = np.empty_like(rows if scale_rows else base)
-        out = np.empty((len(rows), n_t), dtype=complex)
-        for c in range(0, n_t, cap * B):
-            starts = self._phases(ts[c:c + cap * B:B])
-            for m in range(starts.shape[1]):
-                blk = out[:, c + m * B:c + (m + 1) * B]
-                w = blk.shape[1]
-                if scale_rows:
-                    np.matmul(np.multiply(rows, starts[:, m], out=buf), base[:, :w], out=blk)
-                else:
-                    np.matmul(rows, np.multiply(starts[:, m, None], base[:, :w], out=buf[:, :w]),
-                              out=blk)
-        return out
+        stacked = n_r <= B
+        out = np.empty((n_r, -(-n_t // B), B), dtype=complex)
+        per = B // max(n_r, 1) if stacked else cap  # blocks per batch of start phases
+        for m0 in range(0, out.shape[1], per):
+            starts = self._phases(ts[m0 * B:(m0 + per) * B:B])
+            blocks = out[:, m0:m0 + starts.shape[1]]
+            if stacked:
+                np.matmul(rows[:, None] * starts.T, base, out=blocks)
+            else:
+                for m in range(starts.shape[1]):
+                    np.matmul(rows, starts[:, m, None] * base, out=blocks[:, m])
+        return out.reshape(n_r, out.shape[1] * B)[:, :n_t]
 
     # -- field evaluations ----------------------------------------------
     def psi(self, x: float, ts, component: str = "full") -> np.ndarray:
@@ -291,8 +305,21 @@ class Propagator:
         return tuple(self._contract([self._cw * ps, self._cw * dps], ts))
 
     def flux(self, x: float, ts, component: str = "full") -> np.ndarray:
+        """J(x, t) at the samples ts, read-only and memoised (see the class)."""
+        ts = np.asarray(ts, dtype=float)
+        key = (float(x), component, ts.shape, hash(ts.tobytes()))
+        J = self._memo.get(key)
+        if J is not None:
+            return J
         Psi, dPsi = self.psi_dpsi(x, ts, component)
-        return self._flux_pref * np.imag(np.conj(Psi) * dPsi)
+        J = self._flux_pref * np.imag(np.conj(Psi) * dPsi)
+        J.flags.writeable = False
+        with self._memo_lock:
+            if self._memo.setdefault(key, J) is J:
+                self._memo_samples += J.size
+            while self._memo_samples > PHASE_BLOCK:
+                self._memo_samples -= self._memo.pop(next(iter(self._memo))).size
+        return J
 
     def density(self, x: float, ts, component: str = "full") -> np.ndarray:
         return np.abs(self.psi(x, ts, component)) ** 2
@@ -307,6 +334,43 @@ class Propagator:
         """Psi on an (x, t) product grid, shape (len(xs), len(ts))."""
         rows = self._psi_rows(xs, component)
         return self._contract(np.multiply(self._cw, rows, out=rows), ts)
+
+    def density_integral(self, xg: Grid1D, t_range: tuple, n_t: int) -> float:
+        """integral dt integral dx |Psi|^2 with xg's rule in x and, in t, the
+        trapezoid rule of Grid1D.uniform(*t_range, n_t), summed in the energy
+        representation.
+
+        With A_k(x) = c_k psi_k(x) and w_k = E_k/hbar,
+        |Psi|^2 = sum_kk' conj(A_k) A_k' e^{i(w_k - w_k')t}, so the double sum
+        is Re sum_kk' S_kk' F_kk' with S = A^H diag(xg weights) A and F the
+        trapezoid sum of e^{i(w_k - w_k')t} over t = lo + j dt, in closed form
+        with th = (w_k - w_k') dt/2:
+
+            F = dt e^{i(w_k - w_k') t_mid} [sin(n th)/sin th - cos((n-1) th)]
+              = dt cot(th) (p_k conj(p_k') - q_k conj(q_k')) / 2i,
+
+        p = e^{i w hi}, q = e^{i w lo}, and F = hi - lo on the diagonal.  That
+        is the same quadrature reordered, with 2 n_k exponentials and no
+        n_x x n_t array; the k-rows go in batches that keep every temporary
+        within PHASE_BLOCK entries.
+        """
+        lo, hi = t_range
+        if not (hi > lo and n_t >= 2):
+            raise ContractViolation("need hi > lo and n_t >= 2")
+        dt = (hi - lo) / (n_t - 1)
+        A = self._psi_rows(xg.points, "full")
+        A *= self._cw
+        A *= np.sqrt(xg.weights)[:, None]  # S = A^H A
+        w = self.packet.E / self.units.hbar
+        p, q = np.exp(1j * hi * w), np.exp(1j * lo * w)
+        total = (hi - lo) * np.vdot(A, A).real
+        step = max(1, PHASE_BLOCK // max(A.shape))
+        for c in range(0, w.size, step):
+            th = 0.5 * dt * np.subtract.outer(w[c:c + step], w)
+            SC = A[:, c:c + step].conj().T @ A
+            SC *= np.divide(1.0, np.tan(th), out=np.zeros_like(th), where=th != 0.0)
+            total += 0.5 * dt * (p[c:c + step] @ SC @ p.conj() - q[c:c + step] @ SC @ q.conj()).imag
+        return float(total)
 
     # -- default analysis window -----------------------------------------
     def suggest_window(self, x: float) -> tuple:

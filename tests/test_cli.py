@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tuntime import wavepacket
 from tuntime.cli import main
 
 FIG2_CONFIG = {
@@ -150,6 +151,7 @@ def test_run_fig2_family(tmp_path):
     cfg = write(tmp_path, "fig2.json", FIG2_CONFIG)
     out_dir = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out_dir), "--workers", "2"]) == 0
+    assert wavepacket._CACHE == {}  # the run's propagators and flux memos are gone
     header, rows = read_csv(out_dir / "or-times.csv")
     assert header[:7] == ["E_bar_eV", "delta_k", "a", "t_plus_0_fs", "t_plus_a_fs",
                           "tau_tun_fs", "tau_phase_avg_fs"]

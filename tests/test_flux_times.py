@@ -22,7 +22,7 @@ from tuntime.flux_times import (
     mean_time,
     projected_duration,
 )
-from tuntime.potential import PiecewisePotential, RegionMarkers, rectangular
+from tuntime.potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from tuntime.stationary_times import phase_time, packet_averaged
 from tuntime.wavepacket import Propagator, flux_series, gaussian_packet, propagator
 
@@ -182,6 +182,61 @@ def test_dwell_evaluates_each_flux_once(monkeypatch):
         monkeypatch.setattr(Propagator, name, counted)
     dwell(POT, gaussian_packet(K_BAR, 0.02, n_k=128), RegionMarkers(-25.0, 30.0))
     assert counts == {"flux": 7, "flux_series": 2}
+
+
+@pytest.mark.parametrize("pot, E_bar, markers", [
+    (POT, 5.0, RegionMarkers(-25.0, 30.0)),
+    (rectangular(5.0, 3.0), 8.0, RegionMarkers(-20.0, 23.0)),
+    (double_rectangular(10.0, 1.0, 4.0), 5.0, RegionMarkers(-20.0, 25.0)),
+], ids=["below-barrier", "above-barrier", "double-barrier"])
+def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers):
+    # the energy-representation space form against the same quadrature taken
+    # directly: Psi on the density grid x the dwell window from the full
+    # exp(-iEt/hbar) array, |Psi|^2 summed with the x and trapezoid weights
+    pk = gaussian_packet(float(UNITS.wavenumber(E_bar)), 0.02, n_k=128)
+    rep = dwell(pot, pk, markers)
+    prop, tg, _, _, N, _ = flux_times._dwell_fluxes(pot, pk, markers, UNITS)
+    xg = flux_times._density_grid(pot, pk, markers, UNITS)
+    phases = np.exp(-1j * np.multiply.outer(pk.E, tg.points) / UNITS.hbar)
+    total = 0.0
+    for xs, wx in zip(np.array_split(xg.points, 8), np.array_split(xg.weights, 8)):
+        rows = prop._cw * np.array([prop.table.psi_dpsi(x)[0] for x in xs])
+        total += wx @ (np.abs(rows @ phases) ** 2 @ tg.weights)
+    assert rep.components["space_time_form"] == pytest.approx(total / N, rel=1e-12)
+
+
+@pytest.mark.parametrize("V0, a, E_bar, dk, n_k, expected", [
+    (10.0, 5.0, 5.0, 0.02, 512, 3.873389109787431),
+    (8.0, 4.0, 3.0, 0.03, 256, 5.010136378946223),
+])
+def test_dwell_matches_time_sample_quadrature(V0, a, E_bar, dk, n_k, expected):
+    # values of the space form summed over the 4096 time samples of |Psi|^2,
+    # before the energy representation replaced that sum
+    pk = gaussian_packet(float(UNITS.wavenumber(E_bar)), dk, n_k=n_k)
+    rep = dwell(rectangular(V0, a), pk, RegionMarkers(-25.0, a + 25.0))
+    assert rep.mean == pytest.approx(expected, rel=1e-12)
+
+
+def test_density_integral_needs_a_time_window():
+    prop = Propagator(POT, gaussian_packet(K_BAR, 0.02, n_k=128))
+    xg = flux_times._density_grid(POT, prop.packet, RegionMarkers(0.0, 5.0), UNITS)
+    for t_range, n_t in [((10.0, 10.0), 64), ((10.0, -10.0), 64), ((-10.0, 10.0), 1)]:
+        with pytest.raises(ContractViolation):
+            prop.density_integral(xg, t_range, n_t)
+
+
+def test_decomposition_after_dwell_evaluates_no_flux(monkeypatch):
+    # dwell and its decomposition share one window: the second one reads
+    # every flux from the propagator's memo
+    pk = gaussian_packet(K_BAR, 0.02, n_k=128)
+    markers = RegionMarkers(-25.0, 30.0)
+    dwell(POT, pk, markers)
+    calls = []
+    contract = Propagator._contract
+    monkeypatch.setattr(Propagator, "_contract",
+                        lambda self, rows, ts: calls.append(len(ts)) or contract(self, rows, ts))
+    dwell_decomposition(POT, pk, markers)
+    assert calls == []
 
 
 def test_free_dwell_has_no_reflected_channel():

@@ -10,6 +10,8 @@ which every full evaluation must reproduce in free space.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -243,17 +245,19 @@ def test_phases_built_in_bounded_blocks(monkeypatch):
     grid, count = exponentials(lambda: prop.psi_grid(xs, ts))
     assert count <= n_k * (B + math.ceil(n_t / B))
 
+    # a fresh propagator, since prop's flux memo would answer the same window
     monkeypatch.setattr(wavepacket, "PHASE_BLOCK", n_k * 8)
+    blocked = Propagator(prop.pot, prop.packet)
     builds.clear()
-    J_blocked = prop.flux(2.0, ts)
+    J_blocked = blocked.flux(2.0, ts)
     assert n_k * max(builds) <= wavepacket.PHASE_BLOCK
     assert n_k * sum(builds) <= n_k * (8 + math.ceil(n_t / 8))
     assert np.max(np.abs(J_blocked - J)) <= 1e-13 * np.max(np.abs(J))
-    grid_blocked = prop.psi_grid(xs, ts)
+    grid_blocked = blocked.psi_grid(xs, ts)
     assert grid_blocked.shape == (3, 1001)
     assert np.max(np.abs(grid_blocked - grid)) <= 1e-13 * np.max(np.abs(grid))
     for x, row in zip(xs, grid_blocked):
-        assert np.max(np.abs(row - prop.psi(x, ts))) <= 1e-13 * np.max(np.abs(grid))
+        assert np.max(np.abs(row - blocked.psi(x, ts))) <= 1e-13 * np.max(np.abs(grid))
 
 
 def _direct_sum(prop, x, ts):
@@ -339,8 +343,97 @@ def test_psi_grid_rows_are_psi_only(monkeypatch):
         grid = prop.psi_grid(xs, [7.0], component)[:, 0]
         direct = (prop._cw * rows) @ np.exp(-1j * prop.packet.E * 7.0 / UNITS.hbar)
         assert np.max(np.abs(grid - direct)) <= 1e-13 * np.max(np.abs(direct))
+    # 101 rows outnumber the B = 16 base steps of 256 samples: one product per
+    # block (|Psi| only, for the sample-position rounding noted above)
+    ts = np.linspace(-60.0, 100.0, 256)
+    direct = np.abs((prop._cw * per_x["full"]) @ np.exp(
+        -1j * np.multiply.outer(prop.packet.E, ts) / UNITS.hbar))
+    assert np.max(np.abs(np.abs(prop.psi_grid(xs, ts)) - direct)) <= 1e-13 * np.max(direct)
     with pytest.raises(ContractViolation):
         prop.psi_grid(xs, [7.0], "reflected")
+
+
+def _contract_spy(monkeypatch):
+    calls = []
+    contract = Propagator._contract
+    monkeypatch.setattr(Propagator, "_contract",
+                        lambda self, rows, ts: calls.append(len(ts)) or contract(self, rows, ts))
+    return calls
+
+
+def test_flux_memo_keys_on_position_samples_and_component(monkeypatch):
+    # a repeated (x, samples, component) is answered from the memo with the
+    # same read-only array; a changed x, grid or component is evaluated
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
+    calls = _contract_spy(monkeypatch)
+    ts = np.linspace(-60.0, 100.0, 301)
+    J = prop.flux(-30.0, ts)
+    assert calls == [301]
+    assert prop.flux(-30.0, list(ts)) is J and calls == [301]
+    with pytest.raises(ValueError):
+        J[0] = 0.0
+    for x, t, component in [(-29.0, ts, "full"), (-30.0, ts[:-1], "full"),
+                            (-30.0, ts + 1e-9, "full"), (-30.0, ts, "free")]:
+        calls.clear()
+        other = prop.flux(x, t, component)
+        assert calls == [len(t)]
+        assert not other.flags.writeable
+        np.testing.assert_array_equal(other, Propagator(prop.pot, prop.packet).flux(x, t, component))
+
+
+def test_flux_memo_holds_at_most_phase_block_samples(monkeypatch):
+    # with PHASE_BLOCK patched to 700 samples the third 300-sample window
+    # pushes out the first, and a window larger than the cap is not kept
+    monkeypatch.setattr(wavepacket, "PHASE_BLOCK", 700)
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
+    calls = _contract_spy(monkeypatch)
+    ts = np.linspace(-60.0, 100.0, 300)
+    for x in (-30.0, 2.0, 30.0):
+        prop.flux(x, ts)
+    assert prop._memo_samples == sum(J.size for J in prop._memo.values()) == 600
+    calls.clear()
+    prop.flux(30.0, ts)
+    prop.flux(2.0, ts)
+    assert calls == []
+    prop.flux(-30.0, ts)  # evicted first, so evaluated again
+    assert calls == [300]
+    prop.flux(-30.0, np.linspace(-60.0, 100.0, 701))
+    assert prop._memo_samples == sum(J.size for J in prop._memo.values()) <= 700
+
+
+def test_flux_memo_bookkeeping_survives_threads(monkeypatch):
+    # four threads cycling through more two-sample windows than a cap of 16
+    # samples holds, so every call evaluates, stores and evicts, with the
+    # interpreter switching threads as often as it can: the sample count
+    # stays the sum of what the memo holds, within the cap, and every result
+    # is the single-thread one
+    monkeypatch.setattr(wavepacket, "PHASE_BLOCK", 16)
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
+    ts = np.array([0.0, 2.0])
+    xs = np.linspace(-30.0, 30.0, 24)
+    expected = {x: Propagator(prop.pot, prop.packet).flux(x, ts) for x in xs}
+    mismatches, finished = [], []
+
+    def work(offset):
+        for i in range(1500):
+            x = xs[(i + offset) % len(xs)]
+            if not np.array_equal(prop.flux(x, ts), expected[x]):
+                mismatches.append(x)
+        finished.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(6 * k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [0, 6, 12, 18] and mismatches == []
+    assert prop._memo_samples == sum(J.size for J in prop._memo.values()) <= 16
 
 
 def test_flux_series_autoextends_from_small_window():
