@@ -37,7 +37,7 @@ from .double_barrier import (
 )
 from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
-from .scattering import solve, two_phase
+from .scattering import ORACLE_TOL, UNITARITY_TOL, solve, two_phase
 from .stationary_times import bl_time, dwell_time_stationary, phase_time, two_phase_times
 from .wavepacket import _CACHE, TAIL_TOL, gaussian_packet, propagator
 
@@ -482,8 +482,8 @@ def cmd_run(args) -> int:
         "config": cfg,
         "constants": dataclasses.asdict(UNITS),
         "tolerances": {
-            "unitarity": 1e-10,
-            "oracle_equivalence": 1e-12,
+            "unitarity": UNITARITY_TOL,
+            "oracle_equivalence": ORACLE_TOL,
             "dwell_form_agreement": DWELL_FORM_TOL,
             "tail_capture": TAIL_TOL,
         },

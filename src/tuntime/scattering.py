@@ -31,6 +31,8 @@ from .core import UNITS, BranchResolutionError, ContractViolation, UnitSystem
 from .potential import PiecewisePotential
 
 DEGENERACY_REL_SHIFT = 1e-9  # relative; applied when E collides with a segment height
+UNITARITY_TOL = 1e-10        # |A_T|^2 + |A_R|^2 - 1 a solve is held to
+ORACLE_TOL = 1e-12           # amplitude distance from the closed-form rectangular barrier
 _RESCALE_LIMIT = 1e150
 
 

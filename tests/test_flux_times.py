@@ -168,9 +168,9 @@ def test_transparent_barrier_dwell_equals_transmission():
 
 
 def test_dwell_evaluates_each_flux_once(monkeypatch):
-    # one union window (a flux series per marker, each with one tail
-    # extension) and J(x_f), J(x_i), J_in(x_i) once, shared with the
-    # decomposition that supplies the variance
+    # one union window (a flux series per marker, each capturing its tail in
+    # the first round, so one flux call per series) and J(x_f), J(x_i),
+    # J_in(x_i) once, shared with the decomposition that supplies the variance
     counts = {"flux": 0, "flux_series": 0}
     for name in counts:
         original = getattr(Propagator, name)
@@ -181,7 +181,7 @@ def test_dwell_evaluates_each_flux_once(monkeypatch):
 
         monkeypatch.setattr(Propagator, name, counted)
     dwell(POT, gaussian_packet(K_BAR, 0.02, n_k=128), RegionMarkers(-25.0, 30.0))
-    assert counts == {"flux": 7, "flux_series": 2}
+    assert counts == {"flux": 5, "flux_series": 2}
 
 
 @pytest.mark.parametrize("pot, E_bar, markers", [

@@ -211,49 +211,73 @@ def test_flux_quiet_before_arrival():
     assert np.max(np.abs(J)) < 1e-12
 
 
+def _table_cost(n):
+    """Exponentials per k of one n-column phase table: a coarse and a fine
+    factor of F = ceil(sqrt(n)) and ceil(n/F) columns."""
+    F = math.isqrt(n - 1) + 1
+    return F + -(-n // F)
+
+
 def test_phases_built_in_bounded_blocks(monkeypatch):
     # on a uniform grid an evaluation factors exp(-iEt/hbar) into a base of
-    # B = ceil(sqrt(n_t)) steps and one start phase per block of B samples:
-    # n_k (B + ceil(n_t/B)) exponentials, never an n_k x n_t array.  With
-    # PHASE_BLOCK patched small no single build exceeds it, and the shorter
-    # blocks give the same values to rounding.  The window keeps |Et/hbar|
-    # near 1e3 rad, where rounding the phase costs well under 1e-13 of the
-    # peak (test_contract_as_accurate_as_direct_sum_at_large_phases covers
-    # larger phases)
+    # B = ceil(sqrt(n_t)) steps and one start phase per block of B samples,
+    # and builds each of those uniform tables, n columns, from a coarse and a
+    # fine factor: n_k _table_cost(n) exponentials per table, about
+    # 4 n_k n_t^(1/4) in all, never an n_k x n_t array.  With PHASE_BLOCK
+    # patched small no table or factor exceeds it, and the shorter blocks
+    # give the same values to rounding.  The window keeps |Et/hbar| near
+    # 1e3 rad, where rounding the phase costs well under 1e-13 of the peak
+    # (test_contract_as_accurate_as_direct_sum_at_large_phases covers larger
+    # phases)
     n_k, n_t = 128, 1001
     prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=n_k))
     ts = np.linspace(-60.0, 100.0, n_t)
     xs = [-30.0, 2.0, 30.0]
-    builds = []
-    build = Propagator._phases
+    builds, tables = [], []
+    build, table = Propagator._phases, Propagator._phase_table
     monkeypatch.setattr(Propagator, "_phases",
                         lambda self, t: builds.append(t.size) or build(self, t))
 
+    def spy_table(self, t0, step, n):
+        tables.append(n)
+        out = table(self, t0, step, n)
+        assert out.shape == (n_k, n) and out.size <= wavepacket.PHASE_BLOCK
+        return out
+
+    monkeypatch.setattr(Propagator, "_phase_table", spy_table)
+
     def exponentials(evaluate):
         builds.clear()
+        tables.clear()
         tracemalloc.start()
         value = evaluate()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < n_k * n_t * 16 / 4  # a complex n_k x n_t array is never held
-        return value, n_k * sum(builds)
+        assert n_k * max(builds) <= wavepacket.PHASE_BLOCK
+        count = n_k * sum(builds)
+        assert count == n_k * sum(_table_cost(n) for n in tables)  # every exponential is a table's
+        return value, count
 
     assert prop.flux(2.0, []).shape == (0,)
     B = math.isqrt(n_t - 1) + 1
     J, count = exponentials(lambda: prop.flux(2.0, ts))
-    assert count <= n_k * (B + math.ceil(n_t / B))
+    # the base, then start phases for every block: 28 n_k where whole
+    # tables took n_k (B + ceil(n_t/B)) = 64 n_k
+    assert tables[0] == B and sum(tables[1:]) == math.ceil(n_t / B)
+    assert count == 28 * n_k
     grid, count = exponentials(lambda: prop.psi_grid(xs, ts))
-    assert count <= n_k * (B + math.ceil(n_t / B))
+    assert tables[0] == B and sum(tables[1:]) == math.ceil(n_t / B)
+    assert count == 36 * n_k  # three rows stack ten blocks per batch of start phases
 
     # a fresh propagator, since prop's flux memo would answer the same window
     monkeypatch.setattr(wavepacket, "PHASE_BLOCK", n_k * 8)
     blocked = Propagator(prop.pot, prop.packet)
-    builds.clear()
-    J_blocked = blocked.flux(2.0, ts)
-    assert n_k * max(builds) <= wavepacket.PHASE_BLOCK
-    assert n_k * sum(builds) <= n_k * (8 + math.ceil(n_t / 8))
+    J_blocked, count = exponentials(lambda: blocked.flux(2.0, ts))
+    assert max(tables) <= 8
+    assert count <= n_k * (8 + math.ceil(n_t / 8))
     assert np.max(np.abs(J_blocked - J)) <= 1e-13 * np.max(np.abs(J))
-    grid_blocked = blocked.psi_grid(xs, ts)
+    grid_blocked, _ = exponentials(lambda: blocked.psi_grid(xs, ts))
     assert grid_blocked.shape == (3, 1001)
     assert np.max(np.abs(grid_blocked - grid)) <= 1e-13 * np.max(np.abs(grid))
     for x, row in zip(xs, grid_blocked):
@@ -446,6 +470,57 @@ def test_flux_series_autoextends_from_small_window():
     assert float(integrate(fs.J, fs.t_grid)) == pytest.approx(
         pk.incident_flux_mass(), rel=1e-4
     )
+
+
+def _two_window_series(prop, x, t_range=None, n_t=2048, eps_tail=wavepacket.TAIL_TOL):
+    """The tail rule that evaluates each round's window as well as its 25%
+    widening, and compares the |J| masses of the two grids."""
+    lo, hi = t_range if t_range is not None else prop.suggest_window(x)
+    density = n_t / (hi - lo)
+
+    def series(lo, hi):
+        g = Grid1D.uniform(lo, hi, max(min(int(density * (hi - lo)) + 1, 1 << 17), 256))
+        J = prop.flux(x, g.points)
+        return g, J, float(integrate(np.abs(J), g))
+
+    g, J, mass = series(lo, hi)
+    for _ in range(wavepacket.MAX_TAIL_EXTENSIONS):
+        pad = 0.25 * (hi - lo)
+        lo, hi = lo - pad, hi + pad
+        g, J, wide_mass = series(lo, hi)
+        captured = abs(wide_mass - mass) <= eps_tail * max(wide_mass, 1e-300)
+        mass = wide_mass
+        if captured:
+            break
+    return g, J, mass, captured
+
+
+# samples of round r's window, 1.5^r times the 2048 of the requested one
+ROUND_SAMPLES = [3 ** r * 2 ** (11 - r) + 1 for r in range(1, 9)]
+
+
+@pytest.mark.parametrize("pot, x, t_range, rounds, captured", [
+    (rectangular(10.0, 5.0), -5.0, None, 1, True),
+    (FREE, 300.0, (-40.0, -20.0), 6, True),
+    (FREE, 300.0, (0.0, 2.0), 8, False),
+], ids=["first-round", "multi-round", "uncaptured"])
+def test_flux_series_evaluates_only_widened_windows(monkeypatch, pot, x, t_range, rounds,
+                                                   captured):
+    # each round evaluates only the widened window and reads the mass of the
+    # window before from its own samples, so a tail captured in the first
+    # round is one flux call; grid, J, |J| mass and verdict are those of the
+    # rule that also evaluates each round's unwidened window
+    prop = Propagator(pot, gaussian_packet(K_BAR, 0.02))
+    made, flux = [], Propagator.flux
+    monkeypatch.setattr(Propagator, "flux",
+                        lambda self, x, ts, *a: made.append(len(ts)) or flux(self, x, ts, *a))
+    fs = prop.flux_series(x, t_range)
+    assert made == ROUND_SAMPLES[:rounds] and fs.tail_captured is captured
+    g, J, mass, ref_captured = _two_window_series(Propagator(pot, prop.packet), x, t_range)
+    np.testing.assert_array_equal(fs.t_grid.points, g.points)
+    np.testing.assert_array_equal(fs.t_grid.weights, g.weights)
+    np.testing.assert_array_equal(fs.J, J)
+    assert fs.abs_mass == mass and fs.tail_captured is ref_captured
 
 
 def test_free_packet_has_no_backward_flux():
