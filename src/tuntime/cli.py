@@ -5,8 +5,9 @@ CSV per requested observable; every row carries the diagnostic flag columns
 (tail_captured, on_resonance, opaque_warning) so downstream plotting can
 filter.  Outputs are deterministic for a fixed config; the wall-clock data
 lives in a separate run_info.json so the CSVs and manifest stay byte-stable.
-Rows are evaluated in order; the `workers` key and `--workers` flag are
-accepted and echoed in the manifest but select nothing.
+Rows are evaluated in order, except that a phase-time, bl-time or dwell scan
+over E is one call on the array of its energies; the `workers` key and
+`--workers` flag are accepted and echoed in the manifest but select nothing.
 
 Exit codes: 0 success (possibly with warnings), 1 config error, 2 numerical
 failure.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -249,30 +251,37 @@ def _write_csv(path: Path, header: list, rows: list):
 # ---------------------------------------------------------------- observables
 
 def _obs_stationary(cfg: dict, which: str):
-    """phase-time / bl-time / dwell over the scan axis at fixed parameters."""
+    """phase-time / bl-time / dwell over the scan axis at fixed parameters.
+
+    An energy scan is one call on the array of its energies, so one table per
+    central-difference round serves every row; an a or V0 scan builds a
+    potential per row."""
     scan = cfg["scan"]
     E0 = cfg["energy"]
     pot_cfg = cfg["potential"]
 
+    def evaluate(pot, E):
+        if which == "phase-time":
+            return phase_time(pot, E)
+        if which == "bl-time":
+            return bl_time(pot, E)
+        return dwell_time_stationary(pot, E, RegionMarkers(pot.x_left, pot.x_right))
+
     def row(v):
         if scan["parameter"] == "a":
-            pot, E = _build_potential(pot_cfg, a_override=v), E0
-        elif scan["parameter"] == "E":
-            pot, E = _build_potential(pot_cfg), v
+            pot = _build_potential(pot_cfg, a_override=v)
         elif scan["parameter"] == "V0":
-            pot, E = _build_potential({**pot_cfg, "V0": v}), E0
+            pot = _build_potential({**pot_cfg, "V0": v})
         else:
             raise ContractViolation(f"scan parameter {scan['parameter']!r} not usable here")
-        if which == "phase-time":
-            val = phase_time(pot, E)
-        elif which == "bl-time":
-            val = bl_time(pot, E)
-        else:
-            val = dwell_time_stationary(pot, E, RegionMarkers(pot.x_left, pot.x_right))
-        return [v, E, val, *_OK_FLAGS.values()]
+        return [v, E0, evaluate(pot, E0), *_OK_FLAGS.values()]
 
     header = [scan["parameter"], "E_eV", f"{which.replace('-', '_')}_fs", *FLAGS]
-    return header, [row(v) for v in _scan_values(scan)]
+    values = _scan_values(scan)
+    if scan["parameter"] == "E":
+        taus = evaluate(_build_potential(pot_cfg), values)
+        return header, [[E, E, tau, *_OK_FLAGS.values()] for E, tau in zip(values, taus)]
+    return header, [row(v) for v in values]
 
 
 def _obs_two_phase(cfg: dict):
@@ -511,7 +520,10 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every main() call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="tuntime",
         description="Tunnelling-time scenario runner (eV / Angstrom / fs).",
@@ -534,8 +546,11 @@ def main(argv=None) -> int:
 
     p_lst = sub.add_parser("list-observables", help="list observable names")
     p_lst.set_defaults(fn=cmd_list)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -7,6 +7,13 @@ running product is rescaled whenever its entries grow large and the pulled-out
 magnitude is tracked as a log, which keeps |A_T| available in log form for
 arbitrarily opaque barriers (kappa a far beyond the e^{-745} underflow line).
 
+Each pass forms its per-region factors (chunk phases, interface matrices,
+e^{iqd} and q ratios) for every region and energy before its loop over the
+regions, so the loop is a few array operations per region.  A table runs the
+forward pass when it is built and the backward pass on the first read of a
+region coefficient, so a caller that needs only the transmission (a phase,
+BL or resonance search) never runs it.
+
 Region coefficients are recovered by backward substitution from the
 transmitted side, the well-conditioned direction: extracting the decaying and
 growing components at a segment's right edge involves no cancellation.  Region
@@ -22,6 +29,7 @@ global accuracy of the solve.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,11 +96,16 @@ class SolutionTable:
     held as log_abs_A_T and arg_A_T, from which A_T is derived; region j as
     the pair f, b and its log_scale, referenced to refs (left edges) and ends
     (right edges; equal to refs in the outer regions).
+
+    A build runs the forward pass only.  f, b and log_scale come from the
+    backward substitution, run once, on their first read (psi_dpsi, psi,
+    density_integral, row), so a caller that reads only the transmission
+    never pays for it.
     """
 
     def __init__(self, pot: PiecewisePotential, Es, units: UnitSystem = UNITS):
         Es = np.atleast_1d(np.asarray(Es, dtype=float))
-        if np.any(Es <= 0):
+        if (Es <= 0).any():
             raise ContractViolation("scattering energies must be positive")
         self.pot = pot
         self.units = units
@@ -107,7 +120,7 @@ class SolutionTable:
             # energy scale varies over ~16 decades once waveguide-mapped
             # barriers are in play, so an absolute threshold cannot work)
             close = np.abs(Es - v) < DEGENERACY_REL_SHIFT * v
-            if np.any(close):
+            if close.any():
                 Es = np.where(close, v * (1.0 + DEGENERACY_REL_SHIFT), Es)
                 self.shifted |= close
         self.E = Es
@@ -118,9 +131,6 @@ class SolutionTable:
             self.bounds = np.array([-np.inf, np.inf])
             self.refs = self.ends = np.array([0.0])
             self.q = self.k.astype(complex)[:, None]
-            self.log_scale = np.zeros((n, 1))
-            self.f = np.ones((n, 1), dtype=complex)
-            self.b = np.zeros((n, 1), dtype=complex)
             self.A_T = np.ones(n, dtype=complex)
             self.A_R = np.zeros(n, dtype=complex)
             self.log_abs_A_T = np.zeros(n)
@@ -133,39 +143,39 @@ class SolutionTable:
         self.refs = np.array([x1] + [r[0] for r in regions] + [xm])
         self.ends = np.array([x1] + [r[1] for r in regions] + [xm])
         widths = self.ends - self.refs
-        q = _wavenumbers(Es, heights, units)  # (nE, n_regions)
-        self.q = q
+        self.q = _wavenumbers(Es, heights, units)  # (nE, n_regions)
+        q = np.ascontiguousarray(self.q.T)  # region-major from here on
         nreg = len(heights)
 
         # forward accumulation of the global transfer matrix, log-rescaled; a
         # region is crossed in chunks of kappa d < 300 per energy, so no step
         # overflows and no row depends on the other energies of its table
+        chunks = 1 + (q.imag * (widths[:, None] / 300.0)).astype(int)
+        phases = np.exp(1j * q * (widths[:, None] / chunks))
+        r = q[:-1] / q[1:]
+        M = np.empty((nreg - 1, n, 2, 2), dtype=complex)
+        M[..., 0, 0] = M[..., 1, 1] = 0.5 * (1 + r)
+        M[..., 0, 1] = M[..., 1, 0] = 0.5 * (1 - r)
         T = np.zeros((n, 2, 2), dtype=complex)
         T[:, 0, 0] = T[:, 1, 1] = 1.0
         logscale = np.zeros(n)
 
         def rescale(T, logscale):
-            mags = np.max(np.abs(T), axis=(1, 2))
-            big = mags > _RESCALE_LIMIT
-            if np.any(big):
+            mags = np.abs(T).max(axis=(1, 2))
+            if mags.max() > _RESCALE_LIMIT:
+                big = mags > _RESCALE_LIMIT
                 T[big] /= mags[big, None, None]
                 logscale[big] += np.log(mags[big])
 
         for j in range(nreg - 1):
-            d = widths[j]
-            if d > 0:
-                chunks = 1 + (q[:, j].imag * (d / 300.0)).astype(int)
-                ph = np.exp(1j * q[:, j] * (d / chunks))
-                for step in range(chunks.max()):  # every energy has a first chunk
-                    p = np.where(step < chunks, ph, 1.0) if step else ph
+            if widths[j] > 0:
+                ph = phases[j]
+                for step in range(chunks[j].max()):  # every energy has a first chunk
+                    p = np.where(step < chunks[j], ph, 1.0) if step else ph
                     T[:, 0, :] *= p[:, None]
                     T[:, 1, :] /= p[:, None]
                     rescale(T, logscale)
-            r = q[:, j] / q[:, j + 1]
-            M = np.empty((n, 2, 2), dtype=complex)
-            M[:, 0, 0] = M[:, 1, 1] = 0.5 * (1 + r)
-            M[:, 0, 1] = M[:, 1, 0] = 0.5 * (1 - r)
-            T = M @ T
+            T = M[j] @ T
             rescale(T, logscale)
 
         # det(T_true) = q_left/q_right = 1 (free on both sides), so
@@ -179,26 +189,42 @@ class SolutionTable:
         self.arg_A_T = -np.angle(T[:, 1, 1]) + k * (x1 - xm)
         self.A_T = np.exp(self.log_abs_A_T) * np.exp(1j * self.arg_A_T)
 
-        # backward substitution from the transmitted wave A_T e^{ik(x - xm)}
-        self.log_scale = np.empty((n, nreg))
-        self.f = np.empty((n, nreg), dtype=complex)
-        self.b = np.empty((n, nreg), dtype=complex)
-        self.log_scale[:, -1] = self.log_abs_A_T
-        self.f[:, -1] = np.exp(1j * (self.arg_A_T + k * xm))
-        self.b[:, -1] = 0.0
+    @functools.cached_property
+    def _regions(self):
+        """(f, b, log_scale), region-major, by backward substitution from the
+        transmitted wave A_T e^{ik(x - xm)}; run once, on first use."""
+        q = np.ascontiguousarray(self.q.T)
+        widths = (self.ends - self.refs)[:, None]
+        nreg, n = q.shape
+        # per-region factors of every region, formed before the loop
+        ahead = np.exp(1j * q * widths)  # e^{i q d}
+        ratio = q[1:] / q[:-1]           # q_{j+1} / q_j
+        grow = q.imag * widths
+        shrink = np.exp(-grow)
+        turn = -1j * q * widths
+        log_scale = np.empty((nreg, n))
+        f = np.empty((nreg, n), dtype=complex)
+        b = np.empty((nreg, n), dtype=complex)
+        log_scale[-1] = self.log_abs_A_T
+        f[-1] = np.exp(1j * (self.arg_A_T + self.k * self.ends[-1]))
+        b[-1] = 0.0
         for j in range(nreg - 2, -1, -1):
             # psi and psi'/(i q_j) at the joint, in units of e^{log_scale[j+1]}
-            back = self.b[:, j + 1] * np.exp(1j * q[:, j + 1] * widths[j + 1])
-            psi = self.f[:, j + 1] + back
-            dpsi = q[:, j + 1] / q[:, j] * (self.f[:, j + 1] - back)
+            back = b[j + 1] * ahead[j + 1]
+            psi = f[j + 1] + back
+            dpsi = ratio[j] * (f[j + 1] - back)
             fwd_right, bwd_right = 0.5 * (psi + dpsi), 0.5 * (psi - dpsi)
             # f_j = fwd_right e^{-i q_j d}, which grows by e^{kappa d}; the
             # larger of |f_j| and |b_j| becomes 1 and its log joins the scale
-            grow = q[:, j].imag * widths[j]
-            s = grow + np.log(np.maximum(np.abs(fwd_right), np.abs(bwd_right) * np.exp(-grow)))
-            self.f[:, j] = fwd_right * np.exp(-1j * q[:, j] * widths[j] - s)
-            self.b[:, j] = bwd_right * np.exp(-s)
-            self.log_scale[:, j] = self.log_scale[:, j + 1] + s
+            s = grow[j] + np.log(np.maximum(np.abs(fwd_right), np.abs(bwd_right) * shrink[j]))
+            f[j] = fwd_right * np.exp(turn[j] - s)
+            b[j] = bwd_right * np.exp(-s)
+            log_scale[j] = log_scale[j + 1] + s
+        return f, b, log_scale
+
+    f = property(lambda self: self._regions[0].T)
+    b = property(lambda self: self._regions[1].T)
+    log_scale = property(lambda self: self._regions[2].T)
 
     def __len__(self) -> int:
         return len(self.E)

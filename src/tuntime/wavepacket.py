@@ -17,9 +17,13 @@ from the Schroedinger-form equation, whose sub-barrier decay profile is what
 the waveguide mapping reproduces.
 
 Every evaluation is a contraction of spectral rows c_k psi_k(x) with
-e^{-iE_k t/hbar}.  On a uniform time grid, cut into blocks of
-B = ceil(sqrt(n_t)) samples starting at s_m, that phase factors as
-e^{-iE s_m/hbar} e^{-iE j dt/hbar}, and a few rows take many blocks per
+e^{-iE_k t/hbar}, taken as the carrier e^{-iE_ref t/hbar} at the packet's
+mean energy, from each sample's own time, times the phases of
+e_k = E_k - E_ref: those are far smaller than E_k t/hbar (which reaches
+760 rad at 5 eV and 100 fs), so rounding them costs far less, and the flux
+needs no carrier at all.  On a uniform time grid, cut into blocks of
+B = ceil(sqrt(n_t)) samples starting at s_m, the phase of e factors as
+e^{-ie s_m/hbar} e^{-ie j dt/hbar}, and a few rows take many blocks per
 matrix product.  The base and the start phases are uniform tables in turn,
 and a table of n columns is the product of a coarse and a fine table about
 sqrt(n) columns wide: about 4 n_k n_t^(1/4) exponentials per evaluation
@@ -229,6 +233,9 @@ class Propagator:
         else:
             self._flux_pref = units.c / packet.k_bar
         self._cw = packet.w * packet.G
+        # time phases are taken against the carrier e^{-iE_ref t/hbar}
+        self._E_ref = float(packet.dispersion.energy(packet.k_bar))
+        self._dE = packet.E - self._E_ref
         self._memo: dict = {}
         self._memo_samples = 0
         self._memo_lock = threading.Lock()
@@ -253,14 +260,19 @@ class Propagator:
         return rows
 
     def _phases(self, ts: np.ndarray) -> np.ndarray:
-        ph = np.empty((self.packet.E.size, ts.size), dtype=complex)
-        np.multiply.outer(self.packet.E, ts, out=ph)
+        """e^{-i(E - E_ref)t/hbar} at every t of ts, shape (n_k, len(ts))."""
+        ph = np.empty((self._dE.size, ts.size), dtype=complex)
+        np.multiply.outer(self._dE, ts, out=ph)
         ph *= -1j  # in place throughout
         ph /= self.units.hbar
         return np.exp(ph, out=ph)
 
+    def _carrier(self, ts) -> np.ndarray:
+        """e^{-iE_ref t/hbar} at every t of ts, from each sample's own time."""
+        return np.exp(-1j * self._E_ref * np.asarray(ts, dtype=float) / self.units.hbar)
+
     def _phase_table(self, t0: float, step: float, n: int) -> np.ndarray:
-        """e^{-iE(t0 + j step)/hbar} for 0 <= j < n, shape (n_k, n).
+        """e^{-i(E - E_ref)(t0 + j step)/hbar} for 0 <= j < n, shape (n_k, n).
 
         The elementwise product of a coarse table at t0 + c F step and a fine
         one at f step, F = ceil(sqrt(n)): n_k (F + ceil(n/F)) exponentials in
@@ -276,23 +288,29 @@ class Propagator:
         return table
 
     def _contract(self, rows, ts) -> np.ndarray:
-        """rows @ exp(-iEt/hbar), with the phases factored on a uniform grid.
+        """rows @ exp(-i(E - E_ref)t/hbar), the phases factored on a uniform grid.
 
-        On t = s_m + j dt, s_m = ts[m B] the start of block m and 0 <= j < B,
-        the phase is e^{-iE s_m/hbar} e^{-iE j dt/hbar}.  The base
-        e^{-iE j dt/hbar} (n_k x B) is built once and the start phases in
-        batches; each is a uniform table, which `_phase_table` forms from
-        coarse and fine factors of about sqrt(n) columns, so an evaluation
-        makes about 4 n_k n_t^(1/4) exponentials in place of n_k n_t.  With at
-        most B rows, the rows scaled by the start phases of B // rows blocks
-        are stacked into one (rows x blocks) x n_k operand of at most n_k B
-        entries, and one product per row with the base fills all those
-        blocks; with more rows, the start phase scales the smaller operand,
-        the base, and each block is one product.  The output is padded to
-        whole blocks and trimmed on return.  B = ceil(sqrt(n_t)), capped so
-        that neither the base nor a batch of start phases exceeds PHASE_BLOCK
-        entries; no n_k x n_t array is built.  A grid that is not uniform to
-        rounding is the case B = 1: base 1 and direct start phases s_m = t_m.
+        This is rows @ exp(-iEt/hbar) without the carrier e^{-iE_ref t/hbar}
+        common to every row, so |.|, the flux and every conj(a) b of two
+        contracted rows are the same with or without it; the phases hold only
+        (E - E_ref) t, whose rounding is far smaller than that of E t.  With
+        e = E - E_ref, on t = s_m + j dt, s_m = ts[m B] the start of block m
+        and 0 <= j < B, the phase is e^{-ie s_m/hbar} e^{-ie j dt/hbar}.  The
+        base e^{-ie j dt/hbar} (n_k x B) is built once and the start phases in
+        batches of at most PHASE_BLOCK entries, one batch unless n_t exceeds
+        about (PHASE_BLOCK / n_k)^2; each is a uniform table, which
+        `_phase_table` forms from coarse and fine factors of about sqrt(n)
+        columns, so an evaluation makes about 4 n_k n_t^(1/4) exponentials in
+        place of n_k n_t.  With at most B rows, the rows scaled by the start
+        phases of B // rows blocks at a time are stacked into one
+        (rows x blocks) x n_k operand of at most n_k B entries, and one
+        product per row with the base fills all those blocks; with more rows,
+        the start phase scales the smaller operand, the base, and each block
+        is one product.  The output is padded to whole blocks and trimmed on
+        return.  B = ceil(sqrt(n_t)), capped so that neither the base nor a
+        batch of start phases exceeds PHASE_BLOCK entries; no n_k x n_t array
+        is built.  A grid that is not uniform to rounding is the case B = 1:
+        base 1 and direct start phases s_m = t_m.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         rows = np.asarray(rows, dtype=complex)
@@ -304,17 +322,18 @@ class Propagator:
         uniform = np.all(np.abs(np.diff(ts) - dt) <= 8 * np.finfo(float).eps * np.max(np.abs(ts)))
         B = min(math.isqrt(n_t - 1) + 1, cap) if uniform else 1
         base = self._phase_table(0.0, dt, B)
-        stacked = n_r <= B
         out = np.empty((n_r, -(-n_t // B), B), dtype=complex)
-        per = B // max(n_r, 1) if stacked else cap  # blocks per batch of start phases
-        for m0 in range(0, out.shape[1], per):
+        per = B // max(n_r, 1)  # blocks per stacked operand; 0 if rows > B
+        for m0 in range(0, out.shape[1], cap):  # one batch of start phases
             if uniform:
-                starts = self._phase_table(ts[m0 * B], B * dt, min(per, out.shape[1] - m0))
+                starts = self._phase_table(ts[m0 * B], B * dt, min(cap, out.shape[1] - m0))
             else:
-                starts = self._phases(ts[m0:m0 + per])
+                starts = self._phases(ts[m0:m0 + cap])
             blocks = out[:, m0:m0 + starts.shape[1]]
-            if stacked:
-                np.matmul(rows[:, None] * starts.T, base, out=blocks)
+            if per:
+                for s in range(0, starts.shape[1], per):
+                    np.matmul(rows[:, None] * starts[:, s:s + per].T, base,
+                              out=blocks[:, s:s + per])
             else:
                 for m in range(starts.shape[1]):
                     np.matmul(rows, starts[:, m, None] * base, out=blocks[:, m])
@@ -324,10 +343,6 @@ class Propagator:
     def psi(self, x: float, ts, component: str = "full") -> np.ndarray:
         return self.psi_grid([x], ts, component)[0]
 
-    def psi_dpsi(self, x: float, ts, component: str = "full"):
-        ps, dps = self._modes(x, component)
-        return tuple(self._contract([self._cw * ps, self._cw * dps], ts))
-
     def flux(self, x: float, ts, component: str = "full") -> np.ndarray:
         """J(x, t) at the samples ts, read-only and memoised (see the class)."""
         ts = np.asarray(ts, dtype=float)
@@ -335,7 +350,9 @@ class Propagator:
         J = self._memo.get(key)
         if J is not None:
             return J
-        Psi, dPsi = self.psi_dpsi(x, ts, component)
+        ps, dps = self._modes(x, component)
+        # Psi and dPsi/dx without their common carrier, which drops out of J
+        Psi, dPsi = self._contract([self._cw * ps, self._cw * dps], ts)
         J = self._flux_pref * np.imag(np.conj(Psi) * dPsi)
         J.flags.writeable = False
         with self._memo_lock:
@@ -351,13 +368,16 @@ class Propagator:
     def density_rate(self, x: float, ts, component: str = "full") -> np.ndarray:
         """d|Psi|^2/dt from the analytic time derivative of the superposition."""
         cw = self._cw * self._psi_rows([x], component)[0]
+        # the carrier drops out of conj(Psi) dPsi/dt, as it does of J
         Psi, dPsi_dt = self._contract([cw, cw * (-1j * self.packet.E / self.units.hbar)], ts)
         return 2.0 * np.real(np.conj(Psi) * dPsi_dt)
 
     def psi_grid(self, xs, ts, component: str = "full") -> np.ndarray:
         """Psi on an (x, t) product grid, shape (len(xs), len(ts))."""
         rows = self._psi_rows(xs, component)
-        return self._contract(np.multiply(self._cw, rows, out=rows), ts)
+        out = self._contract(np.multiply(self._cw, rows, out=rows), ts)
+        out *= self._carrier(ts)
+        return out
 
     def density_integral(self, xg: Grid1D, t_range: tuple, n_t: int) -> float:
         """integral dt integral dx |Psi|^2 with xg's rule in x and, in t, the

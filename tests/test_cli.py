@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tuntime import wavepacket
+from tuntime import cli, wavepacket
 from tuntime.cli import main
+from tuntime.potential import PiecewisePotential
+from tuntime.stationary_times import phase_time
 
 FIG2_CONFIG = {
     "potential": {"kind": "rectangular", "V0": 10.0, "a": 5.0},
@@ -224,3 +226,35 @@ def test_flag_columns_on_every_csv(tmp_path):
         header, rows = read_csv(out_dir / f"{name}.csv")
         assert header[-3:] == ["tail_captured", "on_resonance", "opaque_warning"]
         assert rows
+
+
+def test_parser_reused_without_state(tmp_path):
+    # main() builds its parser once per process: a --workers given to one
+    # call does not carry over, and the next manifest echoes the config's
+    cfg = write(tmp_path, "w.json", {"observables": ["phase-time"], "workers": 2,
+                                     "scan": {"parameter": "E", "min": 2.0, "max": 4.0,
+                                              "steps": 3}})
+    assert main(["run", cfg, "--workers", "3", "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
+    workers = [json.loads((tmp_path / d / "manifest.json").read_text())["config"]["workers"]
+               for d in ("a", "b")]
+    assert workers == [3, 2]
+    assert cli._parser() is cli._parser()
+
+
+def test_energy_scan_is_one_call(tmp_path, monkeypatch):
+    # an E scan evaluates its stationary time once, on the array of its
+    # energies, and each row equals the scalar call at its energy
+    segs = [[12.0 * i, 12.0 * i + 4.0, 3.0] for i in range(6)]
+    cfg = write(tmp_path, "sl.json", {
+        "potential": {"kind": "segments", "segments": segs},
+        "scan": {"parameter": "E", "min": 0.5, "max": 2.5, "steps": 9},
+        "observables": ["phase-time"]})
+    calls = []
+    monkeypatch.setattr(cli, "phase_time", lambda pot, E: calls.append(np.shape(E))
+                        or phase_time(pot, E))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(9,)]
+    _, rows = read_csv(tmp_path / "out" / "phase-time.csv")
+    pot = PiecewisePotential(tuple(tuple(s) for s in segs))
+    assert [float(r[2]) for r in rows] == [phase_time(pot, E) for E in np.linspace(0.5, 2.5, 9)]

@@ -215,6 +215,53 @@ def test_arbitrarily_opaque_barrier(kappa_a):
     assert psi[1][0] == pytest.approx(psi[0][0] * np.exp(-kappa * 1e-3 * a), rel=1e-10)
 
 
+LATTICE = PiecewisePotential(tuple((10.0 * i, 10.0 * i + 4.0, 3.0) for i in range(40)))
+
+
+def test_transmission_callers_skip_the_region_coefficients(monkeypatch):
+    # phase, BL, resonance and mapped phase times read only the transmission,
+    # so none of their tables runs the backward substitution; a row needs it
+    from tuntime.double_barrier import find_resonances
+    from tuntime.emguide import WaveguideSpec, mapped_phase_time
+    from tuntime.stationary_times import bl_time, phase_time
+
+    def refuse(self):
+        raise AssertionError("backward substitution run")
+
+    monkeypatch.setattr(SolutionTable, "_regions", property(refuse))
+    pot = double_rectangular(10.0, 4.0, 10.0)
+    assert np.all(np.isfinite(phase_time(pot, np.array([2.0, 5.0, 9.0]))))
+    assert np.isfinite(phase_time(LATTICE, 2.0)) and np.isfinite(bl_time(LATTICE, 2.0))
+    assert np.isfinite(bl_time(pot, 5.0))
+    assert find_resonances(10.0, 5.0, 15.0, (0.5, 9.5))
+    assert np.isfinite(mapped_phase_time(WaveguideSpec(a=2.3, b=4.6, m=1, n=0, L=10.0, lam=6.0)))
+    with pytest.raises(AssertionError, match="backward substitution"):
+        solve(pot, 5.0)
+
+
+@pytest.mark.parametrize("pot", [rectangular(10.0, 5.0), double_rectangular(10.0, 4.0, 10.0),
+                                 LATTICE], ids=["rectangular", "double", "lattice40"])
+def test_region_coefficients_independent_of_read_order(pot):
+    # the backward substitution runs once, on first use: the coefficients read
+    # before the transmission equal those read after it, and every row equals
+    # a one-energy table's (the per-region factors are formed for all energies)
+    Es = np.linspace(0.5, 9.5, 37)
+    first = SolutionTable(pot, Es)
+    coefficients = first.f, first.b, first.log_scale
+    later = SolutionTable(pot, Es)
+    transmission = later.A_T, later.A_R, later.log_abs_A_T, later.arg_A_T
+    for got, want in zip((later.f, later.b, later.log_scale), coefficients):
+        assert np.array_equal(got, want)
+    for got, want in zip((first.A_T, first.A_R, first.log_abs_A_T, first.arg_A_T), transmission):
+        assert np.array_equal(got, want)
+    assert first._regions is first._regions
+    for i in (0, 17, 36):
+        one = SolutionTable(pot, Es[i:i + 1])
+        for got, want in zip((one.f, one.b, one.log_scale, one.A_T),
+                             (first.f, first.b, first.log_scale, first.A_T)):
+            assert np.array_equal(got[0], want[i])
+
+
 @pytest.mark.parametrize("kappa_a", [300.0, 800.0, 1e4])
 def test_rect_amplitude_opaque(kappa_a):
     # closed form past the sinh overflow: |A_R| = 1 and it matches the solve

@@ -262,13 +262,13 @@ def test_phases_built_in_bounded_blocks(monkeypatch):
     assert prop.flux(2.0, []).shape == (0,)
     B = math.isqrt(n_t - 1) + 1
     J, count = exponentials(lambda: prop.flux(2.0, ts))
-    # the base, then start phases for every block: 28 n_k where whole
-    # tables took n_k (B + ceil(n_t/B)) = 64 n_k
-    assert tables[0] == B and sum(tables[1:]) == math.ceil(n_t / B)
-    assert count == 28 * n_k
+    # the base, then one table of start phases for every block: 24 n_k
+    # where whole tables took n_k (B + ceil(n_t/B)) = 64 n_k
+    assert tables == [B, math.ceil(n_t / B)]
+    assert count == 24 * n_k
     grid, count = exponentials(lambda: prop.psi_grid(xs, ts))
-    assert tables[0] == B and sum(tables[1:]) == math.ceil(n_t / B)
-    assert count == 36 * n_k  # three rows stack ten blocks per batch of start phases
+    assert tables == [B, math.ceil(n_t / B)]  # three rows stack ten blocks at a time
+    assert count == 24 * n_k
 
     # a fresh propagator, since prop's flux memo would answer the same window
     monkeypatch.setattr(wavepacket, "PHASE_BLOCK", n_k * 8)
@@ -282,6 +282,23 @@ def test_phases_built_in_bounded_blocks(monkeypatch):
     assert np.max(np.abs(grid_blocked - grid)) <= 1e-13 * np.max(np.abs(grid))
     for x, row in zip(xs, grid_blocked):
         assert np.max(np.abs(row - blocked.psi(x, ts))) <= 1e-13 * np.max(np.abs(grid))
+
+
+def test_start_phases_built_as_one_table(monkeypatch):
+    # a two-row flux at n_t = 3073 (B = 56, 55 blocks) builds the base and one
+    # table of start phases, 2 (8 + 7) = 30 n_k exponentials; building the
+    # start phases per stacked operand of B // 2 = 28 blocks took 37 n_k
+    n_k = 128
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=n_k))
+    builds = []
+    build = Propagator._phases
+    monkeypatch.setattr(Propagator, "_phases",
+                        lambda self, t: builds.append(t.size) or build(self, t))
+    ts = np.linspace(-60.0, 100.0, 3073)
+    J = prop.flux(2.0, ts)
+    assert sum(builds) == 30
+    _, J_direct, _, J_peak = _direct_sum(prop, 2.0, ts)
+    assert np.max(np.abs(J - J_direct)) <= 1e-13 * J_peak
 
 
 def _direct_sum(prop, x, ts):
