@@ -107,9 +107,10 @@ def resolve(raw: dict) -> dict:
             _fail(f"observables[{i}]", f"unknown observable {name!r}")
     cfg["observables"] = list(obs)
 
-    pot_raw = {**_DEFAULTS["potential"], **raw.get("potential", {})}
-    kind = pot_raw.get("kind")
+    pot_raw = dict(raw.get("potential", {}))
+    kind = pot_raw.setdefault("kind", _DEFAULTS["potential"]["kind"])
     if kind == "rectangular":
+        pot_raw = {**_DEFAULTS["potential"], **pot_raw}  # only this kind takes the default V0, a
         for key in ("V0", "a"):
             if not isinstance(pot_raw.get(key), (int, float)) or pot_raw[key] <= 0:
                 _fail(f"potential.{key}", "must be a positive number")
@@ -127,17 +128,21 @@ def resolve(raw: dict) -> dict:
         _fail("potential.kind", "one of 'rectangular', 'double', 'segments'")
     cfg["potential"] = pot_raw
 
-    packets = raw.get("packets")
-    if packets is None:
-        packets = [raw.get("packet", {})]
-    cfg["packets"] = [
-        _resolve_packet(f"packets[{i}]", {**_DEFAULTS["packet"], **p}, pot_raw)
-        for i, p in enumerate(packets)
-    ]
+    if "packet" in raw or "packets" in raw or {"or-times", "causality"} & set(obs):
+        packets = raw.get("packets")
+        if packets is None:
+            packets = [raw.get("packet", {})]
+        cfg["packets"] = [
+            _resolve_packet(f"packets[{i}]", {**_DEFAULTS["packet"], **p}, pot_raw)
+            for i, p in enumerate(packets)
+        ]
 
     cfg["energy"] = raw.get("energy", _DEFAULTS["energy"])
     if not cfg["energy"] > 0:
         _fail("energy", "must be positive")
+    V0 = pot_raw.get("V0", _DEFAULTS["potential"]["V0"])
+    if "hartman-scan" in obs and not cfg["energy"] < V0:  # no kappa, no BL time
+        _fail("energy", f"hartman-scan needs an energy below the barrier height V0 = {V0!r}")
 
     cfg["scan"] = _resolve_scan("scan", raw.get("scan", _DEFAULTS["scan"]), pot_raw)
     if "scan2" in raw:
@@ -307,12 +312,12 @@ def _obs_hartman(cfg: dict):
         raise ConfigError("scan.parameter", "hartman-scan scans the barrier width 'a'")
     E = cfg["energy"]
     V0 = cfg["potential"].get("V0", 10.0)
-    kappa = float(UNITS.decay_constant(V0, E)) if E < V0 else float("nan")
+    kappa = float(UNITS.decay_constant(V0, E))
 
     def row(a):
         pot = rectangular(V0, a)
         tau_ph = phase_time(pot, E)
-        tau_bl = bl_time(pot, E) if E < V0 else float("nan")
+        tau_bl = bl_time(pot, E)
         tau_dw = dwell_time_stationary(pot, E, RegionMarkers(0.0, a))
         return [a, kappa * a, tau_ph, tau_bl, tau_dw, 1, 0, int(kappa * a < OPACITY_WARN_BELOW)]
 

@@ -15,7 +15,10 @@ built-in diagnostic: the two can only drift apart through quadrature-tail
 truncation, since their equality is the continuity equation.  The density
 integral is taken in the energy representation, where time is conjugate to
 energy: the time sum of |Psi|^2 becomes a closed-form kernel in E - E'
-(Propagator.density_integral), so no Psi(x, t) array is built.
+(Propagator.density_integral), so no Psi(x, t) array is built.  Its x rule is
+handed over as pieces (lo, hi, panels) between the potential's edges, on
+whose equal panels the stationary states are factored into a value at each
+panel centre and a node factor.
 """
 
 from __future__ import annotations
@@ -223,17 +226,19 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
     Returns the space-time form (density integral over incident flux mass);
     the flux-moment form and their relative residual ride along in the
     components.  The space form is the trapezoid rule over the shared time
-    window and composite Gauss over (x_i, x_f), summed in the energy
-    representation as Re sum_kk' S_kk' F_kk': S the overlap of the spectral
-    rows c_k psi_k over x, F the closed-form time sum of
-    e^{i(E_k - E_k')t/hbar}.  Disagreement beyond DWELL_FORM_TOL raises
+    window and composite Gauss over the pieces of (x_i, x_f) that
+    _density_grid cuts, summed in the energy representation as
+    Re sum_kk' S_kk' F_kk': S the overlap of the spectral rows c_k psi_k over
+    x, evaluated per panel centre and node, F the closed-form time sum of
+    e^{i(E_k - E_k')t/hbar}, both Hermitian, so only the half from the
+    diagonal on is summed.  Disagreement beyond DWELL_FORM_TOL raises
     QuadratureError, the usual symptom being a truncated time tail.  The
     variance is the indirect one of dwell_decomposition (there is no direct
     definition).
     """
     prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers, units)
-    xg = _density_grid(pot, packet, markers, units)
-    space_form = prop.density_integral(xg, (tg.lo, tg.hi), len(tg)) / N
+    pieces = _density_grid(pot, packet, markers)
+    space_form = prop.density_integral(pieces, (tg.lo, tg.hi), len(tg)) / N
 
     resid = abs(space_form - flux_form) / max(abs(space_form), 1e-300)
     if resid > DWELL_FORM_TOL:
@@ -253,18 +258,15 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
     )
 
 
-def _density_grid(pot, packet, markers, units) -> Grid1D:
-    k_bar = packet.k_bar
-    wavelength = math.pi / k_bar
+def _density_grid(pot, packet, markers) -> list:
+    """The pieces (lo, hi, panels) of the dwell's x rule: (x_i, x_f) cut at
+    the potential's edges, each piece in panels of at most a quarter de
+    Broglie wavelength pi/(2 k_bar), at least two."""
+    half_wavelength = math.pi / packet.k_bar
     cuts = sorted({markers.x_i, markers.x_f}
                   | {e for e in pot.edges() if markers.x_i < e < markers.x_f})
-    pts, wts = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        panels = max(2, int(math.ceil((hi - lo) / wavelength * 2)))
-        g = Grid1D.composite_gauss(lo, hi, panels, order=10)
-        pts.append(g.points)
-        wts.append(g.weights)
-    return Grid1D(np.concatenate(pts), np.concatenate(wts))
+    return [(lo, hi, max(2, int(math.ceil((hi - lo) / half_wavelength * 2))))
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def dwell_decomposition(pot: PiecewisePotential, packet: SpectralPacket,

@@ -31,6 +31,10 @@ instead of n_k n_t.  No phase build exceeds PHASE_BLOCK entries, so an
 evaluation's memory does not grow with n_t beyond its own output.  The
 space-time integral of |Psi|^2 skips the time samples altogether: in the
 energy representation the trapezoid sum over t has a closed form in E - E'.
+Its rows psi_k(x) are factored on the equal panels of the x rule in the same
+way, a value at each panel centre times a node factor, and since the overlap
+and the kernel are Hermitian only the half of the k-k' sum from the diagonal
+on is formed.
 Flux windows are memoised per propagator, so a window that several analyses
 share is evaluated once, and a flux series evaluates only its widened
 windows, reading each tail check from their own samples.
@@ -52,6 +56,7 @@ TAIL_TOL = 1e-4          # relative |J|-mass change that ends the tail extension
 MAX_TAIL_EXTENSIONS = 8  # 25% window extensions before tail_captured=False
 PHASE_BLOCK = 1 << 19    # most entries of one phase build, stacked operand or E-E' batch,
                          # and most samples one propagator's flux memo holds
+DENSITY_ORDER = 10       # Gauss nodes per panel of density_integral's x rule
 
 
 @dataclass(frozen=True)
@@ -379,14 +384,15 @@ class Propagator:
         out *= self._carrier(ts)
         return out
 
-    def density_integral(self, xg: Grid1D, t_range: tuple, n_t: int) -> float:
-        """integral dt integral dx |Psi|^2 with xg's rule in x and, in t, the
-        trapezoid rule of Grid1D.uniform(*t_range, n_t), summed in the energy
-        representation.
+    def density_integral(self, pieces, t_range: tuple, n_t: int) -> float:
+        """integral dt integral dx |Psi|^2 with, in x, composite Gauss of order
+        DENSITY_ORDER on each piece (lo, hi, panels), a piece lying inside one
+        region, and, in t, the trapezoid rule of Grid1D.uniform(*t_range, n_t),
+        summed in the energy representation.
 
         With A_k(x) = c_k psi_k(x) and w_k = E_k/hbar,
         |Psi|^2 = sum_kk' conj(A_k) A_k' e^{i(w_k - w_k')t}, so the double sum
-        is Re sum_kk' S_kk' F_kk' with S = A^H diag(xg weights) A and F the
+        is Re sum_kk' S_kk' F_kk' with S = A^H diag(x weights) A and F the
         trapezoid sum of e^{i(w_k - w_k')t} over t = lo + j dt, in closed form
         with th = (w_k - w_k') dt/2:
 
@@ -395,25 +401,40 @@ class Propagator:
 
         p = e^{i w hi}, q = e^{i w lo}, and F = hi - lo on the diagonal.  That
         is the same quadrature reordered, with 2 n_k exponentials and no
-        n_x x n_t array; the k-rows go in batches that keep every temporary
-        within PHASE_BLOCK entries.
+        n_x x n_t array.  The rows psi_k(x) come from SolutionTable.psi_panels,
+        factored on the equal panels of each piece.  S and F are Hermitian, so
+        the summand of (k', k) has the real part of that of (k, k'): a batch
+        of k-rows [c, c + m) takes only the columns from c on, its m x m
+        square once and the part right of it twice, which is
+        (n_b + 1)/(2 n_b) of the full sum over n_b batches.  The batch is
+        m = ceil(n_k / 8) rows, eight batches and 9/16 of the sum: more
+        batches save little more, since the share only nears 1/2, and their
+        products are thinner.  m is capped so that no temporary exceeds
+        PHASE_BLOCK entries.
         """
         lo, hi = t_range
         if not (hi > lo and n_t >= 2):
             raise ContractViolation("need hi > lo and n_t >= 2")
         dt = (hi - lo) / (n_t - 1)
-        A = self._psi_rows(xg.points, "full")
+        A = np.concatenate([self.table.psi_panels(a, b, n, DENSITY_ORDER)
+                            for a, b, n in pieces])
+        wx = np.concatenate([Grid1D.composite_gauss(a, b, n, DENSITY_ORDER).weights
+                             for a, b, n in pieces])
         A *= self._cw
-        A *= np.sqrt(xg.weights)[:, None]  # S = A^H A
+        A *= np.sqrt(wx)[:, None]  # S = A^H A
         w = self.packet.E / self.units.hbar
         p, q = np.exp(1j * hi * w), np.exp(1j * lo * w)
         total = (hi - lo) * np.vdot(A, A).real
-        step = max(1, PHASE_BLOCK // max(A.shape))
-        for c in range(0, w.size, step):
-            th = 0.5 * dt * np.subtract.outer(w[c:c + step], w)
-            SC = A[:, c:c + step].conj().T @ A
+        n_k = w.size
+        m = max(1, min(-(-n_k // 8), PHASE_BLOCK // max(A.shape)))
+        for c in range(0, n_k, m):
+            th = 0.5 * dt * np.subtract.outer(w[c:c + m], w[c:])
+            SC = A[:, c:c + m].conj().T @ A[:, c:]
             SC *= np.divide(1.0, np.tan(th), out=np.zeros_like(th), where=th != 0.0)
-            total += 0.5 * dt * (p[c:c + step] @ SC @ p.conj() - q[c:c + step] @ SC @ q.conj()).imag
+            twice = np.full(n_k - c, 2.0)  # the square [c, c + m) counts once
+            twice[:m] = 1.0
+            total += 0.5 * dt * (p[c:c + m] @ SC @ (twice * p[c:].conj())
+                                 - q[c:c + m] @ SC @ (twice * q[c:].conj())).imag
         return float(total)
 
     # -- default analysis window -----------------------------------------

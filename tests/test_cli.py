@@ -137,6 +137,40 @@ def test_hartman_scan_flags_thin_barriers(tmp_path):
     assert [r[col] for r in rows] == ["1" if t else "0" for t in thin]
 
 
+@pytest.mark.parametrize("energy", [10.0, 12.0])
+def test_hartman_scan_above_barrier_is_a_config_error(tmp_path, capsys, energy):
+    # kappa and the BL time exist only below the barrier: E >= V0 is refused
+    # on `energy` (exit 1, no table) rather than written as nan
+    cfg = write(tmp_path, "hartman.json", {
+        "potential": {"kind": "rectangular", "V0": 10.0, "a": 5.0},
+        "energy": energy,
+        "scan": {"parameter": "a", "min": 1.0, "max": 2.0, "steps": 2},
+        "observables": ["hartman-scan"],
+    })
+    out_dir = tmp_path / "out"
+    for argv in (["validate", cfg], ["run", cfg, "--out", str(out_dir)]):
+        assert main(argv) == 1
+        assert "config error: energy:" in capsys.readouterr().err
+    assert not (out_dir / "hartman-scan.csv").exists()
+
+
+def test_resolve_fills_only_what_the_config_uses():
+    # the default barrier fills in a rectangular potential only, and a packet
+    # is resolved only when one is given or an observable builds one
+    segments = {"kind": "segments", "segments": [[0.0, 5.0, 1.0]]}
+    cfg = cli.resolve({"potential": segments, "observables": ["phase-time"]})
+    assert cfg["potential"] == segments and "packets" not in cfg
+    cfg = cli.resolve({"potential": {"a": 3.0}, "observables": ["hartman-scan"]})
+    assert cfg["potential"] == {"kind": "rectangular", "V0": 10.0, "a": 3.0}
+    assert "packets" not in cfg
+    for extra in ({"observables": ["causality"]}, {"observables": ["or-times"]},
+                  {"observables": ["dwell"], "packet": {"E_bar": 2.0}}):
+        assert len(cli.resolve(extra)["packets"]) == 1, extra
+    with pytest.raises(cli.ConfigError, match="potential.V0"):
+        cli.resolve({"potential": {"kind": "double", "a": 1.0, "L": 4.0},
+                     "observables": ["phase-time"]})
+
+
 def test_run_deterministic_csv(tmp_path):
     cfg = write(tmp_path, "hartman.json", {
         "observables": ["hartman-scan"],

@@ -10,8 +10,8 @@ crosses x = 0 at t = 0 exactly and the tunnel-duration identity
 import numpy as np
 import pytest
 
-from tuntime import flux_times
-from tuntime.core import UNITS, ContractViolation, NoSuchFluxError
+from tuntime import flux_times, wavepacket
+from tuntime.core import UNITS, ContractViolation, Grid1D, NoSuchFluxError
 from tuntime.flux_times import (
     asymptotic_transmission,
     causality_check,
@@ -23,8 +23,9 @@ from tuntime.flux_times import (
     projected_duration,
 )
 from tuntime.potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
+from tuntime.scattering import SolutionTable
 from tuntime.stationary_times import phase_time, packet_averaged
-from tuntime.wavepacket import Propagator, flux_series, gaussian_packet, propagator
+from tuntime.wavepacket import DENSITY_ORDER, Propagator, flux_series, gaussian_packet, propagator
 
 E_BAR = 5.0
 K_BAR = float(UNITS.wavenumber(E_BAR))
@@ -196,7 +197,9 @@ def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers):
     pk = gaussian_packet(float(UNITS.wavenumber(E_bar)), 0.02, n_k=128)
     rep = dwell(pot, pk, markers)
     prop, tg, _, _, N, _ = flux_times._dwell_fluxes(pot, pk, markers, UNITS)
-    xg = flux_times._density_grid(pot, pk, markers, UNITS)
+    xg = [Grid1D.composite_gauss(lo, hi, panels, DENSITY_ORDER)
+          for lo, hi, panels in flux_times._density_grid(pot, pk, markers)]
+    xg = Grid1D(np.concatenate([g.points for g in xg]), np.concatenate([g.weights for g in xg]))
     phases = np.exp(-1j * np.multiply.outer(pk.E, tg.points) / UNITS.hbar)
     total = 0.0
     for xs, wx in zip(np.array_split(xg.points, 8), np.array_split(xg.weights, 8)):
@@ -219,10 +222,55 @@ def test_dwell_matches_time_sample_quadrature(V0, a, E_bar, dk, n_k, expected):
 
 def test_density_integral_needs_a_time_window():
     prop = Propagator(POT, gaussian_packet(K_BAR, 0.02, n_k=128))
-    xg = flux_times._density_grid(POT, prop.packet, RegionMarkers(0.0, 5.0), UNITS)
+    pieces = flux_times._density_grid(POT, prop.packet, RegionMarkers(0.0, 5.0))
     for t_range, n_t in [((10.0, 10.0), 64), ((10.0, -10.0), 64), ((-10.0, 10.0), 1)]:
         with pytest.raises(ContractViolation):
-            prop.density_integral(xg, t_range, n_t)
+            prop.density_integral(pieces, t_range, n_t)
+
+
+@pytest.mark.parametrize("n_k", [130, 257])
+@pytest.mark.parametrize("many_batches", [False, True])
+def test_density_integral_hermitian_half_matches_full_double_sum(n_k, many_batches, monkeypatch):
+    # the Hermitian half of Re sum_kk' S_kk' F_kk' against the whole k x k'
+    # sum, with F from its sin(n th)/sin(th) form; a patched PHASE_BLOCK
+    # cuts the k-rows into batches of three
+    pk = gaussian_packet(K_BAR, 0.02, n_k=n_k)
+    prop = Propagator(POT, pk)
+    pieces = flux_times._density_grid(POT, pk, RegionMarkers(-25.0, 30.0))
+    xg = [Grid1D.composite_gauss(lo, hi, panels, DENSITY_ORDER) for lo, hi, panels in pieces]
+    (lo, hi), n_t = prop.suggest_window(30.0), 4096
+    A = prop._cw * prop.table.psi(np.concatenate([g.points for g in xg]))
+    n_x = len(A)
+    S = A.conj().T @ (np.concatenate([g.weights for g in xg])[:, None] * A)
+    dw = np.subtract.outer(pk.E, pk.E) / UNITS.hbar
+    th = 0.5 * dw * (hi - lo) / (n_t - 1)
+    off = th != 0.0
+    kernel = np.where(off, np.sin(n_t * th) / np.where(off, np.sin(th), 1.0), n_t)
+    F = (hi - lo) / (n_t - 1) * np.exp(0.5j * dw * (lo + hi)) * (kernel - np.cos((n_t - 1) * th))
+    want = float(np.sum(S * F).real)
+    if many_batches:
+        monkeypatch.setattr(wavepacket, "PHASE_BLOCK", 3 * max(n_x, n_k))
+    assert prop.density_integral(pieces, (lo, hi), n_t) == pytest.approx(want, rel=1e-13)
+
+
+def test_dwell_space_form_evaluates_waves_at_panel_centres(monkeypatch):
+    # after a first dwell every flux is a memo hit, so the second one reads
+    # the stationary states only in its space form: _waves once per piece,
+    # at the panel centres, and never SolutionTable.psi
+    pk = gaussian_packet(K_BAR, 0.02, n_k=128)
+    markers = RegionMarkers(-25.0, 30.0)
+    dwell(POT, pk, markers)
+    seen = []
+    waves = SolutionTable._waves
+    monkeypatch.setattr(SolutionTable, "_waves",
+                        lambda self, j, x: seen.append(np.ravel(x)) or waves(self, j, x))
+    monkeypatch.setattr(SolutionTable, "psi", lambda self, xs: pytest.fail("psi called"))
+    dwell(POT, pk, markers)
+    pieces = flux_times._density_grid(POT, pk, markers)
+    assert len(seen) == len(pieces) == 3
+    for x, (lo, hi, panels) in zip(seen, pieces):
+        edges = np.linspace(lo, hi, panels + 1)
+        np.testing.assert_array_equal(x, 0.5 * (edges[1:] + edges[:-1]))
 
 
 def test_decomposition_after_dwell_evaluates_no_flux(monkeypatch):
