@@ -126,6 +126,9 @@ def resolve(raw: dict) -> dict:
             _fail("potential.segments", "must be a non-empty list of [x0, x1, V]")
     else:
         _fail("potential.kind", "one of 'rectangular', 'double', 'segments'")
+    own = [name for name in ("hartman-scan", "or-times", "double-barrier-scan") if name in obs]
+    if own and kind != "rectangular":  # these build their own barriers from potential.V0
+        _fail("potential.kind", f"{', '.join(own)} needs kind 'rectangular', not {kind!r}")
     cfg["potential"] = pot_raw
 
     if "packet" in raw or "packets" in raw or {"or-times", "causality"} & set(obs):
@@ -140,9 +143,8 @@ def resolve(raw: dict) -> dict:
     cfg["energy"] = raw.get("energy", _DEFAULTS["energy"])
     if not cfg["energy"] > 0:
         _fail("energy", "must be positive")
-    V0 = pot_raw.get("V0", _DEFAULTS["potential"]["V0"])
-    if "hartman-scan" in obs and not cfg["energy"] < V0:  # no kappa, no BL time
-        _fail("energy", f"hartman-scan needs an energy below the barrier height V0 = {V0!r}")
+    if "hartman-scan" in obs and not cfg["energy"] < pot_raw["V0"]:  # no kappa, no BL time
+        _fail("energy", f"hartman-scan needs an energy below the barrier, V0 = {pot_raw['V0']!r}")
 
     cfg["scan"] = _resolve_scan("scan", raw.get("scan", _DEFAULTS["scan"]), pot_raw)
     if "scan2" in raw:
@@ -311,7 +313,7 @@ def _obs_hartman(cfg: dict):
     if scan["parameter"] != "a":
         raise ConfigError("scan.parameter", "hartman-scan scans the barrier width 'a'")
     E = cfg["energy"]
-    V0 = cfg["potential"].get("V0", 10.0)
+    V0 = cfg["potential"]["V0"]
     kappa = float(UNITS.decay_constant(V0, E))
 
     def row(a):
@@ -329,7 +331,7 @@ def _obs_or_times(cfg: dict):
     scan = cfg["scan"]
     if scan["parameter"] != "a":
         raise ConfigError("scan.parameter", "or-times scans the barrier width 'a'")
-    V0 = cfg["potential"].get("V0", 10.0)
+    V0 = cfg["potential"]["V0"]
     rows = []
     for pk_cfg in cfg["packets"]:
         packet = _build_packet(pk_cfg, cfg["potential"])
@@ -368,7 +370,7 @@ def _obs_causality(cfg: dict):
 
 def _obs_double(cfg: dict):
     pot_cfg = cfg["potential"]
-    V0 = pot_cfg.get("V0", 10.0)
+    V0 = pot_cfg["V0"]
     E = cfg["energy"]
     scan_a = cfg["scan"]
     if scan_a["parameter"] != "a":

@@ -14,11 +14,11 @@ density integral and the flux first-moment form -- and their residual is a
 built-in diagnostic: the two can only drift apart through quadrature-tail
 truncation, since their equality is the continuity equation.  The density
 integral is taken in the energy representation, where time is conjugate to
-energy: the time sum of |Psi|^2 becomes a closed-form kernel in E - E'
-(Propagator.density_integral), so no Psi(x, t) array is built.  Its x rule is
-handed over as pieces (lo, hi, panels) between the potential's edges, on
-whose equal panels the stationary states are factored into a value at each
-panel centre and a node factor.
+energy: over all time the packet's |Psi|^2 integrates to an average over its
+energies of the stationary dwell, so neither an x nor a t grid is built.
+
+A flux series whose window did not capture its tail is refused with
+QuadratureError rather than read into a mean.
 """
 
 from __future__ import annotations
@@ -105,12 +105,20 @@ def mean_time(fs: FluxSeries, sign: str) -> TimeStatistics:
                           weight_mass=mass)
 
 
+def _series(prop: Propagator, x: float, component: str = "full") -> FluxSeries:
+    """prop.flux_series(x, component=component), refused when its tail was not captured."""
+    fs = prop.flux_series(x, component=component)
+    if not fs.tail_captured:
+        raise QuadratureError(f"{component} flux series at x={x} did not capture its tail")
+    return fs
+
+
 def _stats(prop: Propagator, x: float, sign: str, component: str = "full") -> TimeStatistics:
-    return mean_time(prop.flux_series(x, component=component), sign)
+    return mean_time(_series(prop, x, component), sign)
 
 
 def _union_window(prop: Propagator, xs, components=("full",)) -> tuple:
-    grids = [prop.flux_series(x, component=c).t_grid for x in xs for c in components]
+    grids = [_series(prop, x, c).t_grid for x in xs for c in components]
     return min(g.lo for g in grids), max(g.hi for g in grids)
 
 
@@ -225,20 +233,25 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
 
     Returns the space-time form (density integral over incident flux mass);
     the flux-moment form and their relative residual ride along in the
-    components.  The space form is the trapezoid rule over the shared time
-    window and composite Gauss over the pieces of (x_i, x_f) that
-    _density_grid cuts, summed in the energy representation as
-    Re sum_kk' S_kk' F_kk': S the overlap of the spectral rows c_k psi_k over
-    x, evaluated per panel centre and node, F the closed-form time sum of
-    e^{i(E_k - E_k')t/hbar}, both Hermitian, so only the half from the
-    diagonal on is summed.  Disagreement beyond DWELL_FORM_TOL raises
-    QuadratureError, the usual symptom being a truncated time tail.  The
-    variance is the indirect one of dwell_decomposition (there is no direct
-    definition).
+    components.  Both divide by the incident mass N of the shared window.
+    Over all time, integral dt e^{i(w - w')t} = 2 pi delta(w - w'), so the
+    space form is
+
+        integral dt integral dx |Psi|^2 = 2 pi integral |G|^2 D_k / v_g dk
+
+    on the packet's k grid, D_k the closed-form stationary density integral
+    of psi_k over (x_i, x_f) and v_g = dw/dk (hbar k/m, or c for a photon
+    packet).  That sum is exact only when the k grid resolves |psi_k|^2 in
+    E: at a narrow resonance inside the band it is not, and there a flux
+    tail goes uncaptured or the two forms disagree.  Either raises
+    QuadratureError, as does any disagreement beyond DWELL_FORM_TOL, the
+    usual symptom being a truncated time tail.  The variance is the indirect
+    one of dwell_decomposition (there is no direct definition).
     """
     prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers, units)
-    pieces = _density_grid(pot, packet, markers)
-    space_form = prop.density_integral(pieces, (tg.lo, tg.hi), len(tg)) / N
+    D = prop.table.density_integral(markers.x_i, markers.x_f)
+    space_form = 2.0 * math.pi * float(integrate(np.abs(packet.G) ** 2 * D / packet.v,
+                                                 packet.grid)) / N
 
     resid = abs(space_form - flux_form) / max(abs(space_form), 1e-300)
     if resid > DWELL_FORM_TOL:
@@ -256,17 +269,6 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
             "form_residual": resid, "incident_mass": N,
         },
     )
-
-
-def _density_grid(pot, packet, markers) -> list:
-    """The pieces (lo, hi, panels) of the dwell's x rule: (x_i, x_f) cut at
-    the potential's edges, each piece in panels of at most a quarter de
-    Broglie wavelength pi/(2 k_bar), at least two."""
-    half_wavelength = math.pi / packet.k_bar
-    cuts = sorted({markers.x_i, markers.x_f}
-                  | {e for e in pot.edges() if markers.x_i < e < markers.x_f})
-    return [(lo, hi, max(2, int(math.ceil((hi - lo) / half_wavelength * 2))))
-            for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def dwell_decomposition(pot: PiecewisePotential, packet: SpectralPacket,
@@ -288,7 +290,7 @@ def interference_deficit(pot: PiecewisePotential, packet: SpectralPacket,
                          x: float, units: UnitSystem = UNITS) -> float:
     """<r(x)>: forward-flux mass at x minus the free incident mass, over N."""
     prop = propagator(pot, packet, units)
-    fs = prop.flux_series(x)
+    fs = _series(prop, x)
     J_in = prop.flux(x, fs.t, "free")
     N = packet.incident_flux_mass()
     return (float(integrate(fs.J_plus, fs.t_grid)) - float(integrate(J_in, fs.t_grid))) / N

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNITS, BranchResolutionError, ContractViolation, Grid1D, UnitSystem
+from .core import UNITS, BranchResolutionError, ContractViolation, UnitSystem
 from .potential import PiecewisePotential
 
 DEGENERACY_REL_SHIFT = 1e-9  # relative; applied when E collides with a segment height
@@ -99,7 +99,7 @@ class SolutionTable:
 
     A build runs the forward pass only.  f, b and log_scale come from the
     backward substitution, run once, on their first read (psi_dpsi, psi,
-    psi_panels, density_integral, row), so a caller that reads only the
+    density_integral, row), so a caller that reads only the
     transmission never pays for it.
     """
 
@@ -261,31 +261,6 @@ class SolutionTable:
                 ef, eb, _ = self._waves(j, xs[at, None])
                 out[at] = np.add(ef, eb, out=ef)
         return out
-
-    def psi_panels(self, lo: float, hi: float, panels: int, order: int) -> np.ndarray:
-        """psi at the points of Grid1D.composite_gauss(lo, hi, panels, order),
-        shape (panels * order, n_E), for a piece (lo, hi) inside one region.
-
-        The panels are equal, so the points are mid_p + h node_i with one
-        half-width h, and each wave is its value at the panel centre times
-        e^{+-i q h node_i}: _waves at the centres and one node table per
-        direction, 2 n_E (panels + order) exponentials where psi takes
-        2 n_E panels order.  A node factor grows to e^{kappa h}, so kappa h
-        is held to 300, the bound of the forward pass's chunks: beyond it the
-        centre value could underflow where the panel's edge does not.
-        """
-        j = int(self._region(0.5 * (lo + hi)))
-        if not self.bounds[j] <= lo < hi <= self.bounds[j + 1]:
-            raise ContractViolation("a piece must lie inside one region")
-        h = 0.5 * (hi - lo) / panels
-        if h * np.max(self.q[:, j].imag) > 300.0:
-            raise ContractViolation("panels span more than 300 decay lengths; use more panels")
-        edges = np.linspace(lo, hi, panels + 1)  # the panels of composite_gauss
-        ef, eb, iq = self._waves(j, 0.5 * (edges[1:] + edges[:-1])[:, None])
-        phase = np.multiply.outer(Grid1D.gauss_legendre(-1.0, 1.0, order).points, h * iq)
-        out = np.multiply(ef[:, None], np.exp(phase))
-        out += eb[:, None] * np.exp(-phase)
-        return out.reshape(-1, len(self.E))
 
     def density_integral(self, x_i: float, x_f: float) -> np.ndarray:
         """Integral of |psi|^2 over (x_i, x_f), an array over energy.

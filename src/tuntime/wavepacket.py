@@ -28,13 +28,7 @@ matrix product.  The base and the start phases are uniform tables in turn,
 and a table of n columns is the product of a coarse and a fine table about
 sqrt(n) columns wide: about 4 n_k n_t^(1/4) exponentials per evaluation
 instead of n_k n_t.  No phase build exceeds PHASE_BLOCK entries, so an
-evaluation's memory does not grow with n_t beyond its own output.  The
-space-time integral of |Psi|^2 skips the time samples altogether: in the
-energy representation the trapezoid sum over t has a closed form in E - E'.
-Its rows psi_k(x) are factored on the equal panels of the x rule in the same
-way, a value at each panel centre times a node factor, and since the overlap
-and the kernel are Hermitian only the half of the k-k' sum from the diagonal
-on is formed.
+evaluation's memory does not grow with n_t beyond its own output.
 Flux windows are memoised per propagator, so a window that several analyses
 share is evaluated once, and a flux series evaluates only its widened
 windows, reading each tail check from their own samples.
@@ -54,9 +48,8 @@ from .scattering import SolutionTable
 
 TAIL_TOL = 1e-4          # relative |J|-mass change that ends the tail extension
 MAX_TAIL_EXTENSIONS = 8  # 25% window extensions before tail_captured=False
-PHASE_BLOCK = 1 << 19    # most entries of one phase build, stacked operand or E-E' batch,
+PHASE_BLOCK = 1 << 19    # most entries of one phase build or stacked operand,
                          # and most samples one propagator's flux memo holds
-DENSITY_ORDER = 10       # Gauss nodes per panel of density_integral's x rule
 
 
 @dataclass(frozen=True)
@@ -383,59 +376,6 @@ class Propagator:
         out = self._contract(np.multiply(self._cw, rows, out=rows), ts)
         out *= self._carrier(ts)
         return out
-
-    def density_integral(self, pieces, t_range: tuple, n_t: int) -> float:
-        """integral dt integral dx |Psi|^2 with, in x, composite Gauss of order
-        DENSITY_ORDER on each piece (lo, hi, panels), a piece lying inside one
-        region, and, in t, the trapezoid rule of Grid1D.uniform(*t_range, n_t),
-        summed in the energy representation.
-
-        With A_k(x) = c_k psi_k(x) and w_k = E_k/hbar,
-        |Psi|^2 = sum_kk' conj(A_k) A_k' e^{i(w_k - w_k')t}, so the double sum
-        is Re sum_kk' S_kk' F_kk' with S = A^H diag(x weights) A and F the
-        trapezoid sum of e^{i(w_k - w_k')t} over t = lo + j dt, in closed form
-        with th = (w_k - w_k') dt/2:
-
-            F = dt e^{i(w_k - w_k') t_mid} [sin(n th)/sin th - cos((n-1) th)]
-              = dt cot(th) (p_k conj(p_k') - q_k conj(q_k')) / 2i,
-
-        p = e^{i w hi}, q = e^{i w lo}, and F = hi - lo on the diagonal.  That
-        is the same quadrature reordered, with 2 n_k exponentials and no
-        n_x x n_t array.  The rows psi_k(x) come from SolutionTable.psi_panels,
-        factored on the equal panels of each piece.  S and F are Hermitian, so
-        the summand of (k', k) has the real part of that of (k, k'): a batch
-        of k-rows [c, c + m) takes only the columns from c on, its m x m
-        square once and the part right of it twice, which is
-        (n_b + 1)/(2 n_b) of the full sum over n_b batches.  The batch is
-        m = ceil(n_k / 8) rows, eight batches and 9/16 of the sum: more
-        batches save little more, since the share only nears 1/2, and their
-        products are thinner.  m is capped so that no temporary exceeds
-        PHASE_BLOCK entries.
-        """
-        lo, hi = t_range
-        if not (hi > lo and n_t >= 2):
-            raise ContractViolation("need hi > lo and n_t >= 2")
-        dt = (hi - lo) / (n_t - 1)
-        A = np.concatenate([self.table.psi_panels(a, b, n, DENSITY_ORDER)
-                            for a, b, n in pieces])
-        wx = np.concatenate([Grid1D.composite_gauss(a, b, n, DENSITY_ORDER).weights
-                             for a, b, n in pieces])
-        A *= self._cw
-        A *= np.sqrt(wx)[:, None]  # S = A^H A
-        w = self.packet.E / self.units.hbar
-        p, q = np.exp(1j * hi * w), np.exp(1j * lo * w)
-        total = (hi - lo) * np.vdot(A, A).real
-        n_k = w.size
-        m = max(1, min(-(-n_k // 8), PHASE_BLOCK // max(A.shape)))
-        for c in range(0, n_k, m):
-            th = 0.5 * dt * np.subtract.outer(w[c:c + m], w[c:])
-            SC = A[:, c:c + m].conj().T @ A[:, c:]
-            SC *= np.divide(1.0, np.tan(th), out=np.zeros_like(th), where=th != 0.0)
-            twice = np.full(n_k - c, 2.0)  # the square [c, c + m) counts once
-            twice[:m] = 1.0
-            total += 0.5 * dt * (p[c:c + m] @ SC @ (twice * p[c:].conj())
-                                 - q[c:c + m] @ SC @ (twice * q[c:].conj())).imag
-        return float(total)
 
     # -- default analysis window -----------------------------------------
     def suggest_window(self, x: float) -> tuple:

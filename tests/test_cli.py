@@ -154,6 +154,25 @@ def test_hartman_scan_above_barrier_is_a_config_error(tmp_path, capsys, energy):
     assert not (out_dir / "hartman-scan.csv").exists()
 
 
+@pytest.mark.parametrize("potential", [
+    {"kind": "segments", "segments": [[0.0, 5.0, 1.0]]},
+    {"kind": "double", "V0": 10.0, "a": 3.0, "L": 9.0},
+], ids=["segments", "double"])
+@pytest.mark.parametrize("observable", ["hartman-scan", "or-times", "double-barrier-scan"])
+def test_rectangle_scans_refuse_other_potentials(tmp_path, capsys, potential, observable):
+    # these observables build rectangular barriers from potential.V0, so on
+    # any other kind they would scan a barrier the config does not describe
+    cfg = write(tmp_path, "scan.json", {
+        "potential": potential, "energy": 0.5,
+        "scan": {"parameter": "a", "min": 1.0, "max": 2.0, "steps": 2},
+        "observables": [observable],
+    })
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 1
+    assert "config error: potential.kind:" in capsys.readouterr().err
+    assert not (out_dir / f"{observable}.csv").exists()
+
+
 def test_resolve_fills_only_what_the_config_uses():
     # the default barrier fills in a rectangular potential only, and a packet
     # is resolved only when one is given or an observable builds one

@@ -7,11 +7,13 @@ crosses x = 0 at t = 0 exactly and the tunnel-duration identity
 <tau_tun> = <tau_ph>_E - <t_+(0)> applies as stated.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from tuntime import flux_times, wavepacket
-from tuntime.core import UNITS, ContractViolation, Grid1D, NoSuchFluxError
+from tuntime import flux_times
+from tuntime.core import UNITS, ContractViolation, Grid1D, NoSuchFluxError, QuadratureError
 from tuntime.flux_times import (
     asymptotic_transmission,
     causality_check,
@@ -25,7 +27,7 @@ from tuntime.flux_times import (
 from tuntime.potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from tuntime.scattering import SolutionTable
 from tuntime.stationary_times import phase_time, packet_averaged
-from tuntime.wavepacket import DENSITY_ORDER, Propagator, flux_series, gaussian_packet, propagator
+from tuntime.wavepacket import MASSIVE, PHOTON, Propagator, flux_series, gaussian_packet, propagator
 
 E_BAR = 5.0
 K_BAR = float(UNITS.wavenumber(E_BAR))
@@ -185,20 +187,26 @@ def test_dwell_evaluates_each_flux_once(monkeypatch):
     assert counts == {"flux": 5, "flux_series": 2}
 
 
-@pytest.mark.parametrize("pot, E_bar, markers", [
-    (POT, 5.0, RegionMarkers(-25.0, 30.0)),
-    (rectangular(5.0, 3.0), 8.0, RegionMarkers(-20.0, 23.0)),
-    (double_rectangular(10.0, 1.0, 4.0), 5.0, RegionMarkers(-20.0, 25.0)),
-], ids=["below-barrier", "above-barrier", "double-barrier"])
-def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers):
-    # the energy-representation space form against the same quadrature taken
-    # directly: Psi on the density grid x the dwell window from the full
-    # exp(-iEt/hbar) array, |Psi|^2 summed with the x and trapezoid weights
-    pk = gaussian_packet(float(UNITS.wavenumber(E_bar)), 0.02, n_k=128)
+@pytest.mark.parametrize("pot, E_bar, markers, dispersion", [
+    (POT, 5.0, RegionMarkers(-25.0, 30.0), MASSIVE),
+    (rectangular(5.0, 3.0), 8.0, RegionMarkers(-20.0, 23.0), MASSIVE),
+    (double_rectangular(10.0, 1.0, 4.0), 5.0, RegionMarkers(-20.0, 25.0), MASSIVE),
+    (POT, 5.0, RegionMarkers(-25.0, 30.0), PHOTON),
+], ids=["below-barrier", "above-barrier", "double-barrier", "photon"])
+def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers, dispersion):
+    # the energy-representation space form against the space-time integral
+    # taken directly: Psi on composite Gauss panels of a quarter wavelength
+    # (order 10, cut at the potential's edges) x the dwell window from the
+    # full exp(-iEt/hbar) array, |Psi|^2 summed with the x and trapezoid
+    # weights; the photon packet checks the dw/dk = c measure
+    k_bar = float(UNITS.wavenumber(E_bar))
+    pk = gaussian_packet(k_bar, 0.02, n_k=128, dispersion=dispersion)
     rep = dwell(pot, pk, markers)
     prop, tg, _, _, N, _ = flux_times._dwell_fluxes(pot, pk, markers, UNITS)
-    xg = [Grid1D.composite_gauss(lo, hi, panels, DENSITY_ORDER)
-          for lo, hi, panels in flux_times._density_grid(pot, pk, markers)]
+    cuts = sorted({markers.x_i, markers.x_f}
+                  | {e for e in pot.edges() if markers.x_i < e < markers.x_f})
+    xg = [Grid1D.composite_gauss(lo, hi, max(2, math.ceil(2.0 * k_bar * (hi - lo) / math.pi)), 10)
+          for lo, hi in zip(cuts[:-1], cuts[1:])]
     xg = Grid1D(np.concatenate([g.points for g in xg]), np.concatenate([g.weights for g in xg]))
     phases = np.exp(-1j * np.multiply.outer(pk.E, tg.points) / UNITS.hbar)
     total = 0.0
@@ -220,57 +228,34 @@ def test_dwell_matches_time_sample_quadrature(V0, a, E_bar, dk, n_k, expected):
     assert rep.mean == pytest.approx(expected, rel=1e-12)
 
 
-def test_density_integral_needs_a_time_window():
-    prop = Propagator(POT, gaussian_packet(K_BAR, 0.02, n_k=128))
-    pieces = flux_times._density_grid(POT, prop.packet, RegionMarkers(0.0, 5.0))
-    for t_range, n_t in [((10.0, 10.0), 64), ((10.0, -10.0), 64), ((-10.0, 10.0), 1)]:
-        with pytest.raises(ContractViolation):
-            prop.density_integral(pieces, t_range, n_t)
-
-
-@pytest.mark.parametrize("n_k", [130, 257])
-@pytest.mark.parametrize("many_batches", [False, True])
-def test_density_integral_hermitian_half_matches_full_double_sum(n_k, many_batches, monkeypatch):
-    # the Hermitian half of Re sum_kk' S_kk' F_kk' against the whole k x k'
-    # sum, with F from its sin(n th)/sin(th) form; a patched PHASE_BLOCK
-    # cuts the k-rows into batches of three
-    pk = gaussian_packet(K_BAR, 0.02, n_k=n_k)
-    prop = Propagator(POT, pk)
-    pieces = flux_times._density_grid(POT, pk, RegionMarkers(-25.0, 30.0))
-    xg = [Grid1D.composite_gauss(lo, hi, panels, DENSITY_ORDER) for lo, hi, panels in pieces]
-    (lo, hi), n_t = prop.suggest_window(30.0), 4096
-    A = prop._cw * prop.table.psi(np.concatenate([g.points for g in xg]))
-    n_x = len(A)
-    S = A.conj().T @ (np.concatenate([g.weights for g in xg])[:, None] * A)
-    dw = np.subtract.outer(pk.E, pk.E) / UNITS.hbar
-    th = 0.5 * dw * (hi - lo) / (n_t - 1)
-    off = th != 0.0
-    kernel = np.where(off, np.sin(n_t * th) / np.where(off, np.sin(th), 1.0), n_t)
-    F = (hi - lo) / (n_t - 1) * np.exp(0.5j * dw * (lo + hi)) * (kernel - np.cos((n_t - 1) * th))
-    want = float(np.sum(S * F).real)
-    if many_batches:
-        monkeypatch.setattr(wavepacket, "PHASE_BLOCK", 3 * max(n_x, n_k))
-    assert prop.density_integral(pieces, (lo, hi), n_t) == pytest.approx(want, rel=1e-13)
-
-
-def test_dwell_space_form_evaluates_waves_at_panel_centres(monkeypatch):
-    # after a first dwell every flux is a memo hit, so the second one reads
-    # the stationary states only in its space form: _waves once per piece,
-    # at the panel centres, and never SolutionTable.psi
+def test_dwell_after_a_dwell_evaluates_no_wave(monkeypatch):
+    # after a first dwell every flux is a memo hit, and the space form reads
+    # only the closed-form density integral: no time phase and no wave
     pk = gaussian_packet(K_BAR, 0.02, n_k=128)
     markers = RegionMarkers(-25.0, 30.0)
-    dwell(POT, pk, markers)
-    seen = []
-    waves = SolutionTable._waves
-    monkeypatch.setattr(SolutionTable, "_waves",
-                        lambda self, j, x: seen.append(np.ravel(x)) or waves(self, j, x))
-    monkeypatch.setattr(SolutionTable, "psi", lambda self, xs: pytest.fail("psi called"))
-    dwell(POT, pk, markers)
-    pieces = flux_times._density_grid(POT, pk, markers)
-    assert len(seen) == len(pieces) == 3
-    for x, (lo, hi, panels) in zip(seen, pieces):
-        edges = np.linspace(lo, hi, panels + 1)
-        np.testing.assert_array_equal(x, 0.5 * (edges[1:] + edges[:-1]))
+    first = dwell(POT, pk, markers)
+    for cls, name in [(Propagator, "_contract"), (Propagator, "_phases"),
+                      (SolutionTable, "_waves"), (SolutionTable, "psi")]:
+        monkeypatch.setattr(cls, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+    assert dwell(POT, pk, markers) == first
+
+
+@pytest.mark.parametrize("n_k", [128, 256])
+@pytest.mark.parametrize("routine", [
+    lambda pot, pk, m: duration(pot, pk, "transmission", m),
+    lambda pot, pk, m: dwell(pot, pk, m),
+    lambda pot, pk, m: projected_duration(pot, pk, m),
+    lambda pot, pk, m: causality_check(pot, pk, m.x_f, "integral"),
+    lambda pot, pk, m: interference_deficit(pot, pk, m.x_f),
+], ids=["duration", "dwell", "projected_duration", "causality", "interference_deficit"])
+def test_uncaptured_flux_tail_raises(routine, n_k):
+    # a transmission resonance at 4.663 eV with Gamma = 1.2 meV sits inside
+    # the packet's band and rings for hbar/Gamma, hundreds of fs, past every
+    # window extension: the series is refused, not read into a mean (the
+    # transmission duration used to return 1.94 fs at n_k = 256)
+    pk = gaussian_packet(K_BAR, 0.02, n_k=n_k)
+    with pytest.raises(QuadratureError, match="x="):
+        routine(double_rectangular(10.0, 3.0, 13.0), pk, RegionMarkers(-20.0, 35.0))
 
 
 def test_decomposition_after_dwell_evaluates_no_flux(monkeypatch):

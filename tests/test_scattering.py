@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tuntime.core import UNITS, ContractViolation, Grid1D
+from tuntime.core import UNITS, ContractViolation
 from tuntime.potential import (
     PiecewisePotential,
     double_rectangular,
@@ -174,45 +174,6 @@ def test_psi_at_many_positions_matches_psi_dpsi():
         assert rows.shape == (xs.size, 64)
         np.testing.assert_allclose(rows, [table.psi_dpsi(x)[0] for x in xs], rtol=1e-14, atol=0)
     assert table.psi([]).shape == (0, 64)
-
-
-KAPPA_A_700 = 700.0 / float(UNITS.decay_constant(10.0, 5.0))
-
-
-@pytest.mark.parametrize("pot, Es, lo, hi", [
-    (PiecewisePotential(()), np.linspace(1.0, 15.0, 64), -10.0, 10.0),
-    (rectangular(10.0, 5.0), np.linspace(1.0, 9.0, 64), 0.0, 5.0),
-    (rectangular(5.0, 3.0), np.linspace(6.0, 15.0, 64), 0.0, 3.0),
-    (double_rectangular(10.0, 1.0, 4.0), np.linspace(1.0, 15.0, 64), -10.0, 0.0),
-    (double_rectangular(10.0, 1.0, 4.0), np.linspace(1.0, 15.0, 64), 1.0, 3.0),
-    (double_rectangular(10.0, 1.0, 4.0), np.linspace(1.0, 15.0, 64), 5.0, 12.0),
-    (rectangular(10.0, KAPPA_A_700), np.linspace(4.9, 5.1, 16), 0.0, KAPPA_A_700),
-], ids=["free", "evanescent", "above-barrier", "double-incident", "double-well",
-        "double-transmitted", "kappa-a-700"])
-@pytest.mark.parametrize("panels, order", [(7, 10), (40, 12)])
-def test_psi_panels_matches_psi_at_composite_gauss_points(pot, Es, lo, hi, panels, order):
-    # psi_panels factors each wave into its value at the panel centre and a
-    # node factor; it must give psi at the composite Gauss points, each
-    # energy's row to 1e-14 of its peak over the piece.  The two differ by
-    # the rounding of the points themselves, about q |x| eps, so the pieces
-    # keep q |x| below 20
-    table = SolutionTable(pot, Es)
-    want = table.psi(Grid1D.composite_gauss(lo, hi, panels, order).points)
-    got = table.psi_panels(lo, hi, panels, order)
-    assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want), axis=0))
-
-
-def test_psi_panels_needs_a_piece_inside_one_region_and_bounded_growth():
-    # a piece across a joint has no single region; a node factor e^{kappa h}
-    # past e^{300} is refused, not left to overflow into nan
-    table = SolutionTable(rectangular(10.0, 5.0), [5.0])
-    with pytest.raises(ContractViolation, match="one region"):
-        table.psi_panels(-1.0, 1.0, 4, 10)
-    table = SolutionTable(rectangular(1e7, 1.0), [5.0])
-    with pytest.raises(ContractViolation, match="decay lengths"):
-        table.psi_panels(0.0, 1.0, 2, 10)
-    assert np.all(np.isfinite(table.psi_panels(0.0, 1.0, 8, 10)))
 
 
 def test_degeneracy_shift_flag():
