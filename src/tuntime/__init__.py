@@ -18,7 +18,6 @@ from .core import (
 )
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from .scattering import (
-    ScatteringSolution,
     SolutionTable,
     TwoPhase,
     rect_amplitude,

@@ -5,9 +5,10 @@ CSV per requested observable; every row carries the diagnostic flag columns
 (tail_captured, on_resonance, opaque_warning) so downstream plotting can
 filter.  Outputs are deterministic for a fixed config; the wall-clock data
 lives in a separate run_info.json so the CSVs and manifest stay byte-stable.
-Rows are evaluated in order, except that a phase-time, bl-time or dwell scan
-over E is one call on the array of its energies; the `workers` key and
-`--workers` flag are accepted and echoed in the manifest but select nothing.
+Rows are evaluated in order, except that a phase-time, bl-time, dwell or
+two-phase scan over E is one call on the array of its energies; the `workers`
+key and `--workers` flag are accepted and echoed in the manifest but select
+nothing.
 
 Exit codes: 0 success (possibly with warnings), 1 config error, 2 numerical
 failure.
@@ -39,7 +40,7 @@ from .double_barrier import (
 )
 from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
-from .scattering import ORACLE_TOL, UNITARITY_TOL, solve, two_phase
+from .scattering import ORACLE_TOL, UNITARITY_TOL, SolutionTable, two_phase
 from .stationary_times import bl_time, dwell_time_stationary, phase_time, two_phase_times
 from .wavepacket import _CACHE, TAIL_TOL, gaussian_packet, propagator
 
@@ -292,20 +293,20 @@ def _obs_stationary(cfg: dict, which: str):
 
 
 def _obs_two_phase(cfg: dict):
+    """Two-phase angles and times over an E scan (around the configured energy
+    when the scan axis is another parameter), from one table and one
+    two_phase_times call on the array of its energies."""
     scan = cfg["scan"]
     if scan["parameter"] != "E":
         scan = {"parameter": "E", "min": 0.5 * cfg["energy"], "max": 1.5 * cfg["energy"],
                 "steps": scan["steps"]}
     pot = _build_potential(cfg["potential"])
-
-    def row(E):
-        sol = solve(pot, E)
-        tp = two_phase(sol, pot.extent)
-        tau_ph, tau_z = two_phase_times(pot, E)
-        return [E, tp.phi1, tp.phi2, tau_ph, tau_z, *_OK_FLAGS.values()]
-
+    Es = _scan_values(scan)
+    tp = two_phase(SolutionTable(pot, Es))
+    tau_ph, tau_z = two_phase_times(pot, Es)
     header = ["E_eV", "phi1_rad", "phi2_rad", "tau_phase_fs", "tau_z_fs", *FLAGS]
-    return header, [row(v) for v in _scan_values(scan)]
+    return header, [[*row, *_OK_FLAGS.values()]
+                    for row in zip(Es, tp.phi1, tp.phi2, tau_ph, tau_z)]
 
 
 def _obs_hartman(cfg: dict):

@@ -1,8 +1,9 @@
 """Closed-form analysis of two equal rectangular barriers.
 
-Exact coefficients come from the general transfer-matrix solve (the 8x8
+Exact coefficients come from the general transfer-matrix table (the 8x8
 matching system is never assembled densely; the product of 2x2 transfers is
-the well-conditioned equivalent).  The opaque-limit closed forms follow the
+the well-conditioned equivalent), read from its log-scaled region pairs so
+that no opacity overflows them.  The opaque-limit closed forms follow the
 published coefficient set for the second barrier; for the first barrier the
 printed source collapses the region-III amplitude with the phase-referenced
 total, so the region-III forms here are re-derived from the matching
@@ -109,49 +110,44 @@ def _delta(k: float, chi: float) -> float:
 
 def solve_exact(V0: float, a: float, L: float, E: float,
                 units: UnitSystem = UNITS) -> DoubleBarrierSolution:
-    """Exact coefficients for unit incidence, via the transfer-matrix solve."""
+    """Exact coefficients for unit incidence, read from the transfer-matrix
+    table's scaled region pairs.
+
+    Each ratio to region III's amplitude A_T is formed from the pairs (f, b)
+    with their log scales subtracted before anything is exponentiated, so a
+    field is 0 only where its own value lies below the double range.
+    """
     k, chi = _kinematics(V0, a, L, E, units)
-    pot = double_rectangular(V0, a, L)
-    sol = solve(pot, E, units)
+    table = solve(double_rectangular(V0, a, L), E, units)
+    f, b, s = table.f[0], table.b[0], table.log_scale[0]
+    d = 1j * table.q[0] * (table.ends - table.refs)  # log of e^{iqd} across each region
 
-    if L > a:
-        i_b1, i_gap, i_b2 = 1, 2, 3
-    else:  # degenerate gap: regions are I, barrier, barrier', V
-        i_b1, i_gap, i_b2 = 1, None, 2
+    def pair(j, shift=0.0):
+        """Region j's forward and backward amplitudes at its left edge, times e^{shift}."""
+        return f[j] * np.exp(s[j] + shift), b[j] * np.exp(s[j] + d[j] + shift)
 
-    alpha, beta = sol.fwd[i_b1], sol.bwd[i_b1]
-    if i_gap is not None:
-        a3, b3 = sol.fwd[i_gap], sol.bwd[i_gap]
-        ref3 = sol.refs[i_gap]
-        A_T = a3 * cmath.exp(-1j * k * ref3)
-        Ap_R = b3 * cmath.exp(1j * k * ref3) / A_T
-    else:
-        # no cavity: attribute the full first-barrier transmission at x=a
-        A_T = complex(sol.A_T)
-        Ap_R = 0.0 + 0j
-    a4, b4 = sol.fwd[i_b2], sol.bwd[i_b2]
-    if i_gap is not None:
-        alphap, betap = a4 / A_T, b4 / A_T
-        Ap_T = complex(sol.A_T) / A_T
-    else:
-        alphap, betap = a4, b4
-        Ap_T = 1.0 + 0j
+    alpha, beta = pair(1)
+    if L > a:  # regions I, barrier, cavity III, barrier', V
+        ika = 1j * k * a
+        A_T = f[2] * np.exp(s[2] - ika)
+        Ap_R = b[2] / f[2] * np.exp(d[2] + 2 * ika)
+        alphap, betap = (c / f[2] for c in pair(3, ika - s[2]))
+        Ap_T = np.exp(table.log_abs_A_T[0] - s[2] + 1j * table.arg_A_T[0] + ika) / f[2]
+        # invert A_T = e^{-chi a} e^{-ikL} A; real off resonance, opaque
+        A_fac = f[2] * np.exp(s[2] - ika + 1j * k * L + chi * a)
+    else:  # no cavity: the full first-barrier transmission is attributed at x = a
+        A_T, Ap_R, Ap_T = table.A_T[0], 0j, 1 + 0j
+        alphap, betap = pair(2)
+        A_fac = cavity_factor(V0, a, L, E, units)
 
     den = resonance_denominator(V0, a, L, E, units)
-    flags = []
-    if abs(den) < RESONANCE_DENOMINATOR_TOL * chi * k:
-        flags.append("on_resonance")
-    if i_gap is not None:
-        # invert A_T = e^{-chi a} e^{-ikL} A; real off resonance, opaque
-        A_fac = complex(A_T) * cmath.exp(1j * k * L) * math.exp(chi * a)
-    else:
-        A_fac = complex(cavity_factor(V0, a, L, E, units))
+    flags = ("on_resonance",) if abs(den) < RESONANCE_DENOMINATOR_TOL * chi * k else ()
     return DoubleBarrierSolution(
         E=E, k=k, chi=chi, a=a, L=L,
-        A_R=complex(sol.A_R), A_T=complex(A_T), Ap_R=complex(Ap_R),
+        A_R=complex(table.A_R[0]), A_T=complex(A_T), Ap_R=complex(Ap_R),
         Ap_T=complex(Ap_T), alpha=complex(alpha), beta=complex(beta),
         alphap=complex(alphap), betap=complex(betap),
-        A_real_factor=A_fac, delta=_delta(k, chi), flags=tuple(flags),
+        A_real_factor=complex(A_fac), delta=_delta(k, chi), flags=flags,
     )
 
 

@@ -24,6 +24,9 @@ largest.  The pair (f_j, b_j) has unit size and the growth (e^{kappa d},
 only where it is negligible beside the other.  Continuity at interior joints
 holds by construction and the residual at the leftmost joint measures the
 global accuracy of the solve.
+
+SolutionTable is the one solution format: solve(pot, E) is a one-row table,
+and the two-phase angles and S-matrices are arrays read from its columns.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .potential import PiecewisePotential
 DEGENERACY_REL_SHIFT = 1e-9  # relative; applied when E collides with a segment height
 UNITARITY_TOL = 1e-10        # |A_T|^2 + |A_R|^2 - 1 a solve is held to
 ORACLE_TOL = 1e-12           # amplitude distance from the closed-form rectangular barrier
+TWO_PHASE_TOL = 1e-6         # roundtrip residual of a two-phase extraction
 _RESCALE_LIMIT = 1e150
 
 
@@ -51,55 +55,19 @@ def _wavenumbers(E, heights, units: UnitSystem):
     return q
 
 
-@dataclass(frozen=True)
-class ScatteringSolution:
-    """One energy's stationary solution for unit incidence from the left.
-
-    psi(x) in region j is  fwd_j e^{i q_j (x - ref_j)} + bwd_j e^{-i q_j (x - ref_j)};
-    in a sub-barrier region q = i kappa makes these the evanescent (decaying)
-    and anti-evanescent (growing) components.
-    """
-
-    pot: PiecewisePotential
-    E: float
-    k: float
-    A_T: complex
-    A_R: complex
-    log_abs_A_T: float
-    bounds: tuple          # region boundaries, length n_regions + 1 (outer = +-inf)
-    q: tuple               # complex wavenumber per region
-    fwd: tuple             # forward / evanescent coefficient per region
-    bwd: tuple             # backward / anti-evanescent coefficient per region
-    refs: tuple            # phase reference (left edge) per region
-    flags: tuple = ()
-
-    def boundary_residual(self) -> float:
-        """Mismatch of the reconstructed incident/reflected pair at the first joint.
-
-        Zero region count means free space (residual 0).  Interior joints are
-        continuous by construction; this is the one genuine consistency check.
-        """
-        if len(self.q) == 1:
-            return 0.0
-        x1 = self.bounds[1]
-        a0 = cmath.exp(1j * self.k * x1)
-        b0 = self.A_R * cmath.exp(-1j * self.k * x1)
-        return abs(self.fwd[0] - a0) + abs(self.bwd[0] - b0)
-
-
 class SolutionTable:
     """Vectorised stationary solutions on an array of energies.
 
-    Used wherever many energies are needed at once (spectral packets, energy
-    scans, the stacked energies of a central difference); row(i)
-    materialises a ScatteringSolution for one energy.  The transmission is
+    The one description of a solution: energy scans, spectral packets, the
+    stacked energies of a central difference and a single energy (solve) are
+    all tables, and every consumer reads their columns.  The transmission is
     held as log_abs_A_T and arg_A_T, from which A_T is derived; region j as
     the pair f, b and its log_scale, referenced to refs (left edges) and ends
     (right edges; equal to refs in the outer regions).
 
     A build runs the forward pass only.  f, b and log_scale come from the
     backward substitution, run once, on their first read (psi_dpsi, psi,
-    density_integral, row), so a caller that reads only the
+    density_integral, boundary_residual), so a caller that reads only the
     transmission never pays for it.
     """
 
@@ -288,28 +256,23 @@ class SolutionTable:
             total += np.exp(2.0 * self.log_scale[:, j]) * (squares + 2.0 * cross.real)
         return total
 
-    def row(self, i: int) -> ScatteringSolution:
-        flags = ("energy_shifted",) if self.shifted[i] else ()
-        q, s = self.q[i], self.log_scale[i]
-        return ScatteringSolution(
-            pot=self.pot,
-            E=float(self.E[i]),
-            k=float(self.k[i]),
-            A_T=complex(self.A_T[i]),
-            A_R=complex(self.A_R[i]),
-            log_abs_A_T=float(self.log_abs_A_T[i]),
-            bounds=tuple(self.bounds),
-            q=tuple(q),
-            fwd=tuple(self.f[i] * np.exp(s)),
-            bwd=tuple(self.b[i] * np.exp(s + 1j * q * (self.ends - self.refs))),
-            refs=tuple(self.refs),
-            flags=flags,
-        )
+    def boundary_residual(self) -> np.ndarray:
+        """Mismatch of region 0's pair with the incident and reflected waves
+        at the first joint, an array over energy.
+
+        Interior joints are continuous by construction; this is the one
+        genuine consistency check (0 for free space).
+        """
+        if len(self.bounds) == 2:
+            return np.zeros(len(self.E))
+        x1, scale = self.refs[0], np.exp(self.log_scale[:, 0])
+        return (np.abs(self.f[:, 0] * scale - np.exp(1j * self.k * x1))
+                + np.abs(self.b[:, 0] * scale - self.A_R * np.exp(-1j * self.k * x1)))
 
 
-def solve(pot: PiecewisePotential, E: float, units: UnitSystem = UNITS) -> ScatteringSolution:
-    """Stationary solution at energy E for unit incidence e^{ikx} from the left."""
-    return SolutionTable(pot, [E], units).row(0)
+def solve(pot: PiecewisePotential, E: float, units: UnitSystem = UNITS) -> SolutionTable:
+    """One-row table at energy E for unit incidence e^{ikx} from the left."""
+    return SolutionTable(pot, [E], units)
 
 
 def rect_amplitude(V0: float, a: float, E: float, units: UnitSystem = UNITS):
@@ -337,7 +300,8 @@ def rect_amplitude(V0: float, a: float, E: float, units: UnitSystem = UNITS):
 
 @dataclass(frozen=True)
 class TwoPhase:
-    """Two-phase parametrisation of a sub-barrier rectangular amplitude pair.
+    """Two-phase parametrisation of sub-barrier rectangular amplitude pairs,
+    arrays over energy, for a barrier of width a.
 
         A_T = i sin(phi1) e^{i(phi2 - ka)}
         A_R = cos(phi1) e^{i(phi2 - ka)} e^{+ika}
@@ -349,50 +313,53 @@ class TwoPhase:
     unitarity identically.
     """
 
-    phi1: float
-    phi2: float
-    k: float
+    phi1: np.ndarray
+    phi2: np.ndarray
+    k: np.ndarray
     a: float
 
     def reconstruct(self):
         """(A_T, A_R) in the left-referenced (0, a) convention."""
-        env = cmath.exp(1j * (self.phi2 - self.k * self.a))
-        A_T = 1j * math.sin(self.phi1) * env
-        A_R = math.cos(self.phi1) * env * cmath.exp(1j * self.k * self.a)
+        env = np.exp(1j * (self.phi2 - self.k * self.a))
+        A_T = 1j * np.sin(self.phi1) * env
+        A_R = np.cos(self.phi1) * env * np.exp(1j * self.k * self.a)
         return A_T, A_R
 
 
-def two_phase(sol: ScatteringSolution, a: float, tol: float = 1e-6) -> TwoPhase:
-    """Extract (phi1, phi2) from a single-rectangular-barrier solution.
+def two_phase(table: SolutionTable) -> TwoPhase:
+    """Extract (phi1, phi2) at every energy of a single-rectangular-barrier
+    table, whose extent is the width a.
 
     Branch choice: phi1 in (0, pi/2] for sub-barrier energies; the common
     phase comes from e^{2 i theta} = A_R,centred^2 - A_T^2 with the residual
-    of the roundtrip reconstruction as the acceptance test.
+    of the roundtrip reconstruction, held to TWO_PHASE_TOL, as the acceptance
+    test.
     """
-    if len(sol.pot.segments) != 1:
+    pot = table.pot
+    if len(pot.segments) != 1:
         raise ContractViolation("two_phase is defined for a single rectangular barrier")
-    if not (0 < sol.E < sol.pot.max_height):
-        raise ContractViolation("two_phase needs a sub-barrier energy")
-    k = sol.k
-    A_T, A_R = sol.A_T, sol.A_R
-    ARc = A_R * cmath.exp(-1j * k * a)
-    theta = 0.5 * cmath.phase(ARc**2 - A_T**2)
-    s1 = (-1j * A_T * cmath.exp(-1j * theta)).real
-    c1 = (ARc * cmath.exp(-1j * theta)).real
-    if s1 < 0:  # gauge (phi1, theta) -> (phi1 + pi, theta + pi)
-        s1, c1 = -s1, -c1
-        theta = theta + math.pi if theta <= 0 else theta - math.pi
-    phi1 = math.atan2(s1, c1)
+    if not np.all(table.E < pot.max_height):
+        raise ContractViolation("two_phase needs sub-barrier energies")
+    a, k = pot.extent, table.k
+    A_T, A_R = table.A_T, table.A_R
+    ARc = A_R * np.exp(-1j * k * a)
+    theta = 0.5 * np.angle(ARc**2 - A_T**2)
+    s1 = (-1j * A_T * np.exp(-1j * theta)).real
+    c1 = (ARc * np.exp(-1j * theta)).real
+    flip = s1 < 0  # gauge (phi1, theta) -> (phi1 + pi, theta + pi)
+    theta = np.where(flip, np.where(theta <= 0, theta + np.pi, theta - np.pi), theta)
+    phi1 = np.arctan2(np.where(flip, -s1, s1), np.where(flip, -c1, c1))
     tp = TwoPhase(phi1=phi1, phi2=theta + k * a, k=k, a=a)
     rT, rR = tp.reconstruct()
-    resid = abs(rT - A_T) + abs(rR - A_R)
-    if resid > tol:
-        raise BranchResolutionError(f"two-phase reconstruction residual {resid:.3e}")
+    resid = np.abs(rT - A_T) + np.abs(rR - A_R)
+    if np.any(resid > TWO_PHASE_TOL):
+        raise BranchResolutionError(f"two-phase reconstruction residual {resid.max():.3e}")
     return tp
 
 
-def s_matrix(sol: ScatteringSolution):
-    """Two-channel collision matrix with S00 = S11 = A_T, S01 = S10 = A_R.
+def s_matrix(table: SolutionTable):
+    """Two-channel collision matrices, shape (n_E, 2, 2), with S00 = S11 = A_T
+    and S01 = S10 = A_R.
 
     The reflection entry uses the symmetric phase reference (A_R recentred by
     e^{-ik(x_left + x_right)}), the convention in which S is unitary for a
@@ -400,9 +367,8 @@ def s_matrix(sol: ScatteringSolution):
     still built from left-incidence data but flagged, since S01 = S10 is then
     an assumption rather than a theorem.
     """
-    pot = sol.pot
-    shift = cmath.exp(-1j * sol.k * (pot.x_left + pot.x_right))
-    A_R = sol.A_R * shift
-    S = np.array([[sol.A_T, A_R], [A_R, sol.A_T]], dtype=complex)
-    asymmetric = not pot.is_symmetric()
-    return (S, ("asymmetric",)) if asymmetric else (S, ())
+    pot = table.pot
+    S = np.empty((len(table), 2, 2), dtype=complex)
+    S[:, 0, 0] = S[:, 1, 1] = table.A_T
+    S[:, 0, 1] = S[:, 1, 0] = table.A_R * np.exp(-1j * table.k * (pot.x_left + pot.x_right))
+    return (S, ("asymmetric",)) if not pot.is_symmetric() else (S, ())

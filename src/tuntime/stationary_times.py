@@ -162,28 +162,25 @@ def opaque_dwell_limits(V0: float, E: float, units: UnitSystem = UNITS) -> dict:
 
 def two_phase_times(
     pot: PiecewisePotential,
-    E: float,
+    E,
     rel_step: float = 1e-6,
     units: UnitSystem = UNITS,
 ):
-    """(tau_phase, tau_z) from the two-phase representation.
+    """(tau_phase, tau_z) from the two-phase representation, at a scalar
+    energy (floats) or an array of energies (arrays).
 
     tau_phase = hbar d(phi2)/dE and tau_z = hbar d(phi1)/dE cot(phi1); the
     latter is evaluated as hbar d ln sin(phi1) / dE, which is the same product
     without the 0 * inf ambiguity when phi1 -> 0 deep in the opaque regime.
-    Both angles come from two_phase() on the solved amplitudes, an independent
-    route to phase_time and bl_time; phi2 is differenced mod 2 pi.
+    Both angles come from two_phase() on one table per difference round, an
+    independent route to phase_time and bl_time; phi2 is differenced mod 2 pi.
     """
-    a = pot.extent
+    def angles(Es):
+        return two_phase(SolutionTable(pot, Es, units))
 
-    def angles(Es, which):
-        table = SolutionTable(pot, Es, units)
-        return np.array([getattr(two_phase(table.row(i), a), which)
-                         for i in range(len(table))])
-
-    dphi2 = central_difference(lambda Es: angles(Es, "phi2"), E, rel_step, periodic=True)
-    dlogsin = central_difference(lambda Es: np.log(np.sin(angles(Es, "phi1"))), E, rel_step)
-    return float(units.hbar * dphi2), float(units.hbar * dlogsin)
+    dphi2 = central_difference(lambda Es: angles(Es).phi2, E, rel_step, periodic=True)
+    dlogsin = central_difference(lambda Es: np.log(np.sin(angles(Es).phi1)), E, rel_step)
+    return _like(E, units.hbar * dphi2), _like(E, units.hbar * dlogsin)
 
 
 def resonance_delay(E: float, E_r: float, Gamma: float, tau_nr: float) -> float:

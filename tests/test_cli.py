@@ -10,7 +10,6 @@ import pytest
 from tuntime import cli, wavepacket
 from tuntime.cli import main
 from tuntime.potential import PiecewisePotential
-from tuntime.stationary_times import phase_time
 
 FIG2_CONFIG = {
     "potential": {"kind": "rectangular", "V0": 10.0, "a": 5.0},
@@ -295,19 +294,31 @@ def test_parser_reused_without_state(tmp_path):
     assert cli._parser() is cli._parser()
 
 
-def test_energy_scan_is_one_call(tmp_path, monkeypatch):
-    # an E scan evaluates its stationary time once, on the array of its
-    # energies, and each row equals the scalar call at its energy
-    segs = [[12.0 * i, 12.0 * i + 4.0, 3.0] for i in range(6)]
-    cfg = write(tmp_path, "sl.json", {
+ENERGY_SCANS = {  # observable: the library call of its times, a potential it accepts
+    "phase-time": ("phase_time", [[12.0 * i, 12.0 * i + 4.0, 3.0] for i in range(6)]),
+    "two-phase": ("two_phase_times", [[0.0, 3.0, 4.0]]),
+}
+
+
+@pytest.mark.parametrize("observable", ENERGY_SCANS)
+def test_energy_scan_is_one_call(tmp_path, monkeypatch, observable):
+    # an E scan evaluates its stationary times once, on the array of its
+    # energies, and each row equals the library's array output, which equals
+    # the scalar call at its energy
+    name, segs = ENERGY_SCANS[observable]
+    library = getattr(cli, name)
+    cfg = write(tmp_path, "scan.json", {
         "potential": {"kind": "segments", "segments": segs},
         "scan": {"parameter": "E", "min": 0.5, "max": 2.5, "steps": 9},
-        "observables": ["phase-time"]})
+        "observables": [observable]})
     calls = []
-    monkeypatch.setattr(cli, "phase_time", lambda pot, E: calls.append(np.shape(E))
-                        or phase_time(pot, E))
+    monkeypatch.setattr(cli, name, lambda pot, E: calls.append(np.shape(E)) or library(pot, E))
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     assert calls == [(9,)]
-    _, rows = read_csv(tmp_path / "out" / "phase-time.csv")
+    header, rows = read_csv(tmp_path / "out" / f"{observable}.csv")
+    times = [i for i, column in enumerate(header) if column.endswith("_fs")]
     pot = PiecewisePotential(tuple(tuple(s) for s in segs))
-    assert [float(r[2]) for r in rows] == [phase_time(pot, E) for E in np.linspace(0.5, 2.5, 9)]
+    Es = np.linspace(0.5, 2.5, 9)
+    expected = np.transpose(library(pot, Es)).reshape(9, -1).tolist()
+    assert [[float(r[i]) for i in times] for r in rows] == expected
+    assert np.reshape([library(pot, E) for E in Es], (9, -1)).tolist() == expected

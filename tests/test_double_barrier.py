@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -60,6 +61,23 @@ def test_opaque_coefficients_agree_with_exact():
     assert abs(ex.total_transmission - op.total_transmission) / abs(
         op.total_transmission
     ) < 1e-6
+
+
+@pytest.mark.parametrize("chi_a", [100.0, 300.0, 800.0])
+def test_exact_coefficients_at_high_opacity(chi_a):
+    # every field is formed from the table's scaled pairs, so it matches the
+    # opaque closed form wherever that is a normal double and is 0 where it
+    # underflows: no overflow, and no field lost to another's underflow
+    E = 5.0
+    a = chi_a / float(UNITS.decay_constant(V0, E))
+    ex, op = solve_exact(V0, a, a + 7.0, E), opaque_coefficients(V0, a, a + 7.0, E)
+    for name in ("alpha", "beta", "alphap", "betap", "A_R", "Ap_R", "A_T", "Ap_T",
+                 "A_real_factor", "total_transmission", "delta"):
+        got, want = getattr(ex, name), getattr(op, name)
+        if abs(want) >= sys.float_info.min:
+            assert abs(got - want) <= 1e-6 * abs(want), name
+        else:
+            assert got == want == 0, name
 
 
 def test_opaque_error_decays_like_exp_minus_2_chi_a():

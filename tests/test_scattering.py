@@ -146,20 +146,22 @@ def test_composition_matches_product_of_transfers():
 def test_wavefunction_continuity_at_joints():
     # evaluate the two adjoining region representations exactly at each joint:
     # psi and psi' must agree to 1e-10 relative
-    pot = double_rectangular(10.0, 4.0, 10.0)
-    for E in (2.0, 6.0, 9.0):
-        sol = solve(pot, E)
-        bounds = sol.bounds
-        for j in range(len(sol.q) - 1):
-            edge = bounds[j + 1]
-            eL = cmath.exp(1j * sol.q[j] * (edge - sol.refs[j]))
-            psiL = sol.fwd[j] * eL + sol.bwd[j] / eL
-            dpsiL = 1j * sol.q[j] * (sol.fwd[j] * eL - sol.bwd[j] / eL)
-            eR = cmath.exp(1j * sol.q[j + 1] * (edge - sol.refs[j + 1]))
-            psiR = sol.fwd[j + 1] * eR + sol.bwd[j + 1] / eR
-            dpsiR = 1j * sol.q[j + 1] * (sol.fwd[j + 1] * eR - sol.bwd[j + 1] / eR)
-            assert abs(psiL - psiR) / max(abs(psiR), 1e-30) < 1e-10
-            assert abs(dpsiL - dpsiR) / max(abs(dpsiR), 1e-30) < 1e-10
+    # from the table's scaled pairs, psi_j = e^{s_j} (f_j e^{iq_j(x - l_j)}
+    # + b_j e^{-iq_j(x - r_j)})
+    table = SolutionTable(double_rectangular(10.0, 4.0, 10.0), [2.0, 6.0, 9.0])
+    f, b, s, q = table.f, table.b, table.log_scale, table.q
+
+    def psi_dpsi(j, x):
+        ef = f[:, j] * np.exp(s[:, j] + 1j * q[:, j] * (x - table.refs[j]))
+        eb = b[:, j] * np.exp(s[:, j] - 1j * q[:, j] * (x - table.ends[j]))
+        return ef + eb, 1j * q[:, j] * (ef - eb)
+
+    assert q.shape == (3, 5)
+    for j in range(q.shape[1] - 1):
+        edge = table.bounds[j + 1]
+        (psiL, dpsiL), (psiR, dpsiR) = psi_dpsi(j, edge), psi_dpsi(j + 1, edge)
+        assert np.all(np.abs(psiL - psiR) / np.maximum(np.abs(psiR), 1e-30) < 1e-10)
+        assert np.all(np.abs(dpsiL - dpsiR) / np.maximum(np.abs(dpsiR), 1e-30) < 1e-10)
 
 
 def test_psi_at_many_positions_matches_psi_dpsi():
@@ -178,8 +180,8 @@ def test_psi_at_many_positions_matches_psi_dpsi():
 
 def test_degeneracy_shift_flag():
     sol = solve(rectangular(10.0, 2.0), 10.0)  # E exactly at the barrier top
-    assert "energy_shifted" in sol.flags
-    assert np.isfinite(sol.A_T)
+    assert sol.shifted[0] and sol.E[0] > 10.0
+    assert np.isfinite(sol.A_T[0])
 
 
 def test_extreme_opacity_log_form():
@@ -202,15 +204,16 @@ def test_arbitrarily_opaque_barrier(kappa_a):
     a = kappa_a / float(UNITS.decay_constant(V0, E))
     table = SolutionTable(rectangular(V0, a), [E])
     assert table.log_abs_A_T[0] == pytest.approx(np.log(2.0) - kappa_a, rel=1e-13)
-    sol = table.row(0)
-    assert np.all(np.isfinite(sol.fwd)) and np.all(np.isfinite(sol.bwd))
-    assert sol.boundary_residual() < 1e-10
+    for column in (table.f, table.b, table.log_scale):
+        assert np.all(np.isfinite(column))
+    assert table.boundary_residual()[0] < 1e-10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         psi, dpsi = zip(*(table.psi_dpsi(x) for x in a * np.array([0.0, 1e-3, 0.5, 1.0])))
     assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
-    assert abs(psi[0][0] - (1.0 + sol.A_R)) < 1e-10
-    assert abs(dpsi[0][0] - 1j * sol.k * (1.0 - sol.A_R)) < 1e-10
+    A_R, k = table.A_R[0], table.k[0]
+    assert abs(psi[0][0] - (1.0 + A_R)) < 1e-10
+    assert abs(dpsi[0][0] - 1j * k * (1.0 - A_R)) < 1e-10
     kappa = float(UNITS.decay_constant(V0, E))
     assert psi[1][0] == pytest.approx(psi[0][0] * np.exp(-kappa * 1e-3 * a), rel=1e-10)
 
@@ -220,7 +223,8 @@ LATTICE = PiecewisePotential(tuple((10.0 * i, 10.0 * i + 4.0, 3.0) for i in rang
 
 def test_transmission_callers_skip_the_region_coefficients(monkeypatch):
     # phase, BL, resonance and mapped phase times read only the transmission,
-    # so none of their tables runs the backward substitution; a row needs it
+    # so none of their tables, nor solve's, runs the backward substitution;
+    # a region read needs it
     from tuntime.double_barrier import find_resonances
     from tuntime.emguide import WaveguideSpec, mapped_phase_time
     from tuntime.stationary_times import bl_time, phase_time
@@ -235,8 +239,9 @@ def test_transmission_callers_skip_the_region_coefficients(monkeypatch):
     assert np.isfinite(bl_time(pot, 5.0))
     assert find_resonances(10.0, 5.0, 15.0, (0.5, 9.5))
     assert np.isfinite(mapped_phase_time(WaveguideSpec(a=2.3, b=4.6, m=1, n=0, L=10.0, lam=6.0)))
+    table = solve(pot, 5.0)
     with pytest.raises(AssertionError, match="backward substitution"):
-        solve(pot, 5.0)
+        table.boundary_residual()
 
 
 @pytest.mark.parametrize("pot", [rectangular(10.0, 5.0), double_rectangular(10.0, 4.0, 10.0),
@@ -278,23 +283,23 @@ def test_rect_amplitude_opaque(kappa_a):
 
 def test_two_phase_reconstruction_roundtrip():
     sol = solve(rectangular(10.0, 2.0), 5.0)
-    tp = two_phase(sol, 2.0)
-    A_T, A_R = tp.reconstruct()
-    assert abs(A_T - sol.A_T) < 1e-9
-    assert abs(A_R - sol.A_R) < 1e-9
+    A_T, A_R = two_phase(sol).reconstruct()
+    assert abs(A_T[0] - sol.A_T[0]) < 1e-9
+    assert abs(A_R[0] - sol.A_R[0]) < 1e-9
 
 
 def test_two_phase_matches_closed_form_phi1():
-    # phi1 = arctan[2 sigma / ((1 + sigma^2) sinh(kappa a))]
-    for (V0, a, E) in [(10.0, 2.0, 5.0), (10.0, 1.0, 2.5), (10.0, 3.0, 8.0)]:
-        sol = solve(rectangular(V0, a), E)
-        tp = two_phase(sol, a)
-        k = float(UNITS.wavenumber(E))
-        kap = float(UNITS.decay_constant(V0, E))
+    # phi1 = arctan[2 sigma / ((1 + sigma^2) sinh(kappa a))], at every energy
+    # of a table
+    V0, Es = 10.0, np.linspace(0.5, 9.5, 19)
+    for a in (2.0, 1.0, 3.0):
+        tp = two_phase(SolutionTable(rectangular(V0, a), Es))
+        k = UNITS.wavenumber(Es)
+        kap = UNITS.decay_constant(V0, Es)
         sigma = kap / k
         phi1_closed = np.arctan(2 * sigma / ((1 + sigma**2) * np.sinh(kap * a)))
-        assert tp.phi1 == pytest.approx(phi1_closed, rel=1e-12)
-        assert 0 < tp.phi1 <= np.pi / 2
+        np.testing.assert_allclose(tp.phi1, phi1_closed, rtol=1e-12, atol=0)
+        assert np.all((0 < tp.phi1) & (tp.phi1 <= np.pi / 2))
 
 
 def test_two_phase_opaque_phi1_scale():
@@ -303,48 +308,46 @@ def test_two_phase_opaque_phi1_scale():
     kap = float(UNITS.decay_constant(V0, E))
     a = 10.0 / kap  # kappa a = 10
     sol = solve(rectangular(V0, a), E)
-    tp = two_phase(sol, a)
+    phi1 = two_phase(sol).phi1[0]
     sigma = 1.0  # E = V0/2
-    assert tp.phi1 == pytest.approx(
-        2 * sigma / (1 + sigma**2) * 2 * np.exp(-kap * a), rel=1e-3
-    )
-    assert np.sin(tp.phi1) == pytest.approx(abs(sol.A_T), rel=1e-12)
+    assert phi1 == pytest.approx(2 * sigma / (1 + sigma**2) * 2 * np.exp(-kap * a), rel=1e-3)
+    assert np.sin(phi1) == pytest.approx(abs(sol.A_T[0]), rel=1e-12)
 
 
 def test_two_phase_unitarity_identity():
-    sol = solve(rectangular(10.0, 2.5), 6.0)
-    tp = two_phase(sol, 2.5)
-    A_T, A_R = tp.reconstruct()
-    assert abs(A_T) ** 2 + abs(A_R) ** 2 == pytest.approx(1.0, abs=1e-15)
+    A_T, A_R = two_phase(solve(rectangular(10.0, 2.5), 6.0)).reconstruct()
+    assert abs(A_T[0]) ** 2 + abs(A_R[0]) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_two_phase_contracts():
-    sol = solve(rectangular(10.0, 2.0), 12.0)  # above barrier
+    with pytest.raises(ContractViolation):  # one energy above the barrier
+        two_phase(SolutionTable(rectangular(10.0, 2.0), [5.0, 12.0]))
     with pytest.raises(ContractViolation):
-        two_phase(sol, 2.0)
-    dbl = solve(double_rectangular(10.0, 2.0, 6.0), 5.0)
-    with pytest.raises(ContractViolation):
-        two_phase(dbl, 2.0)
+        two_phase(solve(double_rectangular(10.0, 2.0, 6.0), 5.0))
 
 
 # ----------------------------------------------------------------- s-matrix
 
 def test_s_matrix_free_identity():
     S, flags = s_matrix(solve(PiecewisePotential(()), 3.0))
-    assert np.allclose(S, np.eye(2))
+    assert S.shape == (1, 2, 2) and np.allclose(S, np.eye(2))
     assert flags == ()
 
 
+S_ENERGIES = np.linspace(0.5, 15.0, 30)
+
+
 def test_s_matrix_unitarity():
-    S, flags = s_matrix(solve(rectangular(10.0, 5.0), 5.0))
-    assert np.max(np.abs(S @ S.conj().T - np.eye(2))) < 1e-10
+    S, flags = s_matrix(SolutionTable(rectangular(10.0, 5.0), S_ENERGIES))
+    assert S.shape == (30, 2, 2)
+    assert np.max(np.abs(S @ S.conj().transpose(0, 2, 1) - np.eye(2))) < 1e-10
     assert flags == ()
 
 
 def test_s_matrix_row_orthogonality():
-    S, _ = s_matrix(solve(rectangular(10.0, 5.0), 5.0))
-    A_T, A_R = S[0, 0], S[0, 1]
-    assert abs(A_T * np.conj(A_R) + A_R * np.conj(A_T)) < 1e-10
+    S, _ = s_matrix(SolutionTable(rectangular(10.0, 5.0), S_ENERGIES))
+    A_T, A_R = S[:, 0, 0], S[:, 0, 1]
+    assert np.max(np.abs(A_T * np.conj(A_R) + A_R * np.conj(A_T))) < 1e-10
 
 
 def test_s_matrix_asymmetric_flagged():
