@@ -11,11 +11,14 @@ the variance of a correlated difference).  The mean-square duration identity
 
 The dwell time is computed in both of its equivalent forms -- the space-time
 density integral and the flux first-moment form -- and their residual is a
-built-in diagnostic: the two can only drift apart through quadrature-tail
-truncation, since their equality is the continuity equation.  The density
-integral is taken in the energy representation, where time is conjugate to
-energy: over all time the packet's |Psi|^2 integrates to an average over its
-energies of the stationary dwell, so neither an x nor a t grid is built.
+built-in diagnostic: for a massive packet the two can only drift apart
+through quadrature-tail truncation, since their equality is the continuity
+equation.  A photon packet's flux prefactor c/k_bar is not the current of
+the Schroedinger-form states it sums, so at a barrier its forms differ by
+about 1e-4 (in free space, to rounding).  The density integral is taken in
+the energy representation, where time is conjugate to energy: over all time
+the packet's |Psi|^2 integrates to an average over its energies of the
+stationary dwell, so neither an x nor a t grid is built.
 
 A flux series whose window did not capture its tail is refused with
 QuadratureError rather than read into a mean.
@@ -245,8 +248,10 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
     E: at a narrow resonance inside the band it is not, and there a flux
     tail goes uncaptured or the two forms disagree.  Either raises
     QuadratureError, as does any disagreement beyond DWELL_FORM_TOL, the
-    usual symptom being a truncated time tail.  The variance is the indirect
-    one of dwell_decomposition (there is no direct definition).
+    usual symptom being a truncated time tail; at a barrier a photon
+    packet's residual is about 1e-4 of its own (see the module docstring).
+    The variance is the indirect one of dwell_decomposition (there is no
+    direct definition).
     """
     prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers, units)
     D = prop.table.density_integral(markers.x_i, markers.x_f)

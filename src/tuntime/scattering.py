@@ -306,11 +306,11 @@ class TwoPhase:
         A_T = i sin(phi1) e^{i(phi2 - ka)}
         A_R = cos(phi1) e^{i(phi2 - ka)} e^{+ika}
 
-    The reflection in the underlying pair is the barrier-centred one (the
-    (0, a) left-referenced A_R carries an extra e^{+ika}); with the raw
-    left-referenced A_R no real (phi1, phi2) exists at all, so reconstruction
-    restores that phase factor before comparing.  sin^2 + cos^2 = 1 encodes
-    unitarity identically.
+    for the barrier moved to (0, a).  The reflection in the underlying pair is
+    the barrier-centred one, A_R e^{-ik(x_left + x_right)} as in `s_matrix`
+    (e^{-ika} on (0, a)); with the raw left-referenced A_R no real
+    (phi1, phi2) exists at all, so reconstruction restores that phase factor
+    before comparing.  sin^2 + cos^2 = 1 encodes unitarity identically.
     """
 
     phi1: np.ndarray
@@ -319,7 +319,8 @@ class TwoPhase:
     a: float
 
     def reconstruct(self):
-        """(A_T, A_R) in the left-referenced (0, a) convention."""
+        """(A_T, A_R) of the same barrier moved to (0, a); the barrier on
+        (x_left, x_left + a) has the same A_T and A_R times e^{2ik x_left}."""
         env = np.exp(1j * (self.phi2 - self.k * self.a))
         A_T = 1j * np.sin(self.phi1) * env
         A_R = np.cos(self.phi1) * env * np.exp(1j * self.k * self.a)
@@ -342,7 +343,7 @@ def two_phase(table: SolutionTable) -> TwoPhase:
         raise ContractViolation("two_phase needs sub-barrier energies")
     a, k = pot.extent, table.k
     A_T, A_R = table.A_T, table.A_R
-    ARc = A_R * np.exp(-1j * k * a)
+    ARc = A_R * np.exp(-1j * k * (pot.x_left + pot.x_right))
     theta = 0.5 * np.angle(ARc**2 - A_T**2)
     s1 = (-1j * A_T * np.exp(-1j * theta)).real
     c1 = (ARc * np.exp(-1j * theta)).real
@@ -351,7 +352,7 @@ def two_phase(table: SolutionTable) -> TwoPhase:
     phi1 = np.arctan2(np.where(flip, -s1, s1), np.where(flip, -c1, c1))
     tp = TwoPhase(phi1=phi1, phi2=theta + k * a, k=k, a=a)
     rT, rR = tp.reconstruct()
-    resid = np.abs(rT - A_T) + np.abs(rR - A_R)
+    resid = np.abs(rT - A_T) + np.abs(rR * np.exp(2j * k * pot.x_left) - A_R)
     if np.any(resid > TWO_PHASE_TOL):
         raise BranchResolutionError(f"two-phase reconstruction residual {resid.max():.3e}")
     return tp

@@ -22,13 +22,11 @@ mean energy, from each sample's own time, times the phases of
 e_k = E_k - E_ref: those are far smaller than E_k t/hbar (which reaches
 760 rad at 5 eV and 100 fs), so rounding them costs far less, and the flux
 needs no carrier at all.  On a uniform time grid, cut into blocks of
-B = ceil(sqrt(n_t)) samples starting at s_m, the phase of e factors as
-e^{-ie s_m/hbar} e^{-ie j dt/hbar}, and a few rows take many blocks per
-matrix product.  The base and the start phases are uniform tables in turn,
-and a table of n columns is the product of a coarse and a fine table about
-sqrt(n) columns wide: about 4 n_k n_t^(1/4) exponentials per evaluation
-instead of n_k n_t.  No phase build exceeds PHASE_BLOCK entries, so an
-evaluation's memory does not grow with n_t beyond its own output.
+B = 2^p (about sqrt(n_t)) samples, the phase of e at t0 + (m B + j) dt is
+e^{-ie t0/hbar} e^{-ie m B dt/hbar} e^{-ie j dt/hbar}: one ladder of
+exponentials at 2^i dt fills the base (j) and the block steps (m) by
+doubling, about n_k (log2 n_t + 1) exponentials in place of n_k n_t, and one
+matrix product per batch of at most PHASE_BLOCK operand entries does the rest.
 Flux windows are memoised per propagator, so a window that several analyses
 share is evaluated once, and a flux series evaluates only its widened
 windows, reading each tail check from their own samples.
@@ -269,22 +267,6 @@ class Propagator:
         """e^{-iE_ref t/hbar} at every t of ts, from each sample's own time."""
         return np.exp(-1j * self._E_ref * np.asarray(ts, dtype=float) / self.units.hbar)
 
-    def _phase_table(self, t0: float, step: float, n: int) -> np.ndarray:
-        """e^{-i(E - E_ref)(t0 + j step)/hbar} for 0 <= j < n, shape (n_k, n).
-
-        The elementwise product of a coarse table at t0 + c F step and a fine
-        one at f step, F = ceil(sqrt(n)): n_k (F + ceil(n/F)) exponentials in
-        place of n_k n, written straight into the n_k x n result.
-        """
-        F = math.isqrt(n - 1) + 1
-        C = n // F  # coarse columns that fill a whole run of F
-        coarse = self._phases(t0 + F * step * np.arange(-(-n // F)))
-        fine = self._phases(step * np.arange(F))
-        table = np.empty((self.packet.E.size, n), dtype=complex)
-        np.multiply(coarse[:, :C, None], fine[:, None], out=table[:, :C * F].reshape(-1, C, F))
-        np.multiply(coarse[:, C:], fine[:, :n - C * F], out=table[:, C * F:])
-        return table
-
     def _contract(self, rows, ts) -> np.ndarray:
         """rows @ exp(-i(E - E_ref)t/hbar), the phases factored on a uniform grid.
 
@@ -292,50 +274,45 @@ class Propagator:
         common to every row, so |.|, the flux and every conj(a) b of two
         contracted rows are the same with or without it; the phases hold only
         (E - E_ref) t, whose rounding is far smaller than that of E t.  With
-        e = E - E_ref, on t = s_m + j dt, s_m = ts[m B] the start of block m
-        and 0 <= j < B, the phase is e^{-ie s_m/hbar} e^{-ie j dt/hbar}.  The
-        base e^{-ie j dt/hbar} (n_k x B) is built once and the start phases in
-        batches of at most PHASE_BLOCK entries, one batch unless n_t exceeds
-        about (PHASE_BLOCK / n_k)^2; each is a uniform table, which
-        `_phase_table` forms from coarse and fine factors of about sqrt(n)
-        columns, so an evaluation makes about 4 n_k n_t^(1/4) exponentials in
-        place of n_k n_t.  With at most B rows, the rows scaled by the start
-        phases of B // rows blocks at a time are stacked into one
-        (rows x blocks) x n_k operand of at most n_k B entries, and one
-        product per row with the base fills all those blocks; with more rows,
-        the start phase scales the smaller operand, the base, and each block
-        is one product.  The output is padded to whole blocks and trimmed on
-        return.  B = ceil(sqrt(n_t)), capped so that neither the base nor a
-        batch of start phases exceeds PHASE_BLOCK entries; no n_k x n_t array
-        is built.  A grid that is not uniform to rounding is the case B = 1:
-        base 1 and direct start phases s_m = t_m.
+        e = E - E_ref and blocks of B = 2^p samples, p = ceil(ceil(log2 n_t)/2),
+        sample m B + j of a batch that starts at t0 has the phase
+        e^{-ie t0/hbar} e^{-ie m B dt/hbar} e^{-ie j dt/hbar}.  `_doubling`
+        fills the base (j < B) and the rows' block steps from one ladder
+        e^{-ie 2^i dt/hbar}, so an evaluation makes n_k (ceil(log2(nb B)) +
+        batches) exponentials, 13 n_k for a flux at n_t = 3073, and each batch
+        is one product with the base.  B is capped at PHASE_BLOCK / n_k, and a
+        batch holds as many blocks as keep its operand within PHASE_BLOCK
+        entries (one at least), so no n_k x n_t array is built.  A grid that
+        is not uniform to rounding is the case B = 1, every start phase direct.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         rows = np.asarray(rows, dtype=complex)
-        n_t, n_r, cap = ts.size, len(rows), max(1, PHASE_BLOCK // self.packet.E.size)
+        n_t, n_r, n_k = ts.size, len(rows), self._dE.size
         if n_t == 0:
             return np.empty((n_r, 0), dtype=complex)
         dt = (ts[-1] - ts[0]) / max(n_t - 1, 1)
         # linspace samples sit within a few ulps of max|t| of ts[0] + i dt
         uniform = np.all(np.abs(np.diff(ts) - dt) <= 8 * np.finfo(float).eps * np.max(np.abs(ts)))
-        B = min(math.isqrt(n_t - 1) + 1, cap) if uniform else 1
-        base = self._phase_table(0.0, dt, B)
-        out = np.empty((n_r, -(-n_t // B), B), dtype=complex)
-        per = B // max(n_r, 1)  # blocks per stacked operand; 0 if rows > B
-        for m0 in range(0, out.shape[1], cap):  # one batch of start phases
-            if uniform:
-                starts = self._phase_table(ts[m0 * B], B * dt, min(cap, out.shape[1] - m0))
+        p = min(((n_t - 1).bit_length() + 1) // 2,
+                max(1, PHASE_BLOCK // n_k).bit_length() - 1) if uniform else 0
+        B = 1 << p
+        nb = -(-n_t // B)
+        per = min(nb, max(1, PHASE_BLOCK // (max(n_r, 1) * n_k)))  # blocks per batch
+        base = np.ones((B, n_k), dtype=complex)
+        if uniform:
+            ladder = self._phases(dt * 2.0 ** np.arange(p + (per - 1).bit_length())).T
+            _doubling(base, ladder[:p])
+        out = np.empty((nb, n_r, B), dtype=complex)
+        for m0 in range(0, nb, per):
+            n = min(per, nb - m0)
+            if uniform:  # the batch's start phase on the rows, then a step per block
+                op = np.empty((n, n_r, n_k), dtype=complex)
+                np.multiply(rows, self._phases(ts[m0 * B:m0 * B + 1]).T, out=op[0])
+                _doubling(op, ladder[p:])
             else:
-                starts = self._phases(ts[m0:m0 + cap])
-            blocks = out[:, m0:m0 + starts.shape[1]]
-            if per:
-                for s in range(0, starts.shape[1], per):
-                    np.matmul(rows[:, None] * starts[:, s:s + per].T, base,
-                              out=blocks[:, s:s + per])
-            else:
-                for m in range(starts.shape[1]):
-                    np.matmul(rows, starts[:, m, None] * base, out=blocks[:, m])
-        return out.reshape(n_r, out.shape[1] * B)[:, :n_t]
+                op = self._phases(ts[m0:m0 + n]).T[:, None] * rows
+            np.matmul(op.reshape(-1, n_k), base.T, out=out[m0:m0 + n].reshape(-1, B))
+        return out.transpose(1, 0, 2).reshape(n_r, nb * B)[:, :n_t]
 
     # -- field evaluations ----------------------------------------------
     def psi(self, x: float, ts, component: str = "full") -> np.ndarray:
@@ -439,6 +416,15 @@ class Propagator:
             J_minus=np.where(J < 0, J, 0.0),
             component=component, tail_captured=captured, abs_mass=mass,
         )
+
+
+def _doubling(table: np.ndarray, rungs) -> None:
+    """Fill table[1:] in place: rows [m, 2m) are rows [0, m) times rungs[log2 m],
+    so row j is row 0 times the rungs of the set bits of j."""
+    n = len(table)
+    for i in range((n - 1).bit_length()):
+        m = 1 << i
+        np.multiply(table[:min(m, n - m)], rungs[i], out=table[m:2 * m])
 
 
 _CACHE: dict = {}

@@ -216,6 +216,17 @@ def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers, dis
     assert rep.components["space_time_form"] == pytest.approx(total / N, rel=1e-12)
 
 
+def test_photon_dwell_forms_agree_only_in_free_space():
+    # the photon flux's c/k_bar prefactor is not the current of the
+    # Schroedinger-form states, so at a barrier the flux form is off by more
+    # than rounding (1.3e-4) though within DWELL_FORM_TOL; in free space the
+    # states are plane waves and the two forms agree to rounding
+    pk = gaussian_packet(K_BAR, 0.02, n_k=128, dispersion=PHOTON)
+    markers = RegionMarkers(-25.0, 30.0)
+    assert 1e-6 < dwell(POT, pk, markers).components["form_residual"] < flux_times.DWELL_FORM_TOL
+    assert dwell(FREE, pk, markers).components["form_residual"] < 1e-10
+
+
 @pytest.mark.parametrize("V0, a, E_bar, dk, n_k, expected", [
     (10.0, 5.0, 5.0, 0.02, 512, 3.873389109787431),
     (8.0, 4.0, 3.0, 0.03, 256, 5.010136378946223),

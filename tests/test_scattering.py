@@ -24,6 +24,7 @@ from tuntime.scattering import (
     solve,
     two_phase,
 )
+from tuntime.stationary_times import two_phase_times
 
 
 def test_free_particle():
@@ -324,6 +325,21 @@ def test_two_phase_contracts():
         two_phase(SolutionTable(rectangular(10.0, 2.0), [5.0, 12.0]))
     with pytest.raises(ContractViolation):
         two_phase(solve(double_rectangular(10.0, 2.0, 6.0), 5.0))
+
+
+@pytest.mark.parametrize("x0", [-1.5, 2.0])
+def test_two_phase_of_a_shifted_barrier(x0):
+    # moving the barrier moves A_R by e^{2ik x0} and leaves A_T alone: the
+    # angles agree with the barrier on (0, a) to rounding, and the times to
+    # the central difference's amplification of it
+    E = np.array([1.0, 2.0, 3.0])
+    at_zero = PiecewisePotential(((0.0, 4.0, 5.0),))
+    shifted = PiecewisePotential(((x0, x0 + 4.0, 5.0),))
+    tp, tp0 = (two_phase(SolutionTable(pot, E)) for pot in (shifted, at_zero))
+    np.testing.assert_allclose(tp.phi1, tp0.phi1, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(tp.phi2, tp0.phi2, rtol=0, atol=1e-15)
+    for t, t0 in zip(two_phase_times(shifted, E), two_phase_times(at_zero, E)):
+        np.testing.assert_allclose(t, t0, rtol=1e-8, atol=0)
 
 
 # ----------------------------------------------------------------- s-matrix

@@ -211,73 +211,61 @@ def test_flux_quiet_before_arrival():
     assert np.max(np.abs(J)) < 1e-12
 
 
-def _table_cost(n):
-    """Exponentials per k of one n-column phase table: a coarse and a fine
-    factor of F = ceil(sqrt(n)) and ceil(n/F) columns."""
-    F = math.isqrt(n - 1) + 1
-    return F + -(-n // F)
-
-
 def test_phases_built_in_bounded_blocks(monkeypatch):
     # on a uniform grid an evaluation factors exp(-iEt/hbar) into a base of
-    # B = ceil(sqrt(n_t)) steps and one start phase per block of B samples,
-    # and builds each of those uniform tables, n columns, from a coarse and a
-    # fine factor: n_k _table_cost(n) exponentials per table, about
-    # 4 n_k n_t^(1/4) in all, never an n_k x n_t array.  With PHASE_BLOCK
-    # patched small no table or factor exceeds it, and the shorter blocks
-    # give the same values to rounding.  The window keeps |Et/hbar| near
-    # 1e3 rad, where rounding the phase costs well under 1e-13 of the peak
+    # B = 2^p steps, p = ceil(ceil(log2 n_t) / 2), and a step per block of B
+    # samples, both filled by doubling from one ladder of exponentials at
+    # 2^i dt, plus one start phase per batch of blocks: n_k (ceil(log2(nb B))
+    # + batches) exponentials, never an n_k x n_t array.  With PHASE_BLOCK
+    # patched small, B and the batches shrink so that no ladder or operand
+    # exceeds it, and the shorter blocks give the same values to rounding.
+    # The window keeps |Et/hbar| near 1e3 rad, where rounding the phase costs
+    # well under 1e-13 of the peak
     # (test_contract_as_accurate_as_direct_sum_at_large_phases covers larger
     # phases)
     n_k, n_t = 128, 1001
     prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=n_k))
     ts = np.linspace(-60.0, 100.0, n_t)
     xs = [-30.0, 2.0, 30.0]
-    builds, tables = [], []
-    build, table = Propagator._phases, Propagator._phase_table
+    builds, operands = [], []
+    build, matmul = Propagator._phases, np.matmul
     monkeypatch.setattr(Propagator, "_phases",
                         lambda self, t: builds.append(t.size) or build(self, t))
-
-    def spy_table(self, t0, step, n):
-        tables.append(n)
-        out = table(self, t0, step, n)
-        assert out.shape == (n_k, n) and out.size <= wavepacket.PHASE_BLOCK
-        return out
-
-    monkeypatch.setattr(Propagator, "_phase_table", spy_table)
+    monkeypatch.setattr(np, "matmul",
+                        lambda a, b, **kw: operands.append(a.size) or matmul(a, b, **kw))
 
     def exponentials(evaluate):
         builds.clear()
-        tables.clear()
+        operands.clear()
         tracemalloc.start()
         value = evaluate()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < n_k * n_t * 16 / 4  # a complex n_k x n_t array is never held
         assert n_k * max(builds) <= wavepacket.PHASE_BLOCK
-        count = n_k * sum(builds)
-        assert count == n_k * sum(_table_cost(n) for n in tables)  # every exponential is a table's
-        return value, count
+        assert max(operands) <= wavepacket.PHASE_BLOCK
+        return value, builds[:]
 
     assert prop.flux(2.0, []).shape == (0,)
-    B = math.isqrt(n_t - 1) + 1
-    J, count = exponentials(lambda: prop.flux(2.0, ts))
-    # the base, then one table of start phases for every block: 24 n_k
-    # where whole tables took n_k (B + ceil(n_t/B)) = 64 n_k
-    assert tables == [B, math.ceil(n_t / B)]
-    assert count == 24 * n_k
-    grid, count = exponentials(lambda: prop.psi_grid(xs, ts))
-    assert tables == [B, math.ceil(n_t / B)]  # three rows stack ten blocks at a time
-    assert count == 24 * n_k
+    # B = 32 and 32 blocks in one batch: a ladder of log2(1024) = 10 rungs
+    # and one start phase, 11 n_k where the coarse and fine tables of the
+    # base and the start phases took 24 n_k
+    J, counts = exponentials(lambda: prop.flux(2.0, ts))
+    assert counts == [10, 1] and len(operands) == 1
+    grid, counts = exponentials(lambda: prop.psi_grid(xs, ts))
+    assert counts == [10, 1] and len(operands) == 1
 
     # a fresh propagator, since prop's flux memo would answer the same window
     monkeypatch.setattr(wavepacket, "PHASE_BLOCK", n_k * 8)
     blocked = Propagator(prop.pot, prop.packet)
-    J_blocked, count = exponentials(lambda: blocked.flux(2.0, ts))
-    assert max(tables) <= 8
-    assert count <= n_k * (8 + math.ceil(n_t / 8))
+    # B = 8 and 126 blocks, 4 to a batch of two rows: rungs 1, 2, 4 dt for
+    # the base and 8, 16 dt for the steps, then 32 start phases
+    J_blocked, counts = exponentials(lambda: blocked.flux(2.0, ts))
+    assert counts == [5] + [1] * 32
     assert np.max(np.abs(J_blocked - J)) <= 1e-13 * np.max(np.abs(J))
-    grid_blocked, _ = exponentials(lambda: blocked.psi_grid(xs, ts))
+    # three rows: 2 blocks to a batch, 63 batches
+    grid_blocked, counts = exponentials(lambda: blocked.psi_grid(xs, ts))
+    assert counts == [4] + [1] * 63
     assert grid_blocked.shape == (3, 1001)
     assert np.max(np.abs(grid_blocked - grid)) <= 1e-13 * np.max(np.abs(grid))
     for x, row in zip(xs, grid_blocked):
@@ -285,9 +273,10 @@ def test_phases_built_in_bounded_blocks(monkeypatch):
 
 
 def test_start_phases_built_as_one_table(monkeypatch):
-    # a two-row flux at n_t = 3073 (B = 56, 55 blocks) builds the base and one
-    # table of start phases, 2 (8 + 7) = 30 n_k exponentials; building the
-    # start phases per stacked operand of B // 2 = 28 blocks took 37 n_k
+    # a two-row flux at n_t = 3073 (B = 64, 49 blocks) builds one ladder of
+    # ceil(log2(49 * 64)) = 12 rungs and one start phase, 13 n_k
+    # exponentials; the coarse and fine tables of the base and the start
+    # phases took 2 (8 + 7) = 30 n_k
     n_k = 128
     prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=n_k))
     builds = []
@@ -296,7 +285,7 @@ def test_start_phases_built_as_one_table(monkeypatch):
                         lambda self, t: builds.append(t.size) or build(self, t))
     ts = np.linspace(-60.0, 100.0, 3073)
     J = prop.flux(2.0, ts)
-    assert sum(builds) == 30
+    assert builds == [12, 1]
     _, J_direct, _, J_peak = _direct_sum(prop, 2.0, ts)
     assert np.max(np.abs(J - J_direct)) <= 1e-13 * J_peak
 
@@ -317,19 +306,21 @@ SLOW_K = float(UNITS.wavenumber(0.05))  # |Et/hbar| ~ 1e3 rad at |t| = 1e4 fs
 
 @pytest.mark.parametrize("k_bar, x, ts", [
     (K_BAR, -30.0, np.array([-2.0])),
-    *((K_BAR, -30.0, np.linspace(-60.0, 100.0, n)) for n in (2, 3, 256, 1001, 4097)),
+    *((K_BAR, -30.0, np.linspace(-60.0, 100.0, n))
+      for n in (2, 3, 255, 256, 257, 1001, 4095, 4096, 4097)),
     (K_BAR, 2.0, np.linspace(-60.0, 100.0, 1001)),
     (SLOW_K, -50.0, np.linspace(-1e4, 1e4, 4097)),
     (SLOW_K, -50.0, np.linspace(-2e3, 1e4, 3001)),
     (K_BAR, -30.0, np.sort(np.random.default_rng(5).uniform(-60.0, 100.0, 1001))),
-], ids=["n1", "n2", "n3", "n256", "n1001", "n4097", "in-barrier",
-        "slow-1e4fs", "slow-late", "random-grid"])
+], ids=["n1", "n2", "n3", "n255", "n256", "n257", "n1001", "n4095", "n4096", "n4097",
+        "in-barrier", "slow-1e4fs", "slow-late", "random-grid"])
 def test_contract_matches_direct_phase_sum(k_bar, x, ts):
     # independent oracle for the factored contraction: |Psi| and J against the
     # sum over the full exp(-iEt/hbar) array, to 1e-13 of their peak bounds
     # (on the windows that hold the passage |Psi| peaks at 0.87 to 1.0 of its
-    # bound).  n_t = 1001 and 4097 are not multiples of B (32 and
-    # 65); the slow packet takes the window to |t| = 1e4 fs with E t/hbar ~ 1e3
+    # bound).  B and the block count change at the edges n_t = 256 (B = 16,
+    # 16 blocks), 257 (B = 32, 9 blocks), 4096 (64, 64) and 4097 (128, 33),
+    # and 255, 1001 and 4095 pad their last block; the slow packet takes the window to |t| = 1e4 fs with E t/hbar ~ 1e3
     # rad (170 turns), and the sorted random grid is not uniform.  Psi's
     # phase is left out: the factored sum puts sample i at ts[mB] + j dt, a
     # few ulps of t from ts[i], which turns Psi by E dt/hbar ~ 2e-13 rad and
@@ -368,6 +359,21 @@ def test_contract_as_accurate_as_direct_sum_at_large_phases(lo, hi, n_t):
         assert err <= 2.0 * err_direct
 
 
+@pytest.mark.parametrize("phase_block", [wavepacket.PHASE_BLOCK, 128 * 64])
+def test_psi_grid_with_more_rows_than_base_steps(monkeypatch, phase_block):
+    # 101 rows against B = 32 base steps of 257 samples (9 blocks), in one
+    # batch and, with PHASE_BLOCK below the rows' own size, one block per
+    # batch: |Psi| at every row to 1e-13 of its bound sum_k |c_k psi_k(x)|
+    monkeypatch.setattr(wavepacket, "PHASE_BLOCK", phase_block)
+    prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
+    xs = np.linspace(-20.0, 30.0, 101)
+    ts = np.linspace(-60.0, 100.0, 257)
+    rows = prop._cw * prop.table.psi(xs)
+    direct = np.abs(rows @ np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / UNITS.hbar))
+    bound = np.sum(np.abs(rows), axis=1)[:, None]
+    assert np.max(np.abs(np.abs(prop.psi_grid(xs, ts)) - direct) / bound) <= 1e-13
+
+
 def test_psi_grid_rows_are_psi_only(monkeypatch):
     # psi_grid builds its n_x x n_k rows in one array from psi alone: the rows
     # equal the per-x spectral rows of every component, psi' is never
@@ -384,8 +390,8 @@ def test_psi_grid_rows_are_psi_only(monkeypatch):
         grid = prop.psi_grid(xs, [7.0], component)[:, 0]
         direct = (prop._cw * rows) @ np.exp(-1j * prop.packet.E * 7.0 / UNITS.hbar)
         assert np.max(np.abs(grid - direct)) <= 1e-13 * np.max(np.abs(direct))
-    # 101 rows outnumber the B = 16 base steps of 256 samples: one product per
-    # block (|Psi| only, for the sample-position rounding noted above)
+    # 101 rows outnumber the B = 16 base steps of 256 samples (|Psi| only,
+    # for the sample-position rounding noted above)
     ts = np.linspace(-60.0, 100.0, 256)
     direct = np.abs((prop._cw * per_x["full"]) @ np.exp(
         -1j * np.multiply.outer(prop.packet.E, ts) / UNITS.hbar))
