@@ -42,6 +42,7 @@ from .double_barrier import (
     Resonance,
     cavity_factor,
     find_resonances,
+    on_resonance,
     opaque_coefficients,
     opaque_phase_time,
     phase_time_total,

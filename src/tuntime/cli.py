@@ -29,14 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import emguide
-from .core import UNITS, ContractViolation
+from .core import UNITS
 from .double_barrier import (
     OPACITY_HARD_FLOOR,
     OPACITY_WARN_BELOW,
+    on_resonance,
     opaque_coefficients,
     phase_time_total,
-    resonance_denominator,
-    RESONANCE_DENOMINATOR_TOL,
 )
 from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
@@ -72,6 +71,11 @@ _DEFAULTS = {
     "workers": 1,
     "output_dir": "tuntime-out",
 }
+
+# the parameters a scan may vary on each potential kind, so that every row
+# sees its own value; the width scans build rectangular barriers and vary 'a'
+_SCANNABLE = {"rectangular": {"a", "E", "V0"}, "double": {"E", "V0"}, "segments": {"E"}}
+_WIDTH_SCANS = ("hartman-scan", "or-times", "double-barrier-scan")
 
 
 def _fail(path: str, message: str):
@@ -127,9 +131,13 @@ def resolve(raw: dict) -> dict:
             _fail("potential.segments", "must be a non-empty list of [x0, x1, V]")
     else:
         _fail("potential.kind", "one of 'rectangular', 'double', 'segments'")
-    own = [name for name in ("hartman-scan", "or-times", "double-barrier-scan") if name in obs]
+    own = [name for name in _WIDTH_SCANS if name in obs]
     if own and kind != "rectangular":  # these build their own barriers from potential.V0
         _fail("potential.kind", f"{', '.join(own)} needs kind 'rectangular', not {kind!r}")
+    if "two-phase" in obs and kind == "double":
+        _fail("potential.kind", "two-phase needs a single barrier, not kind 'double'")
+    if "two-phase" in obs and kind == "segments" and len(pot_raw["segments"]) != 1:
+        _fail("potential.segments", "two-phase needs a single barrier")
     cfg["potential"] = pot_raw
 
     if "packet" in raw or "packets" in raw or {"or-times", "causality"} & set(obs):
@@ -147,9 +155,12 @@ def resolve(raw: dict) -> dict:
     if "hartman-scan" in obs and not cfg["energy"] < pot_raw["V0"]:  # no kappa, no BL time
         _fail("energy", f"hartman-scan needs an energy below the barrier, V0 = {pot_raw['V0']!r}")
 
-    cfg["scan"] = _resolve_scan("scan", raw.get("scan", _DEFAULTS["scan"]), pot_raw)
+    readers = [name for name in obs if name not in ("causality", "waveguide")]
+    allowed = {"a"} if own else _SCANNABLE[kind] if readers else {"a", "E", "V0", "L_minus_a"}
+    cfg["scan"] = _resolve_scan("scan", raw.get("scan", _DEFAULTS["scan"]), allowed,
+                                f"{', '.join(readers) or 'a scan'} on kind {kind!r}")
     if "scan2" in raw:
-        cfg["scan2"] = _resolve_scan("scan2", raw["scan2"], pot_raw)
+        cfg["scan2"] = _resolve_scan("scan2", raw["scan2"], {"L_minus_a"}, "the second axis")
 
     if "markers" in raw:
         m = raw["markers"]
@@ -197,13 +208,10 @@ def _resolve_packet(path: str, p: dict, pot: dict) -> dict:
             "E_bar": float(UNITS.energy(k_bar))}
 
 
-def _resolve_scan(path: str, s: dict, pot: dict) -> dict:
+def _resolve_scan(path: str, s: dict, allowed: set, why: str) -> dict:
     param = s.get("parameter")
-    allowed = {"a", "E", "V0"} | ({"L_minus_a"} if pot.get("kind") == "double" else set())
-    if pot.get("kind") == "rectangular" or pot.get("kind") is None:
-        allowed |= {"L_minus_a"}  # double-barrier-scan builds its own potential
     if param not in allowed:
-        _fail(f"{path}.parameter", f"must be one of {sorted(allowed)} for this potential")
+        _fail(f"{path}.parameter", f"must be one of {sorted(allowed)} for {why}")
     try:
         lo, hi, steps = float(s["min"]), float(s["max"]), int(s["steps"])
     except (KeyError, TypeError, ValueError):
@@ -215,10 +223,10 @@ def _resolve_scan(path: str, s: dict, pot: dict) -> dict:
     return {"parameter": param, "min": lo, "max": hi, "steps": steps}
 
 
-def _build_potential(pot: dict, a_override=None) -> PiecewisePotential:
+def _build_potential(pot: dict) -> PiecewisePotential:
     kind = pot["kind"]
     if kind == "rectangular":
-        return rectangular(pot["V0"], a_override if a_override is not None else pot["a"])
+        return rectangular(pot["V0"], pot["a"])
     if kind == "double":
         return double_rectangular(pot["V0"], pot["a"], pot["L"])
     return PiecewisePotential(tuple(tuple(s) for s in pot["segments"]))
@@ -276,12 +284,7 @@ def _obs_stationary(cfg: dict, which: str):
         return dwell_time_stationary(pot, E, RegionMarkers(pot.x_left, pot.x_right))
 
     def row(v):
-        if scan["parameter"] == "a":
-            pot = _build_potential(pot_cfg, a_override=v)
-        elif scan["parameter"] == "V0":
-            pot = _build_potential({**pot_cfg, "V0": v})
-        else:
-            raise ContractViolation(f"scan parameter {scan['parameter']!r} not usable here")
+        pot = _build_potential({**pot_cfg, scan["parameter"]: v})
         return [v, E0, evaluate(pot, E0), *_OK_FLAGS.values()]
 
     header = [scan["parameter"], "E_eV", f"{which.replace('-', '_')}_fs", *FLAGS]
@@ -310,9 +313,6 @@ def _obs_two_phase(cfg: dict):
 
 
 def _obs_hartman(cfg: dict):
-    scan = cfg["scan"]
-    if scan["parameter"] != "a":
-        raise ConfigError("scan.parameter", "hartman-scan scans the barrier width 'a'")
     E = cfg["energy"]
     V0 = cfg["potential"]["V0"]
     kappa = float(UNITS.decay_constant(V0, E))
@@ -325,13 +325,10 @@ def _obs_hartman(cfg: dict):
         return [a, kappa * a, tau_ph, tau_bl, tau_dw, 1, 0, int(kappa * a < OPACITY_WARN_BELOW)]
 
     header = ["a", "kappa_a", "tau_phase_fs", "tau_bl_fs", "tau_dwell_fs", *FLAGS]
-    return header, [row(v) for v in _scan_values(scan)]
+    return header, [row(v) for v in _scan_values(cfg["scan"])]
 
 
 def _obs_or_times(cfg: dict):
-    scan = cfg["scan"]
-    if scan["parameter"] != "a":
-        raise ConfigError("scan.parameter", "or-times scans the barrier width 'a'")
     V0 = cfg["potential"]["V0"]
     rows = []
     for pk_cfg in cfg["packets"]:
@@ -350,7 +347,7 @@ def _obs_or_times(cfg: dict):
                     sa.mean - s0.mean, float(packet.energy_average(tau_ph)),
                     int(tail), 0, 0]
 
-        rows.extend(row(a) for a in _scan_values(scan))
+        rows.extend(row(a) for a in _scan_values(cfg["scan"]))
     header = ["E_bar_eV", "delta_k", "a", "t_plus_0_fs", "t_plus_a_fs",
               "tau_tun_fs", "tau_phase_avg_fs", *FLAGS]
     return header, rows
@@ -373,20 +370,14 @@ def _obs_double(cfg: dict):
     pot_cfg = cfg["potential"]
     V0 = pot_cfg["V0"]
     E = cfg["energy"]
-    scan_a = cfg["scan"]
-    if scan_a["parameter"] != "a":
-        raise ConfigError("scan.parameter", "double-barrier-scan scans 'a' (and scan2 'L_minus_a')")
     scan_g = cfg.get("scan2", {"parameter": "L_minus_a", "min": 5.0, "max": 20.0, "steps": 4})
-    if scan_g["parameter"] != "L_minus_a":
-        raise ConfigError("scan2.parameter", "second axis must be 'L_minus_a'")
-    pairs = [(a, g) for a in _scan_values(scan_a) for g in _scan_values(scan_g)]
+    pairs = [(a, g) for a in _scan_values(cfg["scan"]) for g in _scan_values(scan_g)]
 
     def row(pair):
         a, gap = pair
         L = a + gap
         chi = float(UNITS.decay_constant(V0, E))
-        den = resonance_denominator(V0, a, L, E)
-        on_res = int(abs(den) < RESONANCE_DENOMINATOR_TOL * chi * float(UNITS.wavenumber(E)))
+        on_res = int(on_resonance(V0, a, L, E))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tau = phase_time_total(V0, a, L, E)
@@ -479,9 +470,6 @@ def cmd_run(args) -> int:
                 warnings.simplefilter("always")
                 header, rows = _HANDLERS[name](cfg)
             warning_count += len(caught)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
         except Exception as exc:  # numerical failure
             print(f"numerical failure in observable {name!r}: {exc}", file=sys.stderr)
             return 2

@@ -2,8 +2,9 @@
 grids, the package's one numerical derivative and its one bracket search.
 
 Internal units are eV / Angstrom / fs throughout.  The only physical inputs
-are hbar, the kinetic constant hbar^2/(2 m_e), and the speed of light; every
-wavenumber, velocity and time in the package derives from these three.
+are hbar, the kinetic constant hbar^2/(2 m_e), and the speed of light, fixed
+in UNITS, which every module reads; every wavenumber, velocity and time in
+the package derives from these three.
 Every stationary time that is an energy (or wavenumber) derivative takes it
 through `central_difference`, which evaluates a vectorised function once on
 a stacked array of shifted arguments; every peak or crossing search goes

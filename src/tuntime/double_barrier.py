@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNITS, ContractViolation, UnitSystem, bracket_search, central_difference
+from .core import UNITS, ContractViolation, bracket_search
 from .potential import double_rectangular
 from .scattering import SolutionTable, solve
 from .stationary_times import phase_time
@@ -79,37 +79,41 @@ class DoubleBarrierSolution:
         return self.A_T * self.Ap_T
 
 
-def _kinematics(V0: float, a: float, L: float, E: float, units: UnitSystem):
+def _kinematics(V0: float, a: float, L: float, E: float):
     if not (0 < E < V0):
         raise ContractViolation("double-barrier analysis needs 0 < E < V0")
     if not (a > 0 and L >= a):
         raise ContractViolation("need a > 0 and L >= a")
-    k = float(units.wavenumber(E))
-    chi = float(units.decay_constant(V0, E))
+    k = float(UNITS.wavenumber(E))
+    chi = float(UNITS.decay_constant(V0, E))
     return k, chi
 
 
-def resonance_denominator(V0: float, a: float, L: float, E: float,
-                          units: UnitSystem = UNITS) -> float:
+def resonance_denominator(V0: float, a: float, L: float, E: float) -> float:
     """2 chi k cos k(L-a) + (chi^2 - k^2) sin k(L-a); zero at cavity resonances."""
-    k, chi = _kinematics(V0, a, L, E, units)
+    k, chi = _kinematics(V0, a, L, E)
     g = L - a
     return 2 * chi * k * math.cos(k * g) + (chi**2 - k**2) * math.sin(k * g)
 
 
-def cavity_factor(V0: float, a: float, L: float, E: float,
-                  units: UnitSystem = UNITS) -> float:
+def on_resonance(V0: float, a: float, L: float, E: float) -> bool:
+    """True on a cavity resonance: |resonance_denominator| below
+    RESONANCE_DENOMINATOR_TOL chi k."""
+    k, chi = _kinematics(V0, a, L, E)
+    return abs(resonance_denominator(V0, a, L, E)) < RESONANCE_DENOMINATOR_TOL * chi * k
+
+
+def cavity_factor(V0: float, a: float, L: float, E: float) -> float:
     """The real factor A = 2 chi k / resonance_denominator."""
-    k, chi = _kinematics(V0, a, L, E, units)
-    return 2 * chi * k / resonance_denominator(V0, a, L, E, units)
+    k, chi = _kinematics(V0, a, L, E)
+    return 2 * chi * k / resonance_denominator(V0, a, L, E)
 
 
 def _delta(k: float, chi: float) -> float:
     return cmath.phase((1j * k + chi) / (1j * k - chi))
 
 
-def solve_exact(V0: float, a: float, L: float, E: float,
-                units: UnitSystem = UNITS) -> DoubleBarrierSolution:
+def solve_exact(V0: float, a: float, L: float, E: float) -> DoubleBarrierSolution:
     """Exact coefficients for unit incidence, read from the transfer-matrix
     table's scaled region pairs.
 
@@ -117,8 +121,8 @@ def solve_exact(V0: float, a: float, L: float, E: float,
     with their log scales subtracted before anything is exponentiated, so a
     field is 0 only where its own value lies below the double range.
     """
-    k, chi = _kinematics(V0, a, L, E, units)
-    table = solve(double_rectangular(V0, a, L), E, units)
+    k, chi = _kinematics(V0, a, L, E)
+    table = solve(double_rectangular(V0, a, L), E)
     f, b, s = table.f[0], table.b[0], table.log_scale[0]
     d = 1j * table.q[0] * (table.ends - table.refs)  # log of e^{iqd} across each region
 
@@ -138,10 +142,9 @@ def solve_exact(V0: float, a: float, L: float, E: float,
     else:  # no cavity: the full first-barrier transmission is attributed at x = a
         A_T, Ap_R, Ap_T = table.A_T[0], 0j, 1 + 0j
         alphap, betap = pair(2)
-        A_fac = cavity_factor(V0, a, L, E, units)
+        A_fac = cavity_factor(V0, a, L, E)
 
-    den = resonance_denominator(V0, a, L, E, units)
-    flags = ("on_resonance",) if abs(den) < RESONANCE_DENOMINATOR_TOL * chi * k else ()
+    flags = ("on_resonance",) if on_resonance(V0, a, L, E) else ()
     return DoubleBarrierSolution(
         E=E, k=k, chi=chi, a=a, L=L,
         A_R=complex(table.A_R[0]), A_T=complex(A_T), Ap_R=complex(Ap_R),
@@ -151,10 +154,9 @@ def solve_exact(V0: float, a: float, L: float, E: float,
     )
 
 
-def opaque_coefficients(V0: float, a: float, L: float, E: float,
-                        units: UnitSystem = UNITS) -> DoubleBarrierSolution:
+def opaque_coefficients(V0: float, a: float, L: float, E: float) -> DoubleBarrierSolution:
     """Opaque-limit (chi a -> infinity) closed-form coefficient set."""
-    k, chi = _kinematics(V0, a, L, E, units)
+    k, chi = _kinematics(V0, a, L, E)
     if chi * a < OPACITY_HARD_FLOOR:
         raise ContractViolation(f"opaque forms need chi*a >= {OPACITY_HARD_FLOOR}")
     flags = []
@@ -165,12 +167,11 @@ def opaque_coefficients(V0: float, a: float, L: float, E: float,
         flags.append("opaque_warning")
     ik = 1j * k
     g = L - a
-    den = resonance_denominator(V0, a, L, E, units)
-    if abs(den) < RESONANCE_DENOMINATOR_TOL * chi * k:
+    if on_resonance(V0, a, L, E):
         warnings.warn("on a cavity resonance; the real factor A is unreliable",
                       ResonanceWarning, stacklevel=2)
         flags.append("on_resonance")
-    A = 2 * chi * k / den
+    A = 2 * chi * k / resonance_denominator(V0, a, L, E)
     alphap = cmath.exp(1j * k * L) * 2 * ik / (ik - chi)
     betap = cmath.exp(1j * k * L - 2 * chi * a) * (-2 * ik * (ik + chi)) / (ik - chi) ** 2
     Ap_R = cmath.exp(2j * k * L) * (ik + chi) / (ik - chi)
@@ -188,36 +189,32 @@ def opaque_coefficients(V0: float, a: float, L: float, E: float,
     )
 
 
-def phase_time_total(V0: float, a: float, L: float, E: float,
-                     rel_step: float = 1e-6, units: UnitSystem = UNITS) -> float:
+def phase_time_total(V0: float, a: float, L: float, E: float) -> float:
     """Total two-barrier phase time hbar d arg[A_T A'_T e^{ik(L+a)}] / dE.
 
     Evaluated on the exact product amplitude; off resonance and opaque it is
     independent of both a and L and equals the single-barrier Hartman plateau
-    2/(v chi).  Near a resonance a warning is attached and the caller should
-    shrink rel_step below Gamma/E to resolve the Lorentzian peak.
+    2/(v chi).  On a resonance a warning is attached; to resolve the
+    Lorentzian peak near one, call phase_time(double_rectangular(V0, a, L),
+    E, rel_step=...) with rel_step below Gamma/E.
     """
-    k, chi = _kinematics(V0, a, L, E, units)
-    den = resonance_denominator(V0, a, L, E, units)
-    if abs(den) < RESONANCE_DENOMINATOR_TOL * chi * k:
+    if on_resonance(V0, a, L, E):
         warnings.warn("phase_time_total evaluated on a cavity resonance",
                       ResonanceWarning, stacklevel=2)
-    return phase_time(double_rectangular(V0, a, L), E, rel_step=rel_step, units=units)
+    return phase_time(double_rectangular(V0, a, L), E)
 
 
-def opaque_phase_time(V0: float, E: float, rel_step: float = 1e-6,
-                      units: UnitSystem = UNITS) -> float:
+def opaque_phase_time(V0: float, E: float) -> float:
     """hbar d/dE arg[-4 i k chi / (ik - chi)^2]: the closed-form route to the
-    generalized-Hartman plateau, independent of every geometric parameter."""
+    generalized-Hartman plateau, independent of every geometric parameter.
+
+    The argument is 2 arctan(k/chi) - pi/2 (mod 2 pi), so hbar times its
+    energy derivative is exactly 2/(v chi), the separated opaque dwell limit.
+    """
     if not 0 < E < V0:
         raise ContractViolation("need 0 < E < V0")
-
-    def arg_deltap(Es):
-        k = units.wavenumber(Es)
-        chi = units.decay_constant(V0, Es)
-        return np.angle(-4j * k * chi / (1j * k - chi) ** 2)
-
-    return units.hbar * central_difference(arg_deltap, E, rel_step, periodic=True)
+    k = float(UNITS.wavenumber(E))
+    return 2.0 / (float(UNITS.decay_constant(V0, E)) * float(UNITS.velocity(k)))
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,7 @@ class Resonance:
     resolved: bool
 
 
-def find_resonances(V0: float, a: float, L: float, E_range: tuple,
-                    units: UnitSystem = UNITS) -> list:
+def find_resonances(V0: float, a: float, L: float, E_range: tuple) -> list:
     """Locate Fabry-Perot transmission resonances of the double barrier.
 
     Scans log |A_T,total|^2 on RESONANCE_SCAN energies (whose inter-resonance
@@ -250,7 +246,7 @@ def find_resonances(V0: float, a: float, L: float, E_range: tuple,
         return []
 
     def logT(Es):
-        return 2.0 * SolutionTable(pot, Es, units).log_abs_A_T
+        return 2.0 * SolutionTable(pot, Es).log_abs_A_T
 
     Es = np.linspace(lo, hi, RESONANCE_SCAN)
     scan = logT(Es)

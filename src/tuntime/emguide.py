@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import UNITS, ContractViolation, UnitSystem, central_difference
+from .core import UNITS, ContractViolation, central_difference
 from .potential import PiecewisePotential, rectangular
 from .scattering import SolutionTable
 
@@ -120,7 +120,7 @@ class PhotonTunnellingTime:
     flags: tuple = ()
 
 
-def photon_phase_time(spec: WaveguideSpec, units: UnitSystem = UNITS) -> PhotonTunnellingTime:
+def photon_phase_time(spec: WaveguideSpec) -> PhotonTunnellingTime:
     """tau = 2 / (c kappa_em) for an undersized segment with L kappa_em >> 1.
 
     The effective velocity L/tau = c * (L kappa_em) / 2 exceeds c exactly when
@@ -130,7 +130,7 @@ def photon_phase_time(spec: WaveguideSpec, units: UnitSystem = UNITS) -> PhotonT
     if not branch.evanescent:
         raise ContractViolation("phase tunnelling time needs an evanescent mode")
     kap = branch.kappa_em            # 1/cm
-    c_cm = units.c / CM              # cm/fs
+    c_cm = UNITS.c / CM              # cm/fs
     lk = spec.L * kap
     flags = ()
     if lk < LKAPPA_HARD_FLOOR:
@@ -165,32 +165,29 @@ class BarrierMap:
         return rectangular(self.V0_eff, self.a_eff)
 
 
-def map_to_barrier(spec: WaveguideSpec, units: UnitSystem = UNITS) -> BarrierMap:
+def map_to_barrier(spec: WaveguideSpec) -> BarrierMap:
     branch = propagation_constant(spec)
     if not branch.evanescent:
         raise ContractViolation("only evanescent guides map to a barrier")
     k_c = 2 * math.pi / cutoff_wavelength(spec) / CM   # 1/Angstrom
     k_op = 2 * math.pi / spec.lam / CM
-    V0_eff = units.hbar2_over_2m * k_c**2
+    V0_eff = UNITS.hbar2_over_2m * k_c**2
     a_eff = spec.L * CM
     return BarrierMap(V0_eff=V0_eff, a_eff=a_eff, k_op=k_op,
                       kappa=math.sqrt(k_c**2 - k_op**2))
 
 
-def mapped_phase_time(spec: WaveguideSpec, rel_k_step: float = 1e-6,
-                      units: UnitSystem = UNITS) -> float:
+def mapped_phase_time(spec: WaveguideSpec) -> float:
     """Photon phase time of the mapped barrier: d(arg A_T + k L)/dk / c, fs.
 
     The stationary amplitudes are the quantum ones of the mapped barrier; the
     linear photon dispersion turns hbar d/dE into (1/c) d/dk.
     """
-    bm = map_to_barrier(spec, units)
+    bm = map_to_barrier(spec)
     pot = bm.potential
-    dphi = central_difference(
-        lambda ks: SolutionTable(pot, units.energy(ks), units).arg_A_T,
-        bm.k_op, rel_k_step, periodic=True,
-    )
-    return (dphi + bm.a_eff) / units.c
+    dphi = central_difference(lambda ks: SolutionTable(pot, UNITS.energy(ks)).arg_A_T,
+                              bm.k_op, periodic=True)
+    return (dphi + bm.a_eff) / UNITS.c
 
 
 def ftir_shifts(tau_ph: float, v_z: float, tau_la_z: float, Omega: float):

@@ -37,7 +37,6 @@ from .core import (
     Grid1D,
     NoSuchFluxError,
     QuadratureError,
-    UnitSystem,
     bracket_search,
     central_difference,
     integrate,
@@ -143,8 +142,7 @@ def _validate_markers(pot: PiecewisePotential, kind: str, markers: RegionMarkers
 
 
 def duration(pot: PiecewisePotential, packet: SpectralPacket, kind: str,
-             markers: RegionMarkers | None = None,
-             units: UnitSystem = UNITS) -> DurationReport:
+             markers: RegionMarkers | None = None) -> DurationReport:
     """Process duration per the flux-instant differences.
 
     transmission / tunnelling / penetration:  <t_+(x_f)> - <t_+(x_i)>
@@ -159,12 +157,12 @@ def duration(pot: PiecewisePotential, packet: SpectralPacket, kind: str,
         else:
             raise ContractViolation(f"{kind} requires explicit markers")
     if kind == "dwell":
-        return dwell(pot, packet, markers, units=units)
+        return dwell(pot, packet, markers)
     if kind == "asymptotic-transmission":
-        return asymptotic_transmission(pot, packet, markers, units=units)
+        return asymptotic_transmission(pot, packet, markers)
     _validate_markers(pot, kind, markers)
 
-    prop = propagator(pot, packet, units)
+    prop = propagator(pot, packet)
     sign_f = "-" if kind == "reflection" else "+"
     stat_f = _stats(prop, markers.x_f, sign_f)
     stat_i = _stats(prop, markers.x_i, "+")
@@ -181,11 +179,11 @@ def duration(pot: PiecewisePotential, packet: SpectralPacket, kind: str,
 
 
 def _dwell_fluxes(pot: PiecewisePotential, packet: SpectralPacket,
-                  markers: RegionMarkers, units: UnitSystem) -> tuple:
+                  markers: RegionMarkers) -> tuple:
     """(prop, time grid, J(x_f), J(x_i), incident mass N, flux-moment dwell form),
     evaluated once for dwell and its decomposition on one union window."""
     _validate_markers(pot, "dwell", markers)
-    prop = propagator(pot, packet, units)
+    prop = propagator(pot, packet)
     lo, hi = _union_window(prop, (markers.x_i, markers.x_f))
     tg = Grid1D.uniform(lo, hi, DWELL_N_T)
     J_f = prop.flux(markers.x_f, tg.points)
@@ -231,7 +229,7 @@ def _decomposition(prop: Propagator, markers: RegionMarkers, tg: Grid1D,
 
 
 def dwell(pot: PiecewisePotential, packet: SpectralPacket,
-          markers: RegionMarkers, units: UnitSystem = UNITS) -> DurationReport:
+          markers: RegionMarkers) -> DurationReport:
     """Mean dwell time in (x_i, x_f), computed in both equivalent forms.
 
     Returns the space-time form (density integral over incident flux mass);
@@ -253,7 +251,7 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
     The variance is the indirect one of dwell_decomposition (there is no
     direct definition).
     """
-    prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers, units)
+    prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers)
     D = prop.table.density_integral(markers.x_i, markers.x_f)
     space_form = 2.0 * math.pi * float(integrate(np.abs(packet.G) ** 2 * D / packet.v,
                                                  packet.grid)) / N
@@ -277,8 +275,7 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
 
 
 def dwell_decomposition(pot: PiecewisePotential, packet: SpectralPacket,
-                        markers: RegionMarkers,
-                        units: UnitSystem = UNITS) -> DurationReport:
+                        markers: RegionMarkers) -> DurationReport:
     """Dwell time as the flux-split weighted average
 
         tau_Dw = <T>_E tau_T + (<R>_E + <r(x_i)>) tau_R ,
@@ -287,14 +284,14 @@ def dwell_decomposition(pot: PiecewisePotential, packet: SpectralPacket,
     <r(x)> = integral (J_+ - J_in) dt / N, the interference deficit of the
     forward flux, negative near the barrier face and vanishing upstream.
     """
-    prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers, units)
+    prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers)
     return _decomposition(prop, markers, tg, J_f, J_i, N, flux_form)
 
 
 def interference_deficit(pot: PiecewisePotential, packet: SpectralPacket,
-                         x: float, units: UnitSystem = UNITS) -> float:
+                         x: float) -> float:
     """<r(x)>: forward-flux mass at x minus the free incident mass, over N."""
-    prop = propagator(pot, packet, units)
+    prop = propagator(pot, packet)
     fs = _series(prop, x)
     J_in = prop.flux(x, fs.t, "free")
     N = packet.incident_flux_mass()
@@ -302,8 +299,7 @@ def interference_deficit(pot: PiecewisePotential, packet: SpectralPacket,
 
 
 def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
-                            markers: RegionMarkers,
-                            units: UnitSystem = UNITS) -> DurationReport:
+                            markers: RegionMarkers) -> DurationReport:
     """Asymptotic transmission duration <t(x_f)>_T - <t(x_i)>_in.
 
     The averages run over the transmitted-only and the freely moving incident
@@ -320,21 +316,20 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
             "asymptotic transmission needs |x_i| >= 10 max(extent, 1/delta_k)"
         )
     _validate_markers(pot, "transmission", markers)
-    prop = propagator(pot, packet, units)
+    prop = propagator(pot, packet)
     stat_T = _stats(prop, markers.x_f, "+", component="transmitted")
     stat_in = _stats(prop, markers.x_i, "+", component="free")
     stat_full_f = _stats(prop, markers.x_f, "+", component="full")
     stat_in_f = _stats(prop, markers.x_f, "+", component="free")
     mean = stat_T.mean - stat_in.mean
 
-    tau_ph_avg = float(packet.energy_average(phase_time(pot, prop.table.E, markers,
-                                                        units=units)))
+    tau_ph_avg = float(packet.energy_average(phase_time(pot, prop.table.E, markers)))
     projected = stat_full_f.mean - stat_in.mean
 
     absAT = np.abs(prop.table.A_T)  # d|A_T|/dE = |A_T| d ln|A_T|/dE
-    dabs = absAT * central_difference(
-        lambda Es: SolutionTable(pot, Es, units).log_abs_A_T, prop.table.E)
-    eq_var = units.hbar**2 * packet.energy_average(dabs**2) \
+    dabs = absAT * central_difference(lambda Es: SolutionTable(pot, Es).log_abs_A_T,
+                                      prop.table.E)
+    eq_var = UNITS.hbar**2 * packet.energy_average(dabs**2) \
         / packet.energy_average(absAT**2)
 
     var = stat_T.variance + stat_in.variance
@@ -353,15 +348,14 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
 
 
 def projected_duration(pot: PiecewisePotential, packet: SpectralPacket,
-                       markers: RegionMarkers,
-                       units: UnitSystem = UNITS) -> float:
+                       markers: RegionMarkers) -> float:
     """Duration under the positive-momentum projection at the entry point:
     <t_+(x_f)> - <t(x_i)>_in, i.e. the incident-only flux replaces J_+(x_i).
 
     For wavepackets recorded by forward-only detectors this equals the
     packet-averaged stationary phase time over the same markers.
     """
-    prop = propagator(pot, packet, units)
+    prop = propagator(pot, packet)
     stat_f = _stats(prop, markers.x_f, "+")
     stat_in = _stats(prop, markers.x_i, "+", component="free")
     return stat_f.mean - stat_in.mean
@@ -378,8 +372,7 @@ class CausalityResult:
 
 
 def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
-                    variant: str, x_i: float | None = None,
-                    units: UnitSystem = UNITS) -> CausalityResult:
+                    variant: str, x_i: float | None = None) -> CausalityResult:
     """Causality predicates comparing the final flux against free propagation.
 
     integral:  min over t of integral_-inf^t [J_in(x_f) - J_fin,+(x_f)] dtau,
@@ -400,7 +393,7 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
         raise ContractViolation(f"unknown causality variant {variant!r}")
     if not pot.is_free and x_f < pot.x_right and variant != "effective":
         raise ContractViolation("causality comparisons need x_f at or past the barrier")
-    prop = propagator(pot, packet, units)
+    prop = propagator(pot, packet)
 
     if variant == "effective":
         xi = pot.x_left if x_i is None else x_i

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .core import ContractViolation
 
+SYMMETRY_TOL = 1e-12  # edge and height mismatch, Angstrom / eV, of a mirror-symmetric potential
+
 
 @dataclass(frozen=True)
 class PiecewisePotential:
@@ -85,7 +87,7 @@ class PiecewisePotential:
             return []
         return [regs[0][0]] + [r[1] for r in regs]
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         """True when V(x) is mirror-symmetric about the midpoint of its extent."""
         regs = self.interior_regions()
         if not regs:
@@ -93,7 +95,7 @@ class PiecewisePotential:
         centre = 0.5 * (self.x_left + self.x_right)
         mirrored = [(2 * centre - hi, 2 * centre - lo, v) for (lo, hi, v) in reversed(regs)]
         return all(
-            abs(a0 - b0) <= tol and abs(a1 - b1) <= tol and abs(av - bv) <= tol
+            max(abs(a0 - b0), abs(a1 - b1), abs(av - bv)) <= SYMMETRY_TOL
             for (a0, a1, av), (b0, b1, bv) in zip(regs, mirrored)
         )
 

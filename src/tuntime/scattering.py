@@ -38,19 +38,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNITS, BranchResolutionError, ContractViolation, UnitSystem
+from .core import UNITS, BranchResolutionError, ContractViolation
 from .potential import PiecewisePotential
 
 DEGENERACY_REL_SHIFT = 1e-9  # relative; applied when E collides with a segment height
-UNITARITY_TOL = 1e-10        # |A_T|^2 + |A_R|^2 - 1 a solve is held to
-ORACLE_TOL = 1e-12           # amplitude distance from the closed-form rectangular barrier
+# the bounds the test suite holds a solve to: |A_T|^2 + |A_R|^2 - 1, and the
+# amplitudes' distance from the closed-form rectangular and double barriers
+UNITARITY_TOL = 1e-10
+ORACLE_TOL = 1e-12
 TWO_PHASE_TOL = 1e-6         # roundtrip residual of a two-phase extraction
 _RESCALE_LIMIT = 1e150
 
 
-def _wavenumbers(E, heights, units: UnitSystem):
+def _wavenumbers(E, heights):
     """Complex q per region: real > 0 above a level, i*kappa below it."""
-    diff = (np.asarray(E)[:, None] - np.asarray(heights)[None, :]) / units.hbar2_over_2m
+    diff = (np.asarray(E)[:, None] - np.asarray(heights)[None, :]) / UNITS.hbar2_over_2m
     q = np.where(diff >= 0, np.sqrt(np.abs(diff)), 1j * np.sqrt(np.abs(diff)))
     return q
 
@@ -71,12 +73,11 @@ class SolutionTable:
     transmission never pays for it.
     """
 
-    def __init__(self, pot: PiecewisePotential, Es, units: UnitSystem = UNITS):
+    def __init__(self, pot: PiecewisePotential, Es):
         Es = np.atleast_1d(np.asarray(Es, dtype=float))
         if (Es <= 0).any():
             raise ContractViolation("scattering energies must be positive")
         self.pot = pot
-        self.units = units
 
         regions = pot.interior_regions()
         heights = np.array([0.0] + [v for (_, _, v) in regions] + [0.0])
@@ -92,7 +93,7 @@ class SolutionTable:
                 Es = np.where(close, v * (1.0 + DEGENERACY_REL_SHIFT), Es)
                 self.shifted |= close
         self.E = Es
-        self.k = units.wavenumber(Es)
+        self.k = UNITS.wavenumber(Es)
         n = len(Es)
 
         if not regions:
@@ -111,7 +112,7 @@ class SolutionTable:
         self.refs = np.array([x1] + [r[0] for r in regions] + [xm])
         self.ends = np.array([x1] + [r[1] for r in regions] + [xm])
         widths = self.ends - self.refs
-        self.q = _wavenumbers(Es, heights, units)  # (nE, n_regions)
+        self.q = _wavenumbers(Es, heights)  # (nE, n_regions)
         q = np.ascontiguousarray(self.q.T)  # region-major from here on
         nreg = len(heights)
 
@@ -270,12 +271,12 @@ class SolutionTable:
                 + np.abs(self.b[:, 0] * scale - self.A_R * np.exp(-1j * self.k * x1)))
 
 
-def solve(pot: PiecewisePotential, E: float, units: UnitSystem = UNITS) -> SolutionTable:
+def solve(pot: PiecewisePotential, E: float) -> SolutionTable:
     """One-row table at energy E for unit incidence e^{ikx} from the left."""
-    return SolutionTable(pot, [E], units)
+    return SolutionTable(pot, [E])
 
 
-def rect_amplitude(V0: float, a: float, E: float, units: UnitSystem = UNITS):
+def rect_amplitude(V0: float, a: float, E: float):
     """Closed-form sub-barrier amplitudes (A_T, A_R) of a rectangular barrier.
 
     A_T = 4 i k kappa [(k^2 - kappa^2) D_- + 2 i k kappa D_+]^{-1} e^{-(kappa + ik) a}
@@ -288,8 +289,8 @@ def rect_amplitude(V0: float, a: float, E: float, units: UnitSystem = UNITS):
         raise ContractViolation("rect_amplitude needs 0 < E < V0; use solve above barrier")
     if not a > 0:
         raise ContractViolation("need a > 0")
-    k = float(units.wavenumber(E))
-    kap = float(units.decay_constant(V0, E))
+    k = float(UNITS.wavenumber(E))
+    kap = float(UNITS.decay_constant(V0, E))
     Dm = -math.expm1(-2.0 * kap * a)
     Dp = 2.0 - Dm
     unscaled = 4j * k * kap / ((k**2 - kap**2) * Dm + 2j * k * kap * Dp)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNITS, ContractViolation, UnitSystem, central_difference
+from .core import UNITS, ContractViolation, central_difference
 from .potential import PiecewisePotential, RegionMarkers, rectangular
 from .scattering import SolutionTable, rect_amplitude, two_phase
 
@@ -47,7 +47,6 @@ def phase_time(
     E,
     markers: RegionMarkers | None = None,
     rel_step: float = 1e-6,
-    units: UnitSystem = UNITS,
 ):
     """Stationary-phase traversal time (x_f - x_i)/v + hbar d(arg A_T)/dE.
 
@@ -63,20 +62,15 @@ def phase_time(
     x_i, x_f = _markers_or_extent(pot, markers)
 
     def phase(Es):
-        A_T = SolutionTable(pot, Es, units).A_T
+        A_T = SolutionTable(pot, Es).A_T
         return np.where(A_T != 0, np.angle(A_T), np.nan)
 
     dphi = central_difference(phase, E, rel_step, periodic=True)
-    v = units.velocity(units.wavenumber(E))
-    return _like(E, (x_f - x_i) / v + units.hbar * dphi)
+    v = UNITS.velocity(UNITS.wavenumber(E))
+    return _like(E, (x_f - x_i) / v + UNITS.hbar * dphi)
 
 
-def bl_time(
-    pot: PiecewisePotential,
-    E,
-    rel_step: float = 1e-6,
-    units: UnitSystem = UNITS,
-):
+def bl_time(pot: PiecewisePotential, E):
     """Modulus-sensitivity time hbar |d ln|A_T| / dE|.
 
     This is the monochromatic limit of the spin-flip Larmor component and is
@@ -89,18 +83,11 @@ def bl_time(
     E_arr = np.asarray(E)
     if not np.all((E_arr > 0) & (E_arr < pot.max_height)):
         raise ContractViolation("bl_time is defined in the sub-barrier regime")
-    dlog = central_difference(
-        lambda Es: SolutionTable(pot, Es, units).log_abs_A_T, E, rel_step
-    )
-    return _like(E, units.hbar * np.abs(dlog))
+    dlog = central_difference(lambda Es: SolutionTable(pot, Es).log_abs_A_T, E)
+    return _like(E, UNITS.hbar * np.abs(dlog))
 
 
-def dwell_time_stationary(
-    pot: PiecewisePotential,
-    E,
-    markers: RegionMarkers,
-    units: UnitSystem = UNITS,
-):
+def dwell_time_stationary(pot: PiecewisePotential, E, markers: RegionMarkers):
     """Stationary dwell time: integral of |psi_E|^2 over (x_i, x_f) divided by
     the incident velocity v, for the unit-incidence scattering state.
 
@@ -112,11 +99,11 @@ def dwell_time_stationary(
     x_i, x_f = markers.x_i, markers.x_f
     if not x_f > x_i:
         raise ContractViolation("markers must span a nonempty interval")
-    rho = SolutionTable(pot, E, units).density_integral(x_i, x_f).reshape(np.shape(E))
-    return _like(E, rho / units.velocity(units.wavenumber(E)))
+    rho = SolutionTable(pot, E).density_integral(x_i, x_f).reshape(np.shape(E))
+    return _like(E, rho / UNITS.velocity(UNITS.wavenumber(E)))
 
 
-def rect_dwell_closed(V0: float, a: float, E: float, units: UnitSystem = UNITS) -> float:
+def rect_dwell_closed(V0: float, a: float, E: float) -> float:
     """Closed-form barrier-interval dwell time for a rectangular barrier.
 
     psi = alpha e^{-kappa x} + beta e^{kappa x} in the barrier, with alpha from
@@ -125,10 +112,10 @@ def rect_dwell_closed(V0: float, a: float, E: float, units: UnitSystem = UNITS) 
     with no growing exponential.  An algebra-only route, independent of
     SolutionTable, for any opacity.
     """
-    A_T, A_R = rect_amplitude(V0, a, E, units)
-    k = float(units.wavenumber(E))
-    kap = float(units.decay_constant(V0, E))
-    v = float(units.velocity(k))
+    A_T, A_R = rect_amplitude(V0, a, E)
+    k = float(UNITS.wavenumber(E))
+    kap = float(UNITS.decay_constant(V0, E))
+    v = float(UNITS.velocity(k))
     alpha = 0.5 * ((1 + A_R) - 1j * k * (1 - A_R) / kap)
     beta_end = 0.5 * A_T * cmath.exp(1j * k * a) * (1 + 1j * k / kap)
     ep = -math.expm1(-2 * kap * a)  # 1 - e^{-2 kappa a}, accurate for small kap*a
@@ -139,7 +126,7 @@ def rect_dwell_closed(V0: float, a: float, E: float, units: UnitSystem = UNITS) 
     return integral / v
 
 
-def opaque_dwell_limits(V0: float, E: float, units: UnitSystem = UNITS) -> dict:
+def opaque_dwell_limits(V0: float, E: float) -> dict:
     """Both printed opaque-barrier dwell limits, side by side.
 
     `with_interference`  = hbar k / (kappa V0), the limit that keeps the
@@ -151,21 +138,16 @@ def opaque_dwell_limits(V0: float, E: float, units: UnitSystem = UNITS) -> dict:
     """
     if not 0 < E < V0:
         raise ContractViolation("need 0 < E < V0")
-    k = float(units.wavenumber(E))
-    kap = float(units.decay_constant(V0, E))
-    v = float(units.velocity(k))
+    k = float(UNITS.wavenumber(E))
+    kap = float(UNITS.decay_constant(V0, E))
+    v = float(UNITS.velocity(k))
     return {
-        "with_interference": units.hbar * k / (kap * V0),
+        "with_interference": UNITS.hbar * k / (kap * V0),
         "separated": 2.0 / (kap * v),
     }
 
 
-def two_phase_times(
-    pot: PiecewisePotential,
-    E,
-    rel_step: float = 1e-6,
-    units: UnitSystem = UNITS,
-):
+def two_phase_times(pot: PiecewisePotential, E):
     """(tau_phase, tau_z) from the two-phase representation, at a scalar
     energy (floats) or an array of energies (arrays).
 
@@ -176,11 +158,11 @@ def two_phase_times(
     independent route to phase_time and bl_time; phi2 is differenced mod 2 pi.
     """
     def angles(Es):
-        return two_phase(SolutionTable(pot, Es, units))
+        return two_phase(SolutionTable(pot, Es))
 
-    dphi2 = central_difference(lambda Es: angles(Es).phi2, E, rel_step, periodic=True)
-    dlogsin = central_difference(lambda Es: np.log(np.sin(angles(Es).phi1)), E, rel_step)
-    return _like(E, units.hbar * dphi2), _like(E, units.hbar * dlogsin)
+    dphi2 = central_difference(lambda Es: angles(Es).phi2, E, periodic=True)
+    dlogsin = central_difference(lambda Es: np.log(np.sin(angles(Es).phi1)), E)
+    return _like(E, UNITS.hbar * dphi2), _like(E, UNITS.hbar * dlogsin)
 
 
 def resonance_delay(E: float, E_r: float, Gamma: float, tau_nr: float) -> float:
@@ -191,12 +173,7 @@ def resonance_delay(E: float, E_r: float, Gamma: float, tau_nr: float) -> float:
     return UNITS.hbar * Gamma / ((E - E_r) ** 2 + Gamma**2) + tau_nr
 
 
-def time_catalog(
-    V0: float,
-    a: float,
-    E: float,
-    units: UnitSystem = UNITS,
-) -> TimeCatalog:
+def time_catalog(V0: float, a: float, E: float) -> TimeCatalog:
     """Every stationary time for a rectangular barrier at one energy.
 
     tau_dwell and tau_larmor_y are both closed-form dwells, by two independent
@@ -208,13 +185,13 @@ def time_catalog(
         raise ContractViolation("time_catalog needs 0 < E < V0")
     pot_markers = RegionMarkers(0.0, a)
     pot = rectangular(V0, a)
-    bl = bl_time(pot, E, units=units)
+    bl = bl_time(pot, E)
     return TimeCatalog(
         E=E,
-        tau_phase=phase_time(pot, E, units=units),
+        tau_phase=phase_time(pot, E),
         tau_bl=bl,
-        tau_dwell=dwell_time_stationary(pot, E, pot_markers, units=units),
-        tau_larmor_y=rect_dwell_closed(V0, a, E, units),
+        tau_dwell=dwell_time_stationary(pot, E, pot_markers),
+        tau_larmor_y=rect_dwell_closed(V0, a, E),
         tau_larmor_z=bl,
     )
 

@@ -40,11 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNITS, ContractViolation, Grid1D, UnitSystem, integrate
+from .core import UNITS, ContractViolation, Grid1D, integrate
 from .potential import PiecewisePotential
 from .scattering import SolutionTable
 
 TAIL_TOL = 1e-4          # relative |J|-mass change that ends the tail extension
+FLUX_N_T = 2048          # samples of a flux series' requested window
+PACKET_SPAN = 12.0       # packet grid half-width in delta_k: edges below 1e-12 of the peak
 MAX_TAIL_EXTENSIONS = 8  # 25% window extensions before tail_captured=False
 PHASE_BLOCK = 1 << 19    # most entries of one phase build or stacked operand,
                          # and most samples one propagator's flux memo holds
@@ -55,17 +57,16 @@ class Dispersion:
     """Energy-wavenumber relation used for the time evolution phases."""
 
     kind: str  # "massive" or "photon"
-    units: UnitSystem = UNITS
 
     def energy(self, k):
         if self.kind == "massive":
-            return self.units.energy(k)
-        return self.units.hbar * self.units.c * np.asarray(k)
+            return UNITS.energy(k)
+        return UNITS.hbar * UNITS.c * np.asarray(k)
 
     def velocity(self, k):
         if self.kind == "massive":
-            return self.units.velocity(k)
-        return self.units.c * np.ones_like(np.asarray(k, dtype=float))
+            return UNITS.velocity(k)
+        return UNITS.c * np.ones_like(np.asarray(k, dtype=float))
 
 
 MASSIVE = Dispersion("massive")
@@ -115,8 +116,7 @@ class SpectralPacket:
 
     def norm_dE(self) -> float:
         """integral |G|^2 dE on the grid; 1 by construction."""
-        hbar = self.dispersion.units.hbar
-        return float(integrate(np.abs(self.G) ** 2 * hbar * self.v, self.grid))
+        return float(integrate(np.abs(self.G) ** 2 * UNITS.hbar * self.v, self.grid))
 
     def energy_average(self, values) -> float:
         """<...>_E with the v |G|^2 dE measure of the quasi-monochromatic bracket."""
@@ -133,19 +133,18 @@ def gaussian_packet(
     delta_k: float,
     n_k: int = 512,
     cutoff: float | None = None,
-    span: float = 12.0,
     x0: float = 0.0,
     t0: float = 0.0,
     dispersion: Dispersion = MASSIVE,
     cutoff_keeps_above: bool = False,
-    units: UnitSystem = UNITS,
 ) -> SpectralPacket:
     """Gaussian weight G = C exp[-(k - k_bar)^2 / (2 dk)^2] on a GL grid.
 
-    The grid spans k_bar +- span*delta_k (span 12 puts the boundary samples
-    below 1e-12 of the peak), clipped to k > 0 and, when `cutoff` is a barrier
-    height, to the sub-barrier band E(k) < V0.  `cutoff_keeps_above` flips the
-    retained band to E > V0 to reproduce the as-printed step function.
+    The grid spans k_bar +- PACKET_SPAN delta_k (12 delta_k, which puts the
+    boundary samples below 1e-12 of the peak), clipped to k > 0 and, when
+    `cutoff` is a barrier height, to the sub-barrier band E(k) < V0.
+    `cutoff_keeps_above` flips the retained band to E > V0 to reproduce the
+    as-printed step function.
 
     x0 displaces the packet reference (a e^{-ik x0} phase); t0 shifts the
     launch time (e^{+iE t0/hbar}, an exact time translation of Psi).  The
@@ -156,10 +155,10 @@ def gaussian_packet(
         raise ContractViolation("need k_bar > 6 delta_k to keep the support at k > 0")
     if n_k < 128:
         raise ContractViolation("need n_k >= 128")
-    lo = max(k_bar - span * delta_k, 1e-3 * k_bar)
-    hi = k_bar + span * delta_k
+    lo = max(k_bar - PACKET_SPAN * delta_k, 1e-3 * k_bar)
+    hi = k_bar + PACKET_SPAN * delta_k
     if cutoff is not None:
-        k_edge = float(units.wavenumber(cutoff))
+        k_edge = float(UNITS.wavenumber(cutoff))
         if cutoff_keeps_above:
             lo = max(lo, k_edge)
         else:
@@ -171,10 +170,9 @@ def gaussian_packet(
     if x0 != 0.0:
         G = G * np.exp(-1j * grid.points * x0)
     if t0 != 0.0:
-        G = G * np.exp(1j * dispersion.energy(grid.points) * t0 / dispersion.units.hbar)
-    hbar = dispersion.units.hbar
+        G = G * np.exp(1j * dispersion.energy(grid.points) * t0 / UNITS.hbar)
     v = dispersion.velocity(grid.points)
-    norm = float(integrate(np.abs(G) ** 2 * hbar * v, grid))
+    norm = float(integrate(np.abs(G) ** 2 * UNITS.hbar * v, grid))
     G /= math.sqrt(norm)
     return SpectralPacket(
         grid=grid, G=G, k_bar=k_bar, delta_k=delta_k,
@@ -217,17 +215,15 @@ class Propagator:
     one.  The memo is updated under a lock, so evaluations are thread-safe.
     """
 
-    def __init__(self, pot: PiecewisePotential, packet: SpectralPacket,
-                 units: UnitSystem = UNITS):
+    def __init__(self, pot: PiecewisePotential, packet: SpectralPacket):
         self.pot = pot
         self.packet = packet
-        self.units = units
         # stationary problem is always the Schroedinger one at E = (hbar^2/2m) k^2
-        self.table = SolutionTable(pot, units.energy(packet.k), units)
+        self.table = SolutionTable(pot, UNITS.energy(packet.k))
         if packet.dispersion.kind == "massive":
-            self._flux_pref = 2.0 * units.hbar2_over_2m / units.hbar  # hbar/m
+            self._flux_pref = 2.0 * UNITS.hbar2_over_2m / UNITS.hbar  # hbar/m
         else:
-            self._flux_pref = units.c / packet.k_bar
+            self._flux_pref = UNITS.c / packet.k_bar
         self._cw = packet.w * packet.G
         # time phases are taken against the carrier e^{-iE_ref t/hbar}
         self._E_ref = float(packet.dispersion.energy(packet.k_bar))
@@ -260,12 +256,12 @@ class Propagator:
         ph = np.empty((self._dE.size, ts.size), dtype=complex)
         np.multiply.outer(self._dE, ts, out=ph)
         ph *= -1j  # in place throughout
-        ph /= self.units.hbar
+        ph /= UNITS.hbar
         return np.exp(ph, out=ph)
 
     def _carrier(self, ts) -> np.ndarray:
         """e^{-iE_ref t/hbar} at every t of ts, from each sample's own time."""
-        return np.exp(-1j * self._E_ref * np.asarray(ts, dtype=float) / self.units.hbar)
+        return np.exp(-1j * self._E_ref * np.asarray(ts, dtype=float) / UNITS.hbar)
 
     def _contract(self, rows, ts) -> np.ndarray:
         """rows @ exp(-i(E - E_ref)t/hbar), the phases factored on a uniform grid.
@@ -344,7 +340,7 @@ class Propagator:
         """d|Psi|^2/dt from the analytic time derivative of the superposition."""
         cw = self._cw * self._psi_rows([x], component)[0]
         # the carrier drops out of conj(Psi) dPsi/dt, as it does of J
-        Psi, dPsi_dt = self._contract([cw, cw * (-1j * self.packet.E / self.units.hbar)], ts)
+        Psi, dPsi_dt = self._contract([cw, cw * (-1j * self.packet.E / UNITS.hbar)], ts)
         return 2.0 * np.real(np.conj(Psi) * dPsi_dt)
 
     def psi_grid(self, xs, ts, component: str = "full") -> np.ndarray:
@@ -365,48 +361,41 @@ class Propagator:
             candidates.append((2.0 * self.pot.x_left - x - pk.x0) / v_bar + pk.t0)
         t_lo, t_hi = min(candidates), max(candidates)
         if pk.dispersion.kind == "massive":
-            t_spread = self.units.hbar * sigma_x**2 / self.units.hbar2_over_2m
+            t_spread = UNITS.hbar * sigma_x**2 / UNITS.hbar2_over_2m
             widen = math.sqrt(1.0 + (max(abs(t_lo), abs(t_hi)) / t_spread) ** 2)
         else:
             widen = 1.0
         pad = 10.0 * sigma_t * widen
         return t_lo - pad, t_hi + pad
 
-    def flux_series(
-        self,
-        x: float,
-        t_range: tuple | None = None,
-        n_t: int = 2048,
-        eps_tail: float = TAIL_TOL,
-        component: str = "full",
-    ) -> FluxSeries:
+    def flux_series(self, x: float, t_range: tuple | None = None,
+                    component: str = "full") -> FluxSeries:
         """Flux samples at x with tail-capture control.
 
-        The window is extended by 25% on both ends until the integral of |J|
-        moves by less than eps_tail relative, up to MAX_TAIL_EXTENSIONS rounds; a
-        failure is reported through tail_captured=False rather than raised.
-        Only the widened windows are evaluated: the first round reads the
-        requested window's |J| mass as the trapezoid sum over the widened
-        samples inside it, and each later round compares with the window
-        before, so a tail captured in the first round costs one `flux` call.
+        The requested window (t_range, or suggest_window(x)) is sampled at
+        FLUX_N_T points and extended by 25% on both ends until the integral
+        of |J| moves by less than TAIL_TOL relative, up to
+        MAX_TAIL_EXTENSIONS rounds, at the same sample density; a failure is
+        reported through tail_captured=False rather than raised.  Only the
+        widened windows are evaluated: the first round reads the requested
+        window's |J| mass as the trapezoid sum over the widened samples inside
+        it, and each later round compares with the window before, so a tail
+        captured in the first round costs one `flux` call.
         """
-        if n_t < 256:
-            raise ContractViolation("need n_t >= 256")
         lo, hi = t_range if t_range is not None else self.suggest_window(x)
-        density = n_t / (hi - lo)
+        density = FLUX_N_T / (hi - lo)
         mass = None
         captured = False
         for _ in range(MAX_TAIL_EXTENSIONS):
             pad = 0.25 * (hi - lo)
             wide = (lo - pad, hi + pad)
-            n = min(int(density * (wide[1] - wide[0])) + 1, 1 << 17)
-            g = Grid1D.uniform(*wide, max(n, 256))
+            g = Grid1D.uniform(*wide, min(int(density * (wide[1] - wide[0])) + 1, 1 << 17))
             J = self.flux(x, g.points, component)
             if mass is None:
                 inner = np.abs(J[(g.points >= lo) & (g.points <= hi)])
                 mass = g.weights[1] * (np.sum(inner) - 0.5 * (inner[0] + inner[-1]))
             mass, last = float(integrate(np.abs(J), g)), mass
-            if abs(mass - last) <= eps_tail * max(mass, 1e-300):
+            if abs(mass - last) <= TAIL_TOL * max(mass, 1e-300):
                 captured = True
                 break
             lo, hi = wide
@@ -431,12 +420,11 @@ _CACHE: dict = {}
 _CACHE_LIMIT = 8
 
 
-def propagator(pot: PiecewisePotential, packet: SpectralPacket,
-               units: UnitSystem = UNITS) -> Propagator:
-    key = (id(pot), id(packet), id(units))
+def propagator(pot: PiecewisePotential, packet: SpectralPacket) -> Propagator:
+    key = (id(pot), id(packet))
     prop = _CACHE.get(key)
     if prop is None or prop.pot is not pot or prop.packet is not packet:
-        prop = Propagator(pot, packet, units)
+        prop = Propagator(pot, packet)
         if len(_CACHE) >= _CACHE_LIMIT:
             _CACHE.pop(next(iter(_CACHE)))
         _CACHE[key] = prop
@@ -450,8 +438,6 @@ def psi(pot: PiecewisePotential, packet: SpectralPacket, x: float, t: float,
 
 
 def flux_series(pot: PiecewisePotential, packet: SpectralPacket, x: float,
-                t_range: tuple | None = None, n_t: int = 2048,
-                eps_tail: float = TAIL_TOL, component: str = "full") -> FluxSeries:
-    return propagator(pot, packet).flux_series(
-        x, t_range=t_range, n_t=n_t, eps_tail=eps_tail, component=component
-    )
+                t_range: tuple | None = None, component: str = "full") -> FluxSeries:
+    """Propagator.flux_series on the cached propagator of (pot, packet)."""
+    return propagator(pot, packet).flux_series(x, t_range=t_range, component=component)

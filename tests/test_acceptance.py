@@ -33,7 +33,7 @@ from tuntime.flux_times import (
     mean_time,
 )
 from tuntime.potential import PiecewisePotential, RegionMarkers, rectangular
-from tuntime.scattering import rect_amplitude, solve
+from tuntime.scattering import ORACLE_TOL, UNITARITY_TOL, rect_amplitude, solve
 from tuntime.stationary_times import (
     bl_time,
     dwell_time_stationary,
@@ -81,12 +81,12 @@ def test_criterion_01_unitarity_and_oracle():
         ))
         for E in np.linspace(0.05, V0 - 0.05, 200):
             sol = solve(pot, float(E))
-            ok &= abs(abs(sol.A_T) ** 2 + abs(sol.A_R) ** 2 - 1.0) < 1e-10
+            ok &= abs(abs(sol.A_T) ** 2 + abs(sol.A_R) ** 2 - 1.0) < UNITARITY_TOL
     pot = rectangular(V0, 3.0)
     for E in np.linspace(0.05, V0 - 0.05, 200):
         sol = solve(pot, float(E))
         A_T, A_R = rect_amplitude(V0, 3.0, float(E))
-        ok &= abs(sol.A_T - A_T) < 1e-12 and abs(sol.A_R - A_R) < 1e-12
+        ok &= abs(sol.A_T - A_T) < ORACLE_TOL and abs(sol.A_R - A_R) < ORACLE_TOL
     _report(1, ok, time.time() - t0, 5.0, "unitarity 1e-10 and analytic-oracle 1e-12")
 
 

@@ -172,11 +172,44 @@ def test_rectangle_scans_refuse_other_potentials(tmp_path, capsys, potential, ob
     assert not (out_dir / f"{observable}.csv").exists()
 
 
+SEGMENTS = {"kind": "segments", "segments": [[0.0, 5.0, 8.0]]}
+DOUBLE = {"kind": "double", "V0": 10.0, "a": 3.0, "L": 9.0}
+RECTANGLE = {"kind": "rectangular", "V0": 10.0, "a": 3.0}
+SCAN_REFUSALS = {  # case: potential, scan parameter, observable, the field named
+    "phase-time-segments-a": (SEGMENTS, "a", "phase-time", "scan.parameter"),
+    "dwell-segments-a": (SEGMENTS, "a", "dwell", "scan.parameter"),
+    "bl-time-double-a": (DOUBLE, "a", "bl-time", "scan.parameter"),
+    "bl-time-segments-V0": (SEGMENTS, "V0", "bl-time", "scan.parameter"),
+    "phase-time-L_minus_a": (RECTANGLE, "L_minus_a", "phase-time", "scan.parameter"),
+    "two-phase-double": (DOUBLE, "E", "two-phase", "potential.kind"),
+    "hartman-scan-E": (RECTANGLE, "E", "hartman-scan", "scan.parameter"),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_REFUSALS)
+def test_scans_the_potential_cannot_vary_are_config_errors(tmp_path, capsys, case):
+    # a scan over a parameter the potential does not take would write one
+    # value on every row, or fail only once running: validate and run both
+    # refuse it, naming the field, and no table is written
+    potential, parameter, observable, field = SCAN_REFUSALS[case]
+    cfg = write(tmp_path, "scan.json", {
+        "potential": potential, "energy": 4.0,
+        "scan": {"parameter": parameter, "min": 1.0, "max": 2.0, "steps": 2},
+        "observables": [observable],
+    })
+    out_dir = tmp_path / "out"
+    for argv in (["validate", cfg], ["run", cfg, "--out", str(out_dir)]):
+        assert main(argv) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (out_dir / f"{observable}.csv").exists()
+
+
 def test_resolve_fills_only_what_the_config_uses():
     # the default barrier fills in a rectangular potential only, and a packet
     # is resolved only when one is given or an observable builds one
     segments = {"kind": "segments", "segments": [[0.0, 5.0, 1.0]]}
-    cfg = cli.resolve({"potential": segments, "observables": ["phase-time"]})
+    cfg = cli.resolve({"potential": segments, "observables": ["phase-time"],
+                       "scan": {"parameter": "E", "min": 0.2, "max": 0.8, "steps": 3}})
     assert cfg["potential"] == segments and "packets" not in cfg
     cfg = cli.resolve({"potential": {"a": 3.0}, "observables": ["hartman-scan"]})
     assert cfg["potential"] == {"kind": "rectangular", "V0": 10.0, "a": 3.0}
@@ -256,11 +289,11 @@ def test_run_waveguide_requires_block(tmp_path, capsys):
 
 
 def test_run_numerical_failure_exit_code(tmp_path, capsys):
-    # two-phase extraction is only defined for single rectangular barriers;
-    # a double potential sails through validation but fails numerically
+    # two-phase extraction is only defined below the barrier; an energy scan
+    # that crosses V0 sails through validation but fails numerically
     cfg = write(tmp_path, "bad-run.json", {
-        "potential": {"kind": "double", "V0": 10.0, "a": 3.0, "L": 9.0},
-        "scan": {"parameter": "E", "min": 2.0, "max": 8.0, "steps": 3},
+        "potential": {"kind": "rectangular", "V0": 10.0, "a": 3.0},
+        "scan": {"parameter": "E", "min": 2.0, "max": 12.0, "steps": 3},
         "observables": ["two-phase"],
     })
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2

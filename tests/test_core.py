@@ -1,8 +1,11 @@
 """Units, grids, quadrature and differentiation."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import tuntime
 from tuntime.core import (
     UNITS,
     ContractViolation,
@@ -20,6 +23,29 @@ def test_units_positive_and_velocity():
         assert UNITS.velocity(k) > 0
     with pytest.raises(ContractViolation):
         UnitSystem(hbar=-1.0)
+
+
+def test_no_signature_takes_a_unit_system_or_a_retired_knob():
+    # the constants are fixed (UNITS) and the sampling and step options that
+    # no caller set are module constants: no exported function, class or
+    # method takes them
+    retired = {"units", "rel_k_step", "eps_tail", "n_t", "span"}
+    exported = [(name, obj) for name, obj in vars(tuntime).items() if callable(obj)]
+    found = []
+    for name, obj in exported:
+        routines = [(name, obj)]
+        if inspect.isclass(obj):
+            routines += [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                         if isinstance(f, (classmethod, staticmethod)) or inspect.isfunction(f)]
+        for label, fn in routines:
+            fn = getattr(fn, "__func__", fn)
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            found += [f"{label}({p})" for p in params if p in retired]
+    assert len(exported) > 50
+    assert found == []
 
 
 def test_units_roundtrip():

@@ -167,6 +167,16 @@ def test_phase_time_total_matches_closed_form_route():
     assert full == pytest.approx(closed, rel=1e-6)
 
 
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9999])
+def test_opaque_phase_time_is_the_closed_form(ratio):
+    # hbar d/dE arg[-4ik chi/(ik - chi)^2] = 2/(v chi) exactly, also where a
+    # difference quotient loses digits next to the barrier top
+    E = ratio * V0
+    v = float(UNITS.velocity(UNITS.wavenumber(E)))
+    expected = 2.0 / (v * float(UNITS.decay_constant(V0, E)))
+    assert abs(opaque_phase_time(V0, E) - expected) <= 1e-15 * expected
+
+
 def test_opaque_phase_time_scale():
     # dimensional sanity at E = V0/2: positive, equals 2/(v chi)
     E = 5.0

@@ -202,7 +202,7 @@ def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers, dis
     k_bar = float(UNITS.wavenumber(E_bar))
     pk = gaussian_packet(k_bar, 0.02, n_k=128, dispersion=dispersion)
     rep = dwell(pot, pk, markers)
-    prop, tg, _, _, N, _ = flux_times._dwell_fluxes(pot, pk, markers, UNITS)
+    prop, tg, _, _, N, _ = flux_times._dwell_fluxes(pot, pk, markers)
     cuts = sorted({markers.x_i, markers.x_f}
                   | {e for e in pot.edges() if markers.x_i < e < markers.x_f})
     xg = [Grid1D.composite_gauss(lo, hi, max(2, math.ceil(2.0 * k_bar * (hi - lo) / math.pi)), 10)
@@ -302,7 +302,7 @@ def test_empty_decomposition_channel_is_named():
     # a transmitted channel without mass is a real failure and says where
     pk = gaussian_packet(K_BAR, 0.02, n_k=128)
     markers = RegionMarkers(-30.0, 35.0)
-    prop, tg, J_f, J_i, N, flux_form = flux_times._dwell_fluxes(POT, pk, markers, UNITS)
+    prop, tg, J_f, J_i, N, flux_form = flux_times._dwell_fluxes(POT, pk, markers)
     with pytest.raises(NoSuchFluxError, match=r"'\+' at x_f=35.0"):
         flux_times._decomposition(prop, markers, tg, np.zeros_like(J_f), J_i, N, flux_form)
 

@@ -18,6 +18,8 @@ from tuntime.potential import (
     rectangular,
 )
 from tuntime.scattering import (
+    ORACLE_TOL,
+    UNITARITY_TOL,
     SolutionTable,
     rect_amplitude,
     s_matrix,
@@ -43,8 +45,8 @@ def test_energy_contract():
 def test_rect_amplitude_matches_solve():
     sol = solve(rectangular(10.0, 5.0), 5.0)
     A_T, A_R = rect_amplitude(10.0, 5.0, 5.0)
-    assert abs(sol.A_T - A_T) < 1e-12
-    assert abs(sol.A_R - A_R) < 1e-12
+    assert abs(sol.A_T - A_T) < ORACLE_TOL
+    assert abs(sol.A_R - A_R) < ORACLE_TOL
     assert 0 < abs(A_T) ** 2 < 1
 
 
@@ -55,8 +57,8 @@ def test_oracle_equivalence_energy_grid():
     for E in np.linspace(0.05, 9.95, 200):
         A_T, A_R = rect_amplitude(V0, a, float(E))
         sol = solve(pot, float(E))
-        assert abs(sol.A_T - A_T) < 1e-12
-        assert abs(sol.A_R - A_R) < 1e-12
+        assert abs(sol.A_T - A_T) < ORACLE_TOL
+        assert abs(sol.A_R - A_R) < ORACLE_TOL
 
 
 def test_rect_amplitude_contracts():
@@ -76,7 +78,7 @@ def test_symmetric_point_matches_solve():
     # E = V0/2 puts k = kappa
     sol = solve(rectangular(10.0, 5.0), 5.0)
     A_T, _ = rect_amplitude(10.0, 5.0, 5.0)
-    assert abs(sol.A_T - A_T) < 1e-12
+    assert abs(sol.A_T - A_T) < ORACLE_TOL
 
 
 def test_opaque_modulus_decay():
@@ -103,7 +105,7 @@ def test_unitarity_random_potentials():
         pot = PiecewisePotential(segs)
         for E in np.linspace(0.08, 14.0, 50):
             sol = solve(pot, float(E))
-            assert abs(abs(sol.A_T) ** 2 + abs(sol.A_R) ** 2 - 1.0) < 1e-10
+            assert abs(abs(sol.A_T) ** 2 + abs(sol.A_R) ** 2 - 1.0) < UNITARITY_TOL
             assert sol.boundary_residual() < 1e-10
 
 
@@ -140,8 +142,8 @@ def test_composition_matches_product_of_transfers():
     r_tot = -M[1, 0] / M[1, 1]
     t_tot = M[0, 0] + M[0, 1] * r_tot
     sol = solve(double_rectangular(V0, a, L), E)
-    assert abs(sol.A_T - t_tot) < 1e-12
-    assert abs(sol.A_R - r_tot) < 1e-12
+    assert abs(sol.A_T - t_tot) < ORACLE_TOL
+    assert abs(sol.A_R - r_tot) < ORACLE_TOL
 
 
 def test_wavefunction_continuity_at_joints():
@@ -276,8 +278,8 @@ def test_rect_amplitude_opaque(kappa_a):
     A_T, A_R = rect_amplitude(V0, a, E)
     sol = solve(rectangular(V0, a), E)
     assert abs(A_T) ** 2 + abs(A_R) ** 2 == pytest.approx(1.0, abs=1e-13)
-    assert abs(A_R - sol.A_R) < 1e-12
-    assert abs(A_T - sol.A_T) < 1e-12
+    assert abs(A_R - sol.A_R) < ORACLE_TOL
+    assert abs(A_T - sol.A_T) < ORACLE_TOL
 
 
 # ---------------------------------------------------------------- two-phase

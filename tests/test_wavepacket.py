@@ -294,7 +294,7 @@ def _direct_sum(prop, x, ts):
     """Psi and J at x with exp(-iEt/hbar) built in full, and the bounds
     sum_k |c_k psi_k(x)| of |Psi| and (hbar/m) |c psi|_1 |c psi'|_1 of |J|."""
     cps, cdps = prop._cw * np.array(prop._modes(x, "full"))
-    phases = np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / prop.units.hbar)
+    phases = np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / UNITS.hbar)
     Psi, dPsi = cps @ phases, cdps @ phases
     J = prop._flux_pref * np.imag(np.conj(Psi) * dPsi)
     l1 = np.sum(np.abs(cps))
@@ -344,8 +344,8 @@ def test_contract_as_accurate_as_direct_sum_at_large_phases(lo, hi, n_t):
     ps, dps = prop._modes(-30.0, "full")
     rows = np.array([prop._cw * ps, prop._cw * dps])
     arg = np.multiply.outer(prop.packet.E.astype(np.longdouble), ts.astype(np.longdouble))
-    exact = rows.astype(np.clongdouble) @ np.exp(-1j * (arg / np.longdouble(prop.units.hbar)))
-    direct = rows @ np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / prop.units.hbar)
+    exact = rows.astype(np.clongdouble) @ np.exp(-1j * (arg / np.longdouble(UNITS.hbar)))
+    direct = rows @ np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / UNITS.hbar)
     factored = prop._contract(rows, ts)
 
     def errors(Psi):
