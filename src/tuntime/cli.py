@@ -5,10 +5,11 @@ CSV per requested observable; every row carries the diagnostic flag columns
 (tail_captured, on_resonance, opaque_warning) so downstream plotting can
 filter.  Outputs are deterministic for a fixed config; the wall-clock data
 lives in a separate run_info.json so the CSVs and manifest stay byte-stable.
-Rows are evaluated in order, except that a phase-time, bl-time, dwell or
-two-phase scan over E is one call on the array of its energies; the `workers`
-key and `--workers` flag are accepted and echoed in the manifest but select
-nothing.
+A scan is one call per stationary time: a phase-time, bl-time, dwell or
+two-phase scan over E on the array of its energies, and a width or height
+scan (a or V0, hartman-scan, double-barrier-scan) on the family of its
+potentials; the `workers` key and `--workers` flag are accepted and echoed
+in the manifest but select nothing.
 
 Exit codes: 0 success (possibly with warnings), 1 config error, 2 numerical
 failure.
@@ -35,7 +36,6 @@ from .double_barrier import (
     OPACITY_WARN_BELOW,
     on_resonance,
     opaque_coefficients,
-    phase_time_total,
 )
 from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
@@ -127,7 +127,9 @@ def resolve(raw: dict) -> dict:
             _fail("potential.L", "need L >= a")
     elif kind == "segments":
         segs = pot_raw.get("segments")
-        if not isinstance(segs, list) or not segs:
+        if not (isinstance(segs, list) and segs and all(
+                isinstance(seg, list) and len(seg) == 3
+                and all(isinstance(v, (int, float)) for v in seg) for seg in segs)):
             _fail("potential.segments", "must be a non-empty list of [x0, x1, V]")
     else:
         _fail("potential.kind", "one of 'rectangular', 'double', 'segments'")
@@ -152,8 +154,9 @@ def resolve(raw: dict) -> dict:
     cfg["energy"] = raw.get("energy", _DEFAULTS["energy"])
     if not cfg["energy"] > 0:
         _fail("energy", "must be positive")
-    if "hartman-scan" in obs and not cfg["energy"] < pot_raw["V0"]:  # no kappa, no BL time
-        _fail("energy", f"hartman-scan needs an energy below the barrier, V0 = {pot_raw['V0']!r}")
+    below = [name for name in ("hartman-scan", "double-barrier-scan") if name in obs]
+    if below and not cfg["energy"] < pot_raw["V0"]:  # no kappa, no BL time
+        _fail("energy", f"{below[0]} needs an energy below the barrier, V0 = {pot_raw['V0']!r}")
 
     readers = [name for name in obs if name not in ("causality", "waveguide")]
     allowed = {"a"} if own else _SCANNABLE[kind] if readers else {"a", "E", "V0", "L_minus_a"}
@@ -161,6 +164,10 @@ def resolve(raw: dict) -> dict:
                                 f"{', '.join(readers) or 'a scan'} on kind {kind!r}")
     if "scan2" in raw:
         cfg["scan2"] = _resolve_scan("scan2", raw["scan2"], {"L_minus_a"}, "the second axis")
+    top = max(seg[2] for seg in pot_raw["segments"]) if kind == "segments" else pot_raw["V0"]
+    for name in ("bl-time", "two-phase"):
+        if name in obs:
+            _check_sub_barrier(name, cfg["scan"], cfg["energy"], top)
 
     if "markers" in raw:
         m = raw["markers"]
@@ -184,6 +191,22 @@ def resolve(raw: dict) -> dict:
         _fail("workers", "must be >= 1")
     cfg["output_dir"] = str(raw.get("output_dir", _DEFAULTS["output_dir"]))
     return cfg
+
+
+def _check_sub_barrier(name: str, scan: dict, energy: float, top: float):
+    """bl-time and two-phase exist only below the barrier top: refuse a
+    config whose highest energy reaches the lowest barrier top it runs, on
+    the field that sets either one.  two-phase runs E over [0.5, 1.5] x
+    energy unless it scans E, and never scans V0."""
+    if scan["parameter"] == "E":
+        field, E_max, V_min = "scan.max", scan["max"], top
+    elif scan["parameter"] == "V0" and name == "bl-time":
+        field, E_max, V_min = "scan.min", energy, scan["min"]
+    else:
+        field, E_max, V_min = "energy", energy * (1.5 if name == "two-phase" else 1.0), top
+    if not E_max < V_min:
+        _fail(field, f"{name} needs energies below the barrier: E up to {E_max!r} "
+                     f"reaches a barrier of {V_min!r}")
 
 
 def _resolve_packet(path: str, p: dict, pot: dict) -> dict:
@@ -269,30 +292,29 @@ def _write_csv(path: Path, header: list, rows: list):
 def _obs_stationary(cfg: dict, which: str):
     """phase-time / bl-time / dwell over the scan axis at fixed parameters.
 
-    An energy scan is one call on the array of its energies, so one table per
-    central-difference round serves every row; an a or V0 scan builds a
-    potential per row."""
+    A scan is one call: an energy scan on the array of its energies, an a or
+    V0 scan on the family of its potentials, so one table per
+    central-difference round serves every row."""
     scan = cfg["scan"]
     E0 = cfg["energy"]
     pot_cfg = cfg["potential"]
 
-    def evaluate(pot, E):
+    def evaluate(pot, E, markers):
         if which == "phase-time":
             return phase_time(pot, E)
         if which == "bl-time":
             return bl_time(pot, E)
-        return dwell_time_stationary(pot, E, RegionMarkers(pot.x_left, pot.x_right))
-
-    def row(v):
-        pot = _build_potential({**pot_cfg, scan["parameter"]: v})
-        return [v, E0, evaluate(pot, E0), *_OK_FLAGS.values()]
+        return dwell_time_stationary(pot, E, markers)
 
     header = [scan["parameter"], "E_eV", f"{which.replace('-', '_')}_fs", *FLAGS]
     values = _scan_values(scan)
     if scan["parameter"] == "E":
-        taus = evaluate(_build_potential(pot_cfg), values)
+        pot = _build_potential(pot_cfg)
+        taus = evaluate(pot, values, RegionMarkers(pot.x_left, pot.x_right))
         return header, [[E, E, tau, *_OK_FLAGS.values()] for E, tau in zip(values, taus)]
-    return header, [row(v) for v in values]
+    pots = [_build_potential({**pot_cfg, scan["parameter"]: v}) for v in values]
+    taus = evaluate(pots, E0, [RegionMarkers(p.x_left, p.x_right) for p in pots])
+    return header, [[v, E0, tau, *_OK_FLAGS.values()] for v, tau in zip(values, taus)]
 
 
 def _obs_two_phase(cfg: dict):
@@ -313,19 +335,19 @@ def _obs_two_phase(cfg: dict):
 
 
 def _obs_hartman(cfg: dict):
+    """Phase, BL and dwell times over the width scan: one call each on the
+    family of its barriers."""
     E = cfg["energy"]
     V0 = cfg["potential"]["V0"]
     kappa = float(UNITS.decay_constant(V0, E))
-
-    def row(a):
-        pot = rectangular(V0, a)
-        tau_ph = phase_time(pot, E)
-        tau_bl = bl_time(pot, E)
-        tau_dw = dwell_time_stationary(pot, E, RegionMarkers(0.0, a))
-        return [a, kappa * a, tau_ph, tau_bl, tau_dw, 1, 0, int(kappa * a < OPACITY_WARN_BELOW)]
-
+    widths = _scan_values(cfg["scan"])
+    pots = [rectangular(V0, a) for a in widths]
+    tau_ph = phase_time(pots, E)
+    tau_bl = bl_time(pots, E)
+    tau_dw = dwell_time_stationary(pots, E, [RegionMarkers(0.0, a) for a in widths])
     header = ["a", "kappa_a", "tau_phase_fs", "tau_bl_fs", "tau_dwell_fs", *FLAGS]
-    return header, [row(v) for v in _scan_values(cfg["scan"])]
+    return header, [[a, kappa * a, ph, bl, dw, 1, 0, int(kappa * a < OPACITY_WARN_BELOW)]
+                    for a, ph, bl, dw in zip(widths, tau_ph, tau_bl, tau_dw)]
 
 
 def _obs_or_times(cfg: dict):
@@ -367,20 +389,31 @@ def _obs_causality(cfg: dict):
 
 
 def _obs_double(cfg: dict):
+    """Total two-barrier phase time over width and gap: one phase_time call
+    on the family of the scan's double barriers (a zero gap joins the two
+    barriers, so those rows, with one region fewer, make a family of their
+    own)."""
     pot_cfg = cfg["potential"]
     V0 = pot_cfg["V0"]
     E = cfg["energy"]
     scan_g = cfg.get("scan2", {"parameter": "L_minus_a", "min": 5.0, "max": 20.0, "steps": 4})
     pairs = [(a, g) for a in _scan_values(cfg["scan"]) for g in _scan_values(scan_g)]
+    chi = float(UNITS.decay_constant(V0, E))
+    pots = [double_rectangular(V0, a, a + gap) for a, gap in pairs]
+    taus = np.empty(len(pairs))
+    for joined in (False, True):
+        rows = [i for i, (_, gap) in enumerate(pairs) if (gap == 0) == joined]
+        if rows:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                taus[rows] = phase_time([pots[i] for i in rows], E)
 
-    def row(pair):
+    def row(pair, tau):
         a, gap = pair
         L = a + gap
-        chi = float(UNITS.decay_constant(V0, E))
         on_res = int(on_resonance(V0, a, L, E))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tau = phase_time_total(V0, a, L, E)
             sol = opaque_coefficients(V0, a, L, E) if chi * a >= OPACITY_HARD_FLOOR else None
         opaque_warn = int(chi * a < OPACITY_WARN_BELOW)
         delta = sol.delta if sol is not None else float("nan")
@@ -390,7 +423,7 @@ def _obs_double(cfg: dict):
 
     header = ["a", "L_minus_a", "chi_a", "tau_total_fs", "delta_rad",
               "A_im_over_abs", *FLAGS]
-    return header, [row(pair) for pair in pairs]
+    return header, [row(pair, tau) for pair, tau in zip(pairs, taus)]
 
 
 def _obs_waveguide(cfg: dict):

@@ -167,13 +167,15 @@ def integrate(values, grid: Grid1D):
 def central_difference(f, x, rel_step: float = 1e-6, periodic: bool = False):
     """Central-difference derivative df/dx at x > 0, a scalar or an array.
 
-    f is vectorised: it is called once on the stacked array [x - h, x + h]
-    with h = rel_step * x, and must return one finite value per entry.  A
-    periodic f (a phase) has each difference wrapped into [-pi, pi]; entries
-    whose wrapped difference still exceeds pi/2 straddle a fast phase swing
-    and are evaluated again at a hundredth of the step, until the step falls
-    below 1e-13 * x, where QuadratureError is raised.  A scalar x returns a
-    float.
+    f is vectorised: it is called once as f(xs, rows) on the stacked array
+    xs = [x - h, x + h] with h = rel_step * x, where rows gives the index
+    into x.ravel() of each stacked entry (so that f can evaluate each entry
+    with its own row's parameters, such as a potential per row), and must
+    return one finite value per entry.  A periodic f (a phase) has each
+    difference wrapped into [-pi, pi]; entries whose wrapped difference still
+    exceeds pi/2 straddle a fast phase swing, and only they are evaluated
+    again, at a hundredth of the step, until the step falls below 1e-13 * x,
+    where QuadratureError is raised.  A scalar x returns a float.
     """
     if not 0 < rel_step < 1:
         raise ContractViolation("central_difference needs 0 < rel_step < 1")
@@ -185,7 +187,8 @@ def central_difference(f, x, rel_step: float = 1e-6, periodic: bool = False):
     todo = np.arange(len(xs))
     while len(todo):
         h = rel_step * xs[todo]
-        vals = np.asarray(f(np.concatenate([xs[todo] - h, xs[todo] + h])))
+        vals = np.asarray(f(np.concatenate([xs[todo] - h, xs[todo] + h]),
+                            np.concatenate([todo, todo])))
         lo, hi = vals[: len(todo)], vals[len(todo):]
         bad = ~(np.isfinite(lo) & np.isfinite(hi))
         if np.any(bad):

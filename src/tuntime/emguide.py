@@ -185,7 +185,7 @@ def mapped_phase_time(spec: WaveguideSpec) -> float:
     """
     bm = map_to_barrier(spec)
     pot = bm.potential
-    dphi = central_difference(lambda ks: SolutionTable(pot, UNITS.energy(ks)).arg_A_T,
+    dphi = central_difference(lambda ks, _: SolutionTable(pot, UNITS.energy(ks)).arg_A_T,
                               bm.k_op, periodic=True)
     return (dphi + bm.a_eff) / UNITS.c
 

@@ -327,7 +327,7 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
     projected = stat_full_f.mean - stat_in.mean
 
     absAT = np.abs(prop.table.A_T)  # d|A_T|/dE = |A_T| d ln|A_T|/dE
-    dabs = absAT * central_difference(lambda Es: SolutionTable(pot, Es).log_abs_A_T,
+    dabs = absAT * central_difference(lambda Es, _: SolutionTable(pot, Es).log_abs_A_T,
                                       prop.table.E)
     eq_var = UNITS.hbar**2 * packet.energy_average(dabs**2) \
         / packet.energy_average(absAT**2)

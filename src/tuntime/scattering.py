@@ -6,6 +6,11 @@ barrier never materialises e^{+kappa a} against an O(1) coefficient.  The
 running product is rescaled whenever its entries grow large and the pulled-out
 magnitude is tracked as a log, which keeps |A_T| available in log form for
 arbitrarily opaque barriers (kappa a far beyond the e^{-745} underflow line).
+The incident region has no width, so the product starts from the first
+joint's matrix rather than from its product with the identity.  No entry of
+a row's product exceeds e^B, with B = sum_j kappa_j d_j + sum_j ln(1 +
+|q_j / q_{j+1}|) its growth bound, so the rescale checks run only in a table
+where some row's B comes within a factor e of the rescale limit.
 
 Each pass forms its per-region factors (chunk phases, interface matrices,
 e^{iqd} and q ratios) for every region and energy before its loop over the
@@ -27,6 +32,11 @@ global accuracy of the solve.
 
 SolutionTable is the one solution format: solve(pot, E) is a one-row table,
 and the two-phase angles and S-matrices are arrays read from its columns.
+Its rows may also carry their own geometry: a sequence of potentials with one
+region count (a width or height scan) is one table, whose heights, widths and
+edges have a row axis through the forward pass, the backward substitution and
+the density integral, and each of whose rows is bit-identical to the one-row
+table of its own potential.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +59,42 @@ UNITARITY_TOL = 1e-10
 ORACLE_TOL = 1e-12
 TWO_PHASE_TOL = 1e-6         # roundtrip residual of a two-phase extraction
 _RESCALE_LIMIT = 1e150
+_RESCALE_LOG_LIMIT = math.log(_RESCALE_LIMIT)
 
 
 def _wavenumbers(E, heights):
-    """Complex q per region: real > 0 above a level, i*kappa below it."""
-    diff = (np.asarray(E)[:, None] - np.asarray(heights)[None, :]) / UNITS.hbar2_over_2m
-    q = np.where(diff >= 0, np.sqrt(np.abs(diff)), 1j * np.sqrt(np.abs(diff)))
-    return q
+    """Complex q per energy and region: real > 0 above a level, i*kappa below
+    it.  heights is one row of region heights, or one row per energy."""
+    diff = (np.asarray(E)[:, None] - heights) / UNITS.hbar2_over_2m
+    root = np.sqrt(np.abs(diff))
+    return np.where(diff >= 0, root, 1j * root)
+
+
+def _geometry(pots):
+    """Region heights, refs, ends and bounds, one row per potential; the
+    potentials must share one region count."""
+    rows = []
+    for pot in pots:
+        regions = pot.interior_regions()
+        if not regions:  # free space: one region
+            rows.append(([0.0], [0.0], [0.0], [-np.inf, np.inf]))
+            continue
+        lo, hi, v = zip(*regions)
+        x1, xm = lo[0], hi[-1]
+        rows.append(([0.0, *v, 0.0], [x1, *lo, xm], [x1, *hi, xm], [-np.inf, *lo, xm, np.inf]))
+    if len({len(row[0]) for row in rows}) != 1:
+        raise ContractViolation("the potentials of a table must share one region count")
+    return [np.array(g) for g in zip(*rows)]
+
+
+def _rescale(T, logscale):
+    """Divide every transfer matrix of T whose largest entry exceeds
+    _RESCALE_LIMIT by that entry and add its log to logscale, in place."""
+    mags = np.abs(T).max(axis=(1, 2))
+    if mags.max() > _RESCALE_LIMIT:
+        big = mags > _RESCALE_LIMIT
+        T[big] /= mags[big, None, None]
+        logscale[big] += np.log(mags[big])
 
 
 class SolutionTable:
@@ -67,38 +107,50 @@ class SolutionTable:
     the pair f, b and its log_scale, referenced to refs (left edges) and ends
     (right edges; equal to refs in the outer regions).
 
+    pot is one potential, or a sequence of potentials that share one region
+    count (a geometry family: a width or height scan), one per row, with Es
+    one per row or one for all.  A family's refs, ends and bounds have a row
+    axis, and every row is bit-identical to the one-row table of its own
+    potential; pot is then the first row's potential, and psi, psi_dpsi,
+    two_phase and s_matrix, which read a single geometry, refuse the table.
+
     A build runs the forward pass only.  f, b and log_scale come from the
     backward substitution, run once, on their first read (psi_dpsi, psi,
     density_integral, boundary_residual), so a caller that reads only the
     transmission never pays for it.
     """
 
-    def __init__(self, pot: PiecewisePotential, Es):
+    def __init__(self, pot: PiecewisePotential | Sequence[PiecewisePotential], Es):
+        self.family = not isinstance(pot, PiecewisePotential)
+        pots = tuple(pot) if self.family else (pot,)
         Es = np.atleast_1d(np.asarray(Es, dtype=float))
+        if self.family:
+            if len(Es) not in (1, len(pots)):
+                raise ContractViolation("a family needs one energy per potential or one for all")
+            Es = np.broadcast_to(Es, len(pots)).copy()
         if (Es <= 0).any():
             raise ContractViolation("scattering energies must be positive")
-        self.pot = pot
-
-        regions = pot.interior_regions()
-        heights = np.array([0.0] + [v for (_, _, v) in regions] + [0.0])
+        self.pot = pots[0]
+        heights, refs, ends, bounds = _geometry(pots)
+        # kappa = 0 degeneracy: sidestep by a relative nudge onto the first
+        # height E is close to (the natural energy scale varies over ~16
+        # decades once waveguide-mapped barriers are in play, so an absolute
+        # threshold cannot work); zero heights are never close
+        close = np.abs(Es[:, None] - heights) < DEGENERACY_REL_SHIFT * heights
         self.shifted = np.zeros(len(Es), dtype=bool)
-        for v in {v for (_, _, v) in regions}:
-            if v == 0.0:
-                continue
-            # kappa = 0 degeneracy: sidestep by a relative nudge (the natural
-            # energy scale varies over ~16 decades once waveguide-mapped
-            # barriers are in play, so an absolute threshold cannot work)
-            close = np.abs(Es - v) < DEGENERACY_REL_SHIFT * v
-            if close.any():
-                Es = np.where(close, v * (1.0 + DEGENERACY_REL_SHIFT), Es)
-                self.shifted |= close
+        if close.any():
+            self.shifted = close.any(axis=1)
+            level = np.broadcast_to(heights, close.shape)[np.arange(len(Es)), close.argmax(axis=1)]
+            Es = np.where(self.shifted, level * (1.0 + DEGENERACY_REL_SHIFT), Es)
         self.E = Es
         self.k = UNITS.wavenumber(Es)
         n = len(Es)
+        # one geometry keeps region vectors; a family has a row axis
+        self.refs, self.ends, self.bounds = (refs, ends, bounds) if self.family else (
+            refs[0], ends[0], bounds[0])
+        self._edges = refs.T, ends.T, bounds.T  # region-major, a row axis of length 1 or n
 
-        if not regions:
-            self.bounds = np.array([-np.inf, np.inf])
-            self.refs = self.ends = np.array([0.0])
+        if heights.shape[1] == 1:  # free space
             self.q = self.k.astype(complex)[:, None]
             self.A_T = np.ones(n, dtype=complex)
             self.A_R = np.zeros(n, dtype=complex)
@@ -106,46 +158,42 @@ class SolutionTable:
             self.arg_A_T = np.zeros(n)
             return
 
-        x1 = regions[0][0]
-        xm = regions[-1][1]
-        self.bounds = np.array([-np.inf] + [r[0] for r in regions] + [xm, np.inf])
-        self.refs = np.array([x1] + [r[0] for r in regions] + [xm])
-        self.ends = np.array([x1] + [r[1] for r in regions] + [xm])
-        widths = self.ends - self.refs
+        x1, xm = refs[:, 0], ends[:, -1]
+        widths = (ends - refs).T  # (n_regions, 1 or n), as q below
         self.q = _wavenumbers(Es, heights)  # (nE, n_regions)
         q = np.ascontiguousarray(self.q.T)  # region-major from here on
-        nreg = len(heights)
+        nreg = len(q)
 
         # forward accumulation of the global transfer matrix, log-rescaled; a
         # region is crossed in chunks of kappa d < 300 per energy, so no step
-        # overflows and no row depends on the other energies of its table
-        chunks = 1 + (q.imag * (widths[:, None] / 300.0)).astype(int)
-        phases = np.exp(1j * q * (widths[:, None] / chunks))
+        # overflows and no row depends on the other rows of its table
+        kd_300 = q.imag * (widths / 300.0)
+        chunks = 1 + kd_300.astype(int)
+        phases = np.exp(1j * q * (widths / chunks))
         r = q[:-1] / q[1:]
         M = np.empty((nreg - 1, n, 2, 2), dtype=complex)
         M[..., 0, 0] = M[..., 1, 1] = 0.5 * (1 + r)
         M[..., 0, 1] = M[..., 1, 0] = 0.5 * (1 - r)
-        T = np.zeros((n, 2, 2), dtype=complex)
-        T[:, 0, 0] = T[:, 1, 1] = 1.0
+        # no entry of T exceeds e^{growth}: a chunk multiplies a row by at
+        # most e^{kappa d / chunks}, a joint by at most 1 + |r|.  A table
+        # whose every row stays a factor e below the limit is never rescaled
+        growth = 300.0 * kd_300.sum(axis=0) + np.log1p(np.abs(r)).sum(axis=0)
+        check = growth.max() > _RESCALE_LOG_LIMIT - 1.0
         logscale = np.zeros(n)
-
-        def rescale(T, logscale):
-            mags = np.abs(T).max(axis=(1, 2))
-            if mags.max() > _RESCALE_LIMIT:
-                big = mags > _RESCALE_LIMIT
-                T[big] /= mags[big, None, None]
-                logscale[big] += np.log(mags[big])
-
-        for j in range(nreg - 1):
-            if widths[j] > 0:
-                ph = phases[j]
-                for step in range(chunks[j].max()):  # every energy has a first chunk
-                    p = np.where(step < chunks[j], ph, 1.0) if step else ph
-                    T[:, 0, :] *= p[:, None]
-                    T[:, 1, :] /= p[:, None]
-                    rescale(T, logscale)
+        # region 0 has no width, so T starts as M[0] = M[0] @ identity (and
+        # may be updated in place: M[0] is not read again)
+        T = M[0]
+        for j in range(1, nreg - 1):
+            ph = phases[j]
+            for step in range(chunks[j].max()):  # every energy has a first chunk
+                p = np.where(step < chunks[j], ph, 1.0) if step else ph
+                T[:, 0, :] *= p[:, None]
+                T[:, 1, :] /= p[:, None]
+                if check:
+                    _rescale(T, logscale)
             T = M[j] @ T
-            rescale(T, logscale)
+            if check:
+                _rescale(T, logscale)
 
         # det(T_true) = q_left/q_right = 1 (free on both sides), so
         # A_T = e^{ik(x1-xm)} / T11_true with T11_true = T11 e^{logscale}.
@@ -163,7 +211,8 @@ class SolutionTable:
         """(f, b, log_scale), region-major, by backward substitution from the
         transmitted wave A_T e^{ik(x - xm)}; run once, on first use."""
         q = np.ascontiguousarray(self.q.T)
-        widths = (self.ends - self.refs)[:, None]
+        refs, ends, _ = self._edges
+        widths = ends - refs
         nreg, n = q.shape
         # per-region factors of every region, formed before the loop
         ahead = np.exp(1j * q * widths)  # e^{i q d}
@@ -175,7 +224,7 @@ class SolutionTable:
         f = np.empty((nreg, n), dtype=complex)
         b = np.empty((nreg, n), dtype=complex)
         log_scale[-1] = self.log_abs_A_T
-        f[-1] = np.exp(1j * (self.arg_A_T + self.k * self.ends[-1]))
+        f[-1] = np.exp(1j * (self.arg_A_T + self.k * ends[-1]))
         b[-1] = 0.0
         for j in range(nreg - 2, -1, -1):
             # psi and psi'/(i q_j) at the joint, in units of e^{log_scale[j+1]}
@@ -200,6 +249,8 @@ class SolutionTable:
 
     def _region(self, x):
         """Index of the region holding x (a joint belongs to the region on its right)."""
+        if self.family:
+            raise ContractViolation("psi and psi_dpsi need a single-geometry table")
         return np.searchsorted(self.bounds[1:-1], x, side="right")
 
     def _waves(self, j: int, x):
@@ -231,31 +282,35 @@ class SolutionTable:
                 out[at] = np.add(ef, eb, out=ef)
         return out
 
-    def density_integral(self, x_i: float, x_f: float) -> np.ndarray:
-        """Integral of |psi|^2 over (x_i, x_f), an array over energy.
+    def density_integral(self, x_i, x_f) -> np.ndarray:
+        """Integral of |psi|^2 over (x_i, x_f), an array over energy; on a
+        family the markers may be arrays, one per row.
 
         Each region's share has a closed form in the scaled pair, where no
         exponential exceeds 1, so it is exact to rounding at any opacity.  q
         is real or i kappa, so with kappa = Im q and k = Re q one of the two
-        vanishes and one formula covers both.
+        vanishes and one formula covers both.  Every region is evaluated in
+        one array pass; a region outside (x_i, x_f) has zero width and scale,
+        and the shares are summed in region order.
         """
-        total = np.zeros(len(self.E))
-        for j in range(self.q.shape[1]):
-            lo, hi = max(x_i, self.bounds[j]), min(x_f, self.bounds[j + 1])
-            if not hi > lo:
-                continue
-            w = hi - lo
-            kap, kre = self.q[:, j].imag, self.q[:, j].real
-            c = 2.0 * kap * w  # decay = integral of e^{-2 kappa t} over (0, w)
-            decay = w * np.where(c > 0, -np.expm1(-c) / np.where(c > 0, c, 1.0), 1.0)
-            ref, end = self.refs[j], self.ends[j]
-            f, b = self.f[:, j], self.b[:, j]
-            squares = (np.abs(f) ** 2 * np.exp(-2.0 * kap * (lo - ref))
-                       + np.abs(b) ** 2 * np.exp(-2.0 * kap * (end - hi))) * decay
-            cross = (f * np.conj(b) * w * np.sinc(kre * w / np.pi)
-                     * np.exp(-kap * (end - ref) + 1j * kre * (lo + hi - ref - end)))
-            total += np.exp(2.0 * self.log_scale[:, j]) * (squares + 2.0 * cross.real)
-        return total
+        f, b, log_scale = self._regions
+        q = self.q.T
+        ref, end, bounds = self._edges
+        lo, hi = np.maximum(x_i, bounds[:-1]), np.minimum(x_f, bounds[1:])
+        inside = hi > lo
+        w = np.where(inside, hi - lo, 0.0)
+        kap, kre = q.imag, q.real
+        two_kap = 2.0 * kap
+        c = two_kap * w  # decay = integral of e^{-2 kappa t} over (0, w)
+        grows = c > 0
+        decay = w * np.where(grows, -np.expm1(-c) / np.where(grows, c, 1.0), 1.0)
+        fall = -two_kap  # the log-slope of each component's |.|^2 away from its edge
+        squares = (np.abs(f) ** 2 * np.exp(fall * (lo - ref))
+                   + np.abs(b) ** 2 * np.exp(fall * (end - hi))) * decay
+        cross = (f * np.conj(b) * w * np.sinc(kre * w / np.pi)
+                 * np.exp(-kap * (end - ref) + 1j * kre * (lo + hi - ref - end)))
+        scale = np.exp(np.where(inside, 2.0 * log_scale, -np.inf))
+        return np.add.accumulate(scale * (squares + 2.0 * cross.real))[-1]
 
     def boundary_residual(self) -> np.ndarray:
         """Mismatch of region 0's pair with the incident and reflected waves
@@ -264,9 +319,9 @@ class SolutionTable:
         Interior joints are continuous by construction; this is the one
         genuine consistency check (0 for free space).
         """
-        if len(self.bounds) == 2:
+        if self.q.shape[1] == 1:
             return np.zeros(len(self.E))
-        x1, scale = self.refs[0], np.exp(self.log_scale[:, 0])
+        x1, scale = self._edges[0][0], np.exp(self.log_scale[:, 0])
         return (np.abs(self.f[:, 0] * scale - np.exp(1j * self.k * x1))
                 + np.abs(self.b[:, 0] * scale - self.A_R * np.exp(-1j * self.k * x1)))
 
@@ -338,6 +393,8 @@ def two_phase(table: SolutionTable) -> TwoPhase:
     test.
     """
     pot = table.pot
+    if table.family:
+        raise ContractViolation("two_phase needs a single-geometry table")
     if len(pot.segments) != 1:
         raise ContractViolation("two_phase is defined for a single rectangular barrier")
     if not np.all(table.E < pot.max_height):
@@ -370,6 +427,8 @@ def s_matrix(table: SolutionTable):
     an assumption rather than a theorem.
     """
     pot = table.pot
+    if table.family:
+        raise ContractViolation("s_matrix needs a single-geometry table")
     S = np.empty((len(table), 2, 2), dtype=complex)
     S[:, 0, 0] = S[:, 1, 1] = table.A_T
     S[:, 0, 1] = S[:, 1, 0] = table.A_R * np.exp(-1j * table.k * (pot.x_left + pot.x_right))

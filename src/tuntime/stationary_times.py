@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,27 @@ class TimeCatalog:
     tau_larmor_z: float
 
 
-def _markers_or_extent(pot: PiecewisePotential, markers) -> tuple:
+def _is_family(pot) -> bool:
+    return not isinstance(pot, PiecewisePotential)
+
+
+def _energies(pot, E):
+    """E, broadcast over the rows of a family of potentials."""
+    return np.broadcast_to(np.asarray(E, dtype=float), len(pot)) if _is_family(pot) else E
+
+
+def _potentials(pot, rows):
+    """The potential of each stacked entry of a central difference."""
+    return [pot[i] for i in rows] if _is_family(pot) else pot
+
+
+def _markers_or_extent(pot, markers) -> tuple:
+    """(x_i, x_f): the markers, or else the outermost edges; arrays over the
+    rows of a family, which takes a sequence of markers, one per row."""
+    if _is_family(pot):
+        per_row = markers if markers is not None else [None] * len(pot)
+        ends = [_markers_or_extent(p, m) for p, m in zip(pot, per_row, strict=True)]
+        return tuple(np.array(ends).T)
     if markers is not None:
         return markers.x_i, markers.x_f
     return pot.x_left, pot.x_right
@@ -43,7 +64,7 @@ def _like(E, tau):
 
 
 def phase_time(
-    pot: PiecewisePotential,
+    pot: PiecewisePotential | Sequence[PiecewisePotential],
     E,
     markers: RegionMarkers | None = None,
     rel_step: float = 1e-6,
@@ -58,11 +79,16 @@ def phase_time(
     That phase loses precision once |A_T| is subnormal (kappa a past about
     717) and ContractViolation is raised where A_T underflows to zero.
     E may be a scalar (returns a float) or an array (one table for all).
+    pot may also be a sequence of potentials with one region count, a width
+    or height scan, with E one per potential or one for all and markers, if
+    given, one per potential: one table per difference round serves every
+    row, and each row equals the scalar call on its own potential.
     """
     x_i, x_f = _markers_or_extent(pot, markers)
+    E = _energies(pot, E)
 
-    def phase(Es):
-        A_T = SolutionTable(pot, Es).A_T
+    def phase(Es, rows):
+        A_T = SolutionTable(_potentials(pot, rows), Es).A_T
         return np.where(A_T != 0, np.angle(A_T), np.nan)
 
     dphi = central_difference(phase, E, rel_step, periodic=True)
@@ -70,7 +96,7 @@ def phase_time(
     return _like(E, (x_f - x_i) / v + UNITS.hbar * dphi)
 
 
-def bl_time(pot: PiecewisePotential, E):
+def bl_time(pot: PiecewisePotential | Sequence[PiecewisePotential], E):
     """Modulus-sensitivity time hbar |d ln|A_T| / dE|.
 
     This is the monochromatic limit of the spin-flip Larmor component and is
@@ -78,27 +104,35 @@ def bl_time(pot: PiecewisePotential, E):
     linearly with width for opaque barriers instead of saturating.  Computed
     from the log-magnitude form of the amplitude, so extreme opacities
     (kappa a > 700) need no special casing.  E may be a scalar (returns a
-    float) or an array of sub-barrier energies.
+    float) or an array of sub-barrier energies; pot may be a family of
+    potentials, one per row, as in phase_time.
     """
+    E = _energies(pot, E)
     E_arr = np.asarray(E)
-    if not np.all((E_arr > 0) & (E_arr < pot.max_height)):
+    top = np.array([p.max_height for p in pot]) if _is_family(pot) else pot.max_height
+    if not np.all((E_arr > 0) & (E_arr < top)):
         raise ContractViolation("bl_time is defined in the sub-barrier regime")
-    dlog = central_difference(lambda Es: SolutionTable(pot, Es).log_abs_A_T, E)
+    dlog = central_difference(
+        lambda Es, rows: SolutionTable(_potentials(pot, rows), Es).log_abs_A_T, E)
     return _like(E, UNITS.hbar * np.abs(dlog))
 
 
-def dwell_time_stationary(pot: PiecewisePotential, E, markers: RegionMarkers):
+def dwell_time_stationary(pot: PiecewisePotential | Sequence[PiecewisePotential], E,
+                          markers: RegionMarkers | Sequence[RegionMarkers]):
     """Stationary dwell time: integral of |psi_E|^2 over (x_i, x_f) divided by
     the incident velocity v, for the unit-incidence scattering state.
 
     The integral is the closed form of each region's share of (x_i, x_f)
     (SolutionTable.density_integral), exact to rounding at any opacity; for an
     opaque barrier it saturates at hbar k/(kappa V0).  E may be a scalar
-    (returns a float) or an array of energies (one table for all).
+    (returns a float) or an array of energies (one table for all); pot may be
+    a family of potentials, one per row, as in phase_time, with one set of
+    markers per row.
     """
-    x_i, x_f = markers.x_i, markers.x_f
-    if not x_f > x_i:
+    x_i, x_f = _markers_or_extent(pot, markers)
+    if not (np.asarray(x_f) > x_i).all():
         raise ContractViolation("markers must span a nonempty interval")
+    E = _energies(pot, E)
     rho = SolutionTable(pot, E).density_integral(x_i, x_f).reshape(np.shape(E))
     return _like(E, rho / UNITS.velocity(UNITS.wavenumber(E)))
 
@@ -160,8 +194,8 @@ def two_phase_times(pot: PiecewisePotential, E):
     def angles(Es):
         return two_phase(SolutionTable(pot, Es))
 
-    dphi2 = central_difference(lambda Es: angles(Es).phi2, E, periodic=True)
-    dlogsin = central_difference(lambda Es: np.log(np.sin(angles(Es).phi1)), E)
+    dphi2 = central_difference(lambda Es, _: angles(Es).phi2, E, periodic=True)
+    dlogsin = central_difference(lambda Es, _: np.log(np.sin(angles(Es).phi1)), E)
     return _like(E, UNITS.hbar * dphi2), _like(E, UNITS.hbar * dlogsin)
 
 

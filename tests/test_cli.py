@@ -10,6 +10,7 @@ import pytest
 from tuntime import cli, wavepacket
 from tuntime.cli import main
 from tuntime.potential import PiecewisePotential
+from tuntime.scattering import SolutionTable
 
 FIG2_CONFIG = {
     "potential": {"kind": "rectangular", "V0": 10.0, "a": 5.0},
@@ -289,15 +290,47 @@ def test_run_waveguide_requires_block(tmp_path, capsys):
 
 
 def test_run_numerical_failure_exit_code(tmp_path, capsys):
-    # two-phase extraction is only defined below the barrier; an energy scan
-    # that crosses V0 sails through validation but fails numerically
+    # the phase of A_T is lost once |A_T| underflows (kappa a past about
+    # 717): a phase-time scan at kappa a ~ 800 sails through validation but
+    # fails numerically
     cfg = write(tmp_path, "bad-run.json", {
-        "potential": {"kind": "rectangular", "V0": 10.0, "a": 3.0},
-        "scan": {"parameter": "E", "min": 2.0, "max": 12.0, "steps": 3},
-        "observables": ["two-phase"],
+        "potential": {"kind": "rectangular", "V0": 10.0, "a": 700.0},
+        "scan": {"parameter": "E", "min": 4.5, "max": 5.5, "steps": 3},
+        "observables": ["phase-time"],
     })
+    assert main(["validate", cfg]) == 0
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+AT_THE_BARRIER = {  # case: observable, potential, energy, scan, the field named
+    "double-barrier-scan": ("double-barrier-scan", RECTANGLE, 10.0, ("a", 3.0, 5.0), "energy"),
+    "bl-time-E": ("bl-time", RECTANGLE, 4.0, ("E", 2.0, 10.0), "scan.max"),
+    "bl-time-V0": ("bl-time", RECTANGLE, 4.0, ("V0", 4.0, 12.0), "scan.min"),
+    "bl-time-a": ("bl-time", RECTANGLE, 11.0, ("a", 1.0, 2.0), "energy"),
+    "bl-time-segments-E": ("bl-time", SEGMENTS, 4.0, ("E", 2.0, 8.5), "scan.max"),
+    "two-phase-E": ("two-phase", RECTANGLE, 4.0, ("E", 2.0, 12.0), "scan.max"),
+    "two-phase-a": ("two-phase", RECTANGLE, 7.0, ("a", 1.0, 2.0), "energy"),
+}
+
+
+@pytest.mark.parametrize("case", AT_THE_BARRIER)
+def test_energies_at_the_barrier_are_config_errors(tmp_path, capsys, case):
+    # these observables exist only below the barrier top; a config whose
+    # energies reach it is refused by validate and run alike, naming the
+    # field, instead of failing numerically once running (two-phase scans E
+    # over [0.5, 1.5] x energy when its scan is not over E)
+    observable, potential, energy, (parameter, lo, hi), field = AT_THE_BARRIER[case]
+    cfg = write(tmp_path, "scan.json", {
+        "potential": potential, "energy": energy,
+        "scan": {"parameter": parameter, "min": lo, "max": hi, "steps": 3},
+        "observables": [observable],
+    })
+    out_dir = tmp_path / "out"
+    for argv in (["validate", cfg], ["run", cfg, "--out", str(out_dir)]):
+        assert main(argv) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (out_dir / f"{observable}.csv").exists()
 
 
 def test_flag_columns_on_every_csv(tmp_path):
@@ -355,3 +388,35 @@ def test_energy_scan_is_one_call(tmp_path, monkeypatch, observable):
     expected = np.transpose(library(pot, Es)).reshape(9, -1).tolist()
     assert [[float(r[i]) for i in times] for r in rows] == expected
     assert np.reshape([library(pot, E) for E in Es], (9, -1)).tolist() == expected
+
+
+GEOMETRY_SCANS = {  # case: observable, potential, scan parameter and range, tables per scan
+    "hartman-scan": ("hartman-scan", RECTANGLE, ("a", 1.0, 12.0), 3),
+    "phase-time-a": ("phase-time", RECTANGLE, ("a", 1.0, 12.0), 1),
+    "phase-time-V0": ("phase-time", DOUBLE, ("V0", 6.0, 20.0), 1),
+    "bl-time-a": ("bl-time", RECTANGLE, ("a", 1.0, 12.0), 1),
+    "bl-time-V0": ("bl-time", RECTANGLE, ("V0", 6.0, 20.0), 1),
+    "dwell-a": ("dwell", RECTANGLE, ("a", 1.0, 12.0), 1),
+    "dwell-V0": ("dwell", DOUBLE, ("V0", 6.0, 20.0), 1),
+    "double-barrier-scan": ("double-barrier-scan", RECTANGLE, ("a", 8.0, 12.0), 1),
+}
+
+
+@pytest.mark.parametrize("case", GEOMETRY_SCANS)
+def test_geometry_scan_is_one_table(tmp_path, monkeypatch, case):
+    # a width or height scan builds one table per observable and difference
+    # round, for the family of its potentials, however many rows it has
+    observable, potential, (parameter, lo, hi), tables = GEOMETRY_SCANS[case]
+    builds = []
+    build = SolutionTable.__init__
+    monkeypatch.setattr(SolutionTable, "__init__",
+                        lambda self, pot, Es: builds.append(1) or build(self, pot, Es))
+    for steps in (3, 30):
+        builds.clear()
+        cfg = write(tmp_path, "scan.json", {
+            "potential": potential, "energy": 5.0,
+            "scan": {"parameter": parameter, "min": lo, "max": hi, "steps": steps},
+            "scan2": {"parameter": "L_minus_a", "min": 5.0, "max": 7.0, "steps": 3},
+            "observables": [observable]})
+        assert main(["run", cfg, "--out", str(tmp_path / f"out{steps}")]) == 0
+        assert len(builds) == tables, steps

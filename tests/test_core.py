@@ -114,41 +114,41 @@ def test_composite_gauss_oscillatory():
 
 
 def test_ddE_linear():
-    assert central_difference(lambda E: E, 3.7) == pytest.approx(1.0, abs=1e-9)
+    assert central_difference(lambda E, _: E, 3.7) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ddE_quadratic():
-    assert central_difference(lambda E: E**2, 2.0) == pytest.approx(4.0, rel=1e-6)
+    assert central_difference(lambda E, _: E**2, 2.0) == pytest.approx(4.0, rel=1e-6)
 
 
 def test_ddE_constant():
-    assert central_difference(lambda E: 0 * E + 42.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert central_difference(lambda E, _: 0 * E + 42.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ddE_small_energy_step_reduction():
     # the step h = rel_step * E stays below E for every allowed rel_step, so
     # E - h > 0 holds without any step halving
-    val = central_difference(lambda E: E**2, 0.5, rel_step=0.9)
+    val = central_difference(lambda E, _: E**2, 0.5, rel_step=0.9)
     assert val == pytest.approx(1.0, rel=1e-12)
     for bad in (0.0, 1.0, 2.0):
         with pytest.raises(ContractViolation):
-            central_difference(lambda E: E**2, 0.5, rel_step=bad)
+            central_difference(lambda E, _: E**2, 0.5, rel_step=bad)
 
 
 def test_ddE_contract():
     for x in (0.0, -1.0, np.array([1.0, 0.0])):
         with pytest.raises(ContractViolation):
-            central_difference(lambda E: E, x)
+            central_difference(lambda E, _: E, x)
     with pytest.raises(ContractViolation):
-        central_difference(lambda E: np.full_like(E, np.nan), 1.0)
+        central_difference(lambda E, _: np.full_like(E, np.nan), 1.0)
 
 
 def test_ddE_array_matches_scalar():
     xs = np.array([[0.5, 1.0], [2.0, 3.5]])
-    d = central_difference(np.sin, xs)
+    d = central_difference(lambda x, _: np.sin(x), xs)
     assert d.shape == xs.shape
     for x, dx in zip(xs.ravel(), d.ravel()):
-        assert dx == central_difference(np.sin, x)
+        assert dx == central_difference(lambda x, _: np.sin(x), x)
     assert np.allclose(d, np.cos(xs), rtol=1e-9)
 
 
@@ -156,7 +156,7 @@ def test_phase_derivative_plane_rotation():
     # g = e^{i w E}: d(arg)/dE = w, from the principal-value arg
     w = 0.7
     assert central_difference(
-        lambda E: np.angle(np.exp(1j * w * E)), 5.0, periodic=True
+        lambda E, _: np.angle(np.exp(1j * w * E)), 5.0, periodic=True
     ) == pytest.approx(w, rel=1e-9)
 
 
@@ -164,27 +164,28 @@ def test_phase_difference_wraps_across_the_branch_cut():
     # arg = w E mod 2 pi jumps by -2 pi between E - h and E + h at E = pi / w
     w = 2.0
     E0 = np.pi / w
-    d = central_difference(lambda E: np.angle(np.exp(1j * w * E)), E0, periodic=True)
+    d = central_difference(lambda E, _: np.angle(np.exp(1j * w * E)), E0, periodic=True)
     assert d == pytest.approx(w, rel=1e-9)
 
 
 def test_phase_swing_refined_per_entry():
     # arg e^{i c x^2} turns by 4 c x h across the difference: 1 rad at x = 0.5,
     # but 4 and 16 rad at x = 1 and 2, which wrap to more than pi/2, so only
-    # those two entries are evaluated again, at a hundredth of the step
+    # those two entries are evaluated again, at a hundredth of the step, and f
+    # is told the row of each stacked entry
     c, calls = 1e6, []
 
-    def phase(x):
-        calls.append(len(x))
+    def phase(x, rows):
+        calls.append(rows.tolist())
         return np.angle(np.exp(1j * c * x**2))
 
     x = np.array([0.5, 1.0, 2.0])
     assert central_difference(phase, x, periodic=True) == pytest.approx(2 * c * x, rel=1e-6)
-    assert calls == [6, 4]
+    assert calls == [[0, 1, 2, 0, 1, 2], [1, 2, 1, 2]]
 
 
 def test_unresolvable_phase_swing_raises():
     # a true discontinuity of 0.9 pi is never resolved by shrinking the step
     with pytest.raises(QuadratureError):
-        central_difference(lambda x: np.where(x < 1.0, 0.0, 0.9 * np.pi), 1.0,
+        central_difference(lambda x, _: np.where(x < 1.0, 0.0, 0.9 * np.pi), 1.0,
                            periodic=True)

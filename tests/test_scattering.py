@@ -17,7 +17,9 @@ from tuntime.potential import (
     double_rectangular,
     rectangular,
 )
+from tuntime import scattering
 from tuntime.scattering import (
+    _RESCALE_LIMIT,
     ORACLE_TOL,
     UNITARITY_TOL,
     SolutionTable,
@@ -372,3 +374,135 @@ def test_s_matrix_asymmetric_flagged():
     pot = PiecewisePotential(((0.0, 1.0, 2.0), (2.0, 6.0, 7.0)))
     S, flags = s_matrix(solve(pot, 3.0))
     assert "asymmetric" in flags
+
+
+def _segment_family(rng, n_rows):
+    """Three barriers with random edges and heights: seven regions in every row."""
+    rows = []
+    for _ in range(n_rows):
+        edges = np.cumsum(rng.uniform(0.3, 4.0, 6)) - 3.0
+        rows.append(PiecewisePotential(tuple(
+            (float(edges[2 * i]), float(edges[2 * i + 1]), float(rng.uniform(0.5, 15.0)))
+            for i in range(3))))
+    return rows
+
+
+FAMILIES = {  # case: the potentials of the rows, their energies (one per row or one for all)
+    # kappa a from 0.5 to 1e4: one chunk, several chunks and rescaled rows in one table
+    "rect-a": ([rectangular(10.0, kappa_a / float(UNITS.decay_constant(10.0, 5.0)))
+                for kappa_a in (0.5, 8.0, 299.0, 450.0, 800.0, 3000.0, 1e4)], 5.0),
+    # V0 = E puts the fourth row on the degeneracy nudge
+    "rect-V0": ([rectangular(V0, 3.0) for V0 in (2.0, 4.0, 4.9, 5.0, 7.5, 12.0)], 5.0),
+    "double-a-gap": ([double_rectangular(10.0, a, a + gap) for a in (1.5, 4.0)
+                      for gap in (1.0, 5.0, 9.0)], np.linspace(1.0, 9.0, 6)),
+    "segments": (_segment_family(np.random.default_rng(11), 8), np.linspace(0.5, 16.0, 8)),
+}
+
+
+@pytest.mark.parametrize("case", FAMILIES)
+def test_geometry_rows_equal_one_row_tables(case):
+    # a family of potentials with one region count is one table whose every
+    # row, in every field, is bit-identical to its own potential's one-row
+    # table, with the dwell markers set per row
+    pots, Es = FAMILIES[case]
+    family = SolutionTable(pots, Es)
+    Es = np.broadcast_to(Es, len(pots))
+    x_i = np.array([p.x_left - 0.7 for p in pots])
+    x_f = np.array([0.5 * (p.x_left + p.x_right) + 0.3 * i for i, p in enumerate(pots)])
+    density = family.density_integral(x_i, x_f)
+    residual = family.boundary_residual()
+    if case == "rect-V0":
+        assert family.shifted.tolist() == [False, False, False, True, False, False]
+    for i, (pot, E) in enumerate(zip(pots, Es)):
+        one = SolutionTable(pot, [E])
+        for name in ("E", "k", "q", "A_T", "A_R", "log_abs_A_T", "arg_A_T", "f", "b",
+                     "log_scale", "shifted"):
+            assert np.array_equal(getattr(family, name)[i], getattr(one, name)[0]), (i, name)
+        assert np.array_equal(residual[i], one.boundary_residual()[0])
+        assert np.array_equal(density[i], one.density_integral(x_i[i], x_f[i])[0])
+        for name in ("refs", "ends", "bounds"):
+            assert np.array_equal(getattr(family, name)[i], getattr(one, name)), (i, name)
+
+
+def test_geometry_rows_refuse_single_geometry_reads():
+    family = SolutionTable([rectangular(10.0, a) for a in (2.0, 3.0)], 5.0)
+    for read in (lambda: family.psi_dpsi(1.0), lambda: family.psi([0.5, 1.0]),
+                 lambda: two_phase(family), lambda: s_matrix(family)):
+        with pytest.raises(ContractViolation):
+            read()
+    with pytest.raises(ContractViolation, match="region count"):
+        SolutionTable([rectangular(10.0, 2.0), double_rectangular(10.0, 2.0, 5.0)], 5.0)
+    with pytest.raises(ContractViolation):
+        SolutionTable([rectangular(10.0, 2.0)] * 3, [4.0, 5.0])
+
+
+def _forward_reference(table):
+    """The forward pass as first written: from the identity, with a rescale
+    check after every step, on the table's own (nudged) energies."""
+    q = table.q.T
+    widths = table.ends - table.refs
+    nreg, n = q.shape
+    T = np.zeros((n, 2, 2), dtype=complex)
+    T[:, 0, 0] = T[:, 1, 1] = 1.0
+    logscale = np.zeros(n)
+
+    def rescale(T):
+        mags = np.abs(T).max(axis=(1, 2))
+        big = mags > _RESCALE_LIMIT
+        T[big] /= mags[big, None, None]
+        logscale[big] += np.log(mags[big])
+
+    for j in range(nreg - 1):
+        if widths[j] > 0:
+            chunks = 1 + (q[j].imag * (widths[j] / 300.0)).astype(int)
+            ph = np.exp(1j * q[j] * (widths[j] / chunks))
+            for step in range(chunks.max()):
+                p = np.where(step < chunks, ph, 1.0)
+                T[:, 0, :] *= p[:, None]
+                T[:, 1, :] /= p[:, None]
+                rescale(T)
+        r = q[j] / q[j + 1]
+        M = np.empty((n, 2, 2), dtype=complex)
+        M[:, 0, 0] = M[:, 1, 1] = 0.5 * (1 + r)
+        M[:, 0, 1] = M[:, 1, 0] = 0.5 * (1 - r)
+        T = M @ T
+        rescale(T)
+    x1, xm, k = table.refs[0], table.ends[-1], table.k
+    return (-logscale - np.log(np.abs(T[:, 1, 1])),
+            -np.angle(T[:, 1, 1]) + k * (x1 - xm),
+            -T[:, 1, 0] / T[:, 1, 1] * np.exp(2j * k * x1))
+
+
+def test_trimmed_forward_pass_equals_the_reference():
+    # the build starts from M[0] instead of M[0] @ identity and checks for a
+    # rescale only when its growth bound nears the limit: neither changes a bit
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        n_seg = int(rng.integers(1, 5))
+        edges = np.cumsum(rng.uniform(0.2, 5.0, 2 * n_seg)) - 4.0
+        heights = rng.uniform(0.5, 20.0, n_seg)
+        opaque = int(rng.integers(n_seg))  # one segment at kappa d in [700, 1e4] at E = V/2
+        stretch = rng.uniform(700.0, 1e4) / float(UNITS.decay_constant(heights[opaque],
+                                                                       0.5 * heights[opaque]))
+        edges[2 * opaque + 1:] += stretch - (edges[2 * opaque + 1] - edges[2 * opaque])
+        pot = PiecewisePotential(tuple((float(edges[2 * i]), float(edges[2 * i + 1]),
+                                        float(heights[i])) for i in range(n_seg)))
+        Es = np.concatenate([[0.5 * heights[opaque]], rng.uniform(0.05, 25.0, 6)])
+        table = SolutionTable(pot, Es)
+        for got, want in zip((table.log_abs_A_T, table.arg_A_T, table.A_R),
+                             _forward_reference(table)):
+            assert np.array_equal(got, want)
+
+
+def test_rescale_runs_only_near_the_limit(monkeypatch):
+    # below the growth bound's reach no entry can pass _RESCALE_LIMIT, so
+    # such a table never calls the rescale step; an opaque one does
+    calls = []
+    original = scattering._rescale
+    monkeypatch.setattr(scattering, "_rescale",
+                        lambda T, logscale: calls.append(1) or original(T, logscale))
+    for pot in (rectangular(10.0, 5.0), double_rectangular(10.0, 4.0, 10.0), LATTICE):
+        SolutionTable(pot, np.linspace(0.5, 12.0, 9))
+    assert calls == []
+    opaque = SolutionTable(rectangular(10.0, 1e3), [5.0])
+    assert calls and opaque.log_abs_A_T[0] < -1000.0

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis.strategies import floats
 
 from tuntime.core import UNITS, ContractViolation
-from tuntime.potential import PiecewisePotential, RegionMarkers, rectangular
+from tuntime.potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from tuntime.scattering import rect_amplitude, solve
 from tuntime.stationary_times import (
     bl_time,
@@ -97,6 +97,47 @@ def test_array_energies_match_scalar_calls():
         assert isinstance(taus, np.ndarray) and taus.shape == Es.shape
         scalar = np.array([fn(pot, float(Ee)) for Ee in Es])
         assert np.array_equal(taus, scalar)
+
+
+def _resonant_family():
+    # the middle row sits on a cavity resonance of width ~1e-9 eV, so its
+    # phase swings across the first steps and only its entries are refined
+    from tuntime.double_barrier import find_resonances
+    E_r = find_resonances(10.0, 6.0, 18.0, (0.5, 1.5))[0].E_r
+    return [double_rectangular(10.0, 6.0, L) for L in (16.0, 18.0, 20.0)], E_r
+
+
+def test_geometry_families_match_scalar_calls():
+    # a sequence of potentials is one call per difference round, and every
+    # row equals the scalar call on its own potential, with energies one for
+    # all or one per row and markers one per row
+    widths = np.array([0.5, 8.0, 299.0, 450.0, 700.0, 3000.0, 1e4]) / KAPPA
+    rects = [rectangular(V0, a) for a in widths]
+    heights = [rectangular(v, 3.0) for v in (4.0, 4.9, 5.0, 7.5, 12.0)]  # V0 = E is nudged
+    resonant, E_r = _resonant_family()
+
+    def dwell(pot, E):
+        def mark(p):
+            return RegionMarkers(p.x_left - 1.0, p.x_right)
+        return dwell_time_stationary(pot, E, [mark(p) for p in pot] if isinstance(pot, list)
+                                     else mark(pot))
+
+    cases = [(phase_time, rects[:5], E), (phase_time, heights, E),
+             (phase_time, resonant, E_r), (phase_time, rects[:4], np.linspace(2.0, 6.0, 4)),
+             (bl_time, rects, E), (bl_time, heights[3:], np.array([5.5, 4.0])),
+             (dwell, rects, E), (dwell, heights, E), (dwell, resonant, E_r)]
+    for fn, pots, Es in cases:
+        taus = fn(pots, Es)
+        assert isinstance(taus, np.ndarray) and taus.shape == (len(pots),)
+        scalar = [fn(pot, float(Ee)) for pot, Ee in zip(pots, np.broadcast_to(Es, len(pots)))]
+        assert np.array_equal(taus, scalar)
+    markers = [RegionMarkers(-2.0, p.x_right + 1.0) for p in rects[:5]]
+    assert np.array_equal(phase_time(rects[:5], E, markers),
+                          [phase_time(p, E, m) for p, m in zip(rects[:5], markers)])
+    assert np.array_equal(dwell_time_stationary(rects[:5], E, markers),
+                          [dwell_time_stationary(p, E, m) for p, m in zip(rects[:5], markers)])
+    with pytest.raises(ContractViolation):
+        bl_time(heights, E)  # V0 = 4 eV lies below E
 
 
 # ------------------------------------------------------------------ BL time
