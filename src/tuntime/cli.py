@@ -243,6 +243,10 @@ def _resolve_scan(path: str, s: dict, allowed: set, why: str) -> dict:
         _fail(f"{path}.max", "must exceed min")
     if steps < 2:
         _fail(f"{path}.steps", "must be >= 2")
+    if param == "L_minus_a" and lo < 0:
+        _fail(f"{path}.min", "a gap L - a must be >= 0")
+    if param != "L_minus_a" and not lo > 0:
+        _fail(f"{path}.min", f"{param} must be positive on every row")
     return {"parameter": param, "min": lo, "max": hi, "steps": steps}
 
 

@@ -4,15 +4,27 @@ Transfer matrices are accumulated in the (forward, backward) amplitude basis
 with exponentials referenced to each region's left edge, so that an opaque
 barrier never materialises e^{+kappa a} against an O(1) coefficient.  The
 running product is rescaled whenever its entries grow large and the pulled-out
-magnitude is tracked as a log, which keeps |A_T| available in log form for
-arbitrarily opaque barriers (kappa a far beyond the e^{-745} underflow line).
+magnitude is tracked as a log.  So log|A_T| (log_abs_A_T) and arg A_T hold at
+any opacity, kappa a far beyond the e^{-745} underflow line; the complex A_T
+itself underflows to 0 past kappa a ~ 745.  stationary_times.phase_time,
+which differences the angle of A_T, fails from kappa a ~ 717, where A_T is
+subnormal (8e-7 relative at kappa a = 720, 8% at 730), and raises once A_T
+is 0.
 The incident region has no width, so the product starts from the first
 joint's matrix rather than from its product with the identity.  No entry of
 a row's product exceeds e^B, with B = sum_j kappa_j d_j + sum_j ln(1 +
 |q_j / q_{j+1}|) its growth bound, so the rescale checks run only in a table
 where some row's B comes within a factor e of the rescale limit.
 
-Each pass forms its per-region factors (chunk phases, interface matrices,
+The forward pass holds the running matrix as a (2, 2, n) array, energy last.
+A joint's matrix [[a, b], [b, a]], a, b = (1 +- q_j/q_{j+1})/2, is a times
+the identity plus b times the row swap, so it is kept as its two vectors and
+applied as T <- a T + b T[::-1], that is [a T0 + b T1; a T1 + b T0] on T's
+rows: two products and a sum over contiguous arrays of all energies, not one
+2x2 matrix product per energy.  Every step is elementwise per energy, so
+every row of a table is bit-identical to its own one-row table.
+
+Each pass forms its per-region factors (chunk phases, joint vectors,
 e^{iqd} and q ratios) for every region and energy before its loop over the
 regions, so the loop is a few array operations per region.  A table runs the
 forward pass when it is built and the backward pass on the first read of a
@@ -88,12 +100,13 @@ def _geometry(pots):
 
 
 def _rescale(T, logscale):
-    """Divide every transfer matrix of T whose largest entry exceeds
-    _RESCALE_LIMIT by that entry and add its log to logscale, in place."""
-    mags = np.abs(T).max(axis=(1, 2))
+    """Divide every transfer matrix of T, shape (2, 2, n), whose largest
+    entry exceeds _RESCALE_LIMIT by that entry and add its log to logscale,
+    in place."""
+    mags = np.abs(T).max(axis=(0, 1))
     if mags.max() > _RESCALE_LIMIT:
         big = mags > _RESCALE_LIMIT
-        T[big] /= mags[big, None, None]
+        T[..., big] /= mags[big]
         logscale[big] += np.log(mags[big])
 
 
@@ -114,10 +127,13 @@ class SolutionTable:
     potential; pot is then the first row's potential, and psi, psi_dpsi,
     two_phase and s_matrix, which read a single geometry, refuse the table.
 
-    A build runs the forward pass only.  f, b and log_scale come from the
-    backward substitution, run once, on their first read (psi_dpsi, psi,
-    density_integral, boundary_residual), so a caller that reads only the
-    transmission never pays for it.
+    A build runs the forward pass only and stores log_abs_A_T, which every
+    consumer reads.  arg_A_T, A_T and A_R are derived from the product's
+    second row on their first read, so a caller that reads only the modulus
+    (a BL time, a resonance search) never forms them.  f, b and log_scale
+    come from the backward substitution, run once, on their first read
+    (psi_dpsi, psi, density_integral, boundary_residual), so a caller that
+    reads only the transmission never pays for it.
     """
 
     def __init__(self, pot: PiecewisePotential | Sequence[PiecewisePotential], Es):
@@ -162,7 +178,6 @@ class SolutionTable:
         widths = (ends - refs).T  # (n_regions, 1 or n), as q below
         self.q = _wavenumbers(Es, heights)  # (nE, n_regions)
         q = np.ascontiguousarray(self.q.T)  # region-major from here on
-        nreg = len(q)
 
         # forward accumulation of the global transfer matrix, log-rescaled; a
         # region is crossed in chunks of kappa d < 300 per energy, so no step
@@ -171,40 +186,52 @@ class SolutionTable:
         chunks = 1 + kd_300.astype(int)
         phases = np.exp(1j * q * (widths / chunks))
         r = q[:-1] / q[1:]
-        M = np.empty((nreg - 1, n, 2, 2), dtype=complex)
-        M[..., 0, 0] = M[..., 1, 1] = 0.5 * (1 + r)
-        M[..., 0, 1] = M[..., 1, 0] = 0.5 * (1 - r)
+        a, b = 0.5 * (1 + r), 0.5 * (1 - r)
         # no entry of T exceeds e^{growth}: a chunk multiplies a row by at
         # most e^{kappa d / chunks}, a joint by at most 1 + |r|.  A table
         # whose every row stays a factor e below the limit is never rescaled
         growth = 300.0 * kd_300.sum(axis=0) + np.log1p(np.abs(r)).sum(axis=0)
         check = growth.max() > _RESCALE_LOG_LIMIT - 1.0
         logscale = np.zeros(n)
-        # region 0 has no width, so T starts as M[0] = M[0] @ identity (and
-        # may be updated in place: M[0] is not read again)
-        T = M[0]
-        for j in range(1, nreg - 1):
-            ph = phases[j]
-            for step in range(chunks[j].max()):  # every energy has a first chunk
-                p = np.where(step < chunks[j], ph, 1.0) if step else ph
-                T[:, 0, :] *= p[:, None]
-                T[:, 1, :] /= p[:, None]
+        # region 0 has no width, so T starts as the first joint's matrix,
+        # which equals its product with the identity
+        T = np.array([[a[0], b[0]], [b[0], a[0]]])
+        for ph, n_chunks, aj, bj in zip(phases[1:-1], chunks[1:-1], a[1:], b[1:]):
+            for step in range(n_chunks.max()):  # every energy has a first chunk
+                p = np.where(step < n_chunks, ph, 1.0) if step else ph
+                T[0] *= p
+                T[1] /= p
                 if check:
                     _rescale(T, logscale)
-            T = M[j] @ T
+            T = aj * T + bj * T[::-1]  # [a T0 + b T1; a T1 + b T0]
             if check:
                 _rescale(T, logscale)
 
         # det(T_true) = q_left/q_right = 1 (free on both sides), so
         # A_T = e^{ik(x1-xm)} / T11_true with T11_true = T11 e^{logscale}.
         # Modulus and phase are kept apart so that derivatives of either
-        # can avoid the (possibly underflowed) complex amplitude.
-        k = self.k
-        b0_over_a0 = -T[:, 1, 0] / T[:, 1, 1]
-        self.A_R = b0_over_a0 * np.exp(2j * k * x1)
-        self.log_abs_A_T = -logscale - np.log(np.abs(T[:, 1, 1]))
-        self.arg_A_T = -np.angle(T[:, 1, 1]) + k * (x1 - xm)
-        self.A_T = np.exp(self.log_abs_A_T) * np.exp(1j * self.arg_A_T)
+        # can avoid the (possibly underflowed) complex amplitude; the row
+        # T[1] is kept for the columns derived on first read
+        self._T1, self._x1, self._xm = T[1], x1, xm
+        self.log_abs_A_T = -logscale - np.log(np.abs(T[1, 1]))
+
+    @functools.cached_property
+    def arg_A_T(self):
+        """arg A_T, not reduced to (-pi, pi]; exact at any opacity."""
+        return -np.angle(self._T1[1]) + self.k * (self._x1 - self._xm)
+
+    @functools.cached_property
+    def A_T(self):
+        """The transmission, psi = A_T e^{ikx} right of the potential; it
+        underflows to 0 past kappa a ~ 745."""
+        return np.exp(self.log_abs_A_T) * np.exp(1j * self.arg_A_T)
+
+    @functools.cached_property
+    def A_R(self):
+        """The reflection, psi = e^{ikx} + A_R e^{-ikx} left of the
+        potential."""
+        T10, T11 = self._T1
+        return -T10 / T11 * np.exp(2j * self.k * self._x1)
 
     @functools.cached_property
     def _regions(self):

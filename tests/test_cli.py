@@ -75,6 +75,32 @@ def test_validate_scan_steps(tmp_path, capsys):
     assert "scan.steps" in capsys.readouterr().err
 
 
+SCAN_MIN_REFUSALS = {  # case: (config keys, the field named)
+    "a-zero": ({"observables": ["hartman-scan"],
+                "scan": {"parameter": "a", "min": 0.0, "max": 2.0, "steps": 3}}, "scan.min"),
+    "V0-negative": ({"observables": ["phase-time"],
+                     "scan": {"parameter": "V0", "min": -1.0, "max": 8.0, "steps": 3}},
+                    "scan.min"),
+    "E-zero": ({"observables": ["phase-time"],
+                "scan": {"parameter": "E", "min": 0.0, "max": 4.0, "steps": 3}}, "scan.min"),
+    "gap-negative": ({"observables": ["double-barrier-scan"],
+                      "scan": {"parameter": "a", "min": 4.0, "max": 6.0, "steps": 2},
+                      "scan2": {"parameter": "L_minus_a", "min": -1.0, "max": 5.0, "steps": 3}},
+                     "scan2.min"),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_MIN_REFUSALS)
+def test_validate_refuses_scans_that_leave_the_domain(tmp_path, capsys, case):
+    # a width, height or energy scan that starts at or below 0, or a gap scan
+    # below 0, would pass validate and fail run: validate refuses it, naming
+    # the field
+    keys, field = SCAN_MIN_REFUSALS[case]
+    cfg = write(tmp_path, "scan.json", keys)
+    assert main(["validate", cfg]) == 1
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
 def test_validate_fig2_ok_with_echo(tmp_path, capsys):
     cfg = write(tmp_path, "fig2.json", FIG2_CONFIG)
     assert main(["validate", cfg]) == 0

@@ -248,6 +248,22 @@ def test_transmission_callers_skip_the_region_coefficients(monkeypatch):
     with pytest.raises(AssertionError, match="backward substitution"):
         table.boundary_residual()
 
+    # BL times and resonance searches read only log_abs_A_T, so none of them
+    # derives the angle, the complex transmission or the reflection; a phase
+    # time reads A_T
+    def derived(self):
+        raise AssertionError("derived column read")
+
+    for name in ("A_R", "A_T", "arg_A_T"):
+        monkeypatch.setattr(SolutionTable, name, property(derived))
+    family = [rectangular(10.0, a) for a in (2.0, 5.0, 9.0)]
+    assert np.isfinite(bl_time(pot, 5.0))
+    assert np.all(np.isfinite(bl_time(LATTICE, np.array([1.0, 2.0, 2.5]))))
+    assert np.all(np.isfinite(bl_time(family, 5.0)))
+    assert find_resonances(10.0, 5.0, 15.0, (0.5, 9.5))
+    with pytest.raises(AssertionError, match="derived column"):
+        phase_time(pot, 5.0)
+
 
 @pytest.mark.parametrize("pot", [rectangular(10.0, 5.0), double_rectangular(10.0, 4.0, 10.0),
                                  LATTICE], ids=["rectangular", "double", "lattice40"])
@@ -438,7 +454,8 @@ def test_geometry_rows_refuse_single_geometry_reads():
 
 def _forward_reference(table):
     """The forward pass as first written: from the identity, with a rescale
-    check after every step, on the table's own (nudged) energies."""
+    check after every step, on the table's own (nudged) energies, in the
+    (n, 2, 2) layout."""
     q = table.q.T
     widths = table.ends - table.refs
     nreg, n = q.shape
@@ -462,10 +479,9 @@ def _forward_reference(table):
                 T[:, 1, :] /= p[:, None]
                 rescale(T)
         r = q[j] / q[j + 1]
-        M = np.empty((n, 2, 2), dtype=complex)
-        M[:, 0, 0] = M[:, 1, 1] = 0.5 * (1 + r)
-        M[:, 0, 1] = M[:, 1, 0] = 0.5 * (1 - r)
-        T = M @ T
+        a, b = (0.5 * (1 + r))[:, None], (0.5 * (1 - r))[:, None]
+        T0, T1 = T[:, 0], T[:, 1]  # the joint [[a, b], [b, a]] @ T, elementwise
+        T = np.stack([a * T0 + b * T1, b * T0 + a * T1], axis=1)
         rescale(T)
     x1, xm, k = table.refs[0], table.ends[-1], table.k
     return (-logscale - np.log(np.abs(T[:, 1, 1])),
@@ -492,6 +508,66 @@ def test_trimmed_forward_pass_equals_the_reference():
         for got, want in zip((table.log_abs_A_T, table.arg_A_T, table.A_R),
                              _forward_reference(table)):
             assert np.array_equal(got, want)
+
+
+def _mp_amplitudes(mpmath, pot, E):
+    """(log|A_T|, arg A_T, A_R) at 60 digits, from plane waves A e^{iqx} +
+    B e^{-iqx} in absolute coordinates matched joint by joint from the
+    transmitted wave e^{ikx}: the textbook product, with no scaling, chunking
+    or edge referencing (mpmath's exponent range holds any opacity)."""
+    with mpmath.workdps(60):
+        regions = pot.interior_regions()
+        heights = [0.0, *(v for _, _, v in regions), 0.0]
+        joints = [regions[0][0], *(hi for _, hi, _ in regions)]
+        c, E = mpmath.mpf(UNITS.hbar2_over_2m), mpmath.mpf(float(E))
+        q = [mpmath.sqrt((E - mpmath.mpf(v)) / c) for v in heights]
+        A, B = mpmath.mpc(1), mpmath.mpc(0)
+        for j in range(len(joints) - 1, -1, -1):
+            x, ql, qr = mpmath.mpf(joints[j]), q[j], q[j + 1]
+            fwd, bwd = A * mpmath.exp(1j * qr * x), B * mpmath.exp(-1j * qr * x)
+            ratio = qr / ql
+            A = 0.5 * (fwd + bwd + ratio * (fwd - bwd)) * mpmath.exp(-1j * ql * x)
+            B = 0.5 * (fwd + bwd - ratio * (fwd - bwd)) * mpmath.exp(1j * ql * x)
+        return (float(-mpmath.log(abs(A))), float(-mpmath.arg(A)),
+                complex(B / A))
+
+
+def _random_potential(rng, widen):
+    """1-5 segments with random edges and heights; with widen, one segment is
+    stretched by 100-3000 Angstrom.  Returns the potential and the height of
+    the widened (or first) segment."""
+    n_seg = int(rng.integers(1, 6))
+    edges = np.cumsum(rng.uniform(0.2, 5.0, 2 * n_seg)) - 4.0
+    heights = rng.uniform(0.5, 20.0, n_seg)
+    i = int(rng.integers(n_seg))
+    if widen:
+        edges[2 * i + 1:] += rng.uniform(100.0, 3000.0)
+    pot = PiecewisePotential(tuple((float(edges[2 * s]), float(edges[2 * s + 1]),
+                                    float(heights[s])) for s in range(n_seg)))
+    return pot, float(heights[i])
+
+
+def test_forward_pass_matches_a_60_digit_product():
+    # an independent high-precision reference: log|A_T| and arg A_T (mod 2 pi)
+    # to 1e-12 relative to max(1, |value|) and A_R to 1e-11, on single
+    # potentials (one segment at kappa d up to ~3800) and on a family's rows
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(29)
+    tables = []
+    for i in range(20):
+        pot, V = _random_potential(rng, widen=i % 2 == 1)
+        Es = [rng.uniform(0.02, 0.5) * V, *rng.uniform(0.05, 25.0, 3)]
+        tables.append((SolutionTable(pot, Es), [pot] * 4))
+    family = _segment_family(np.random.default_rng(5), 6)
+    tables.append((SolutionTable(family, np.linspace(0.5, 16.0, 6)), family))
+    for table, pots in tables:
+        for pot, E, log_abs, arg, A_R in zip(pots, table.E, table.log_abs_A_T,
+                                             table.arg_A_T, table.A_R):
+            want_log, want_arg, want_R = _mp_amplitudes(mpmath, pot, E)
+            assert abs(log_abs - want_log) <= 1e-12 * max(1.0, abs(want_log)), (pot, E)
+            turn = (arg - want_arg + np.pi) % (2 * np.pi) - np.pi
+            assert abs(turn) <= 1e-12 * max(1.0, abs(arg)), (pot, E)
+            assert abs(A_R - want_R) <= 1e-11, (pot, E)
 
 
 def test_rescale_runs_only_near_the_limit(monkeypatch):
