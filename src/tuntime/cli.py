@@ -3,8 +3,10 @@
 Numbers in the config are eV, Angstrom and fs; waveguide blocks are cm.  One
 CSV per requested observable; every row carries the diagnostic flag columns
 (tail_captured, on_resonance, opaque_warning) so downstream plotting can
-filter.  Outputs are deterministic for a fixed config; the wall-clock data
-lives in a separate run_info.json so the CSVs and manifest stay byte-stable.
+filter; tail_captured is 1 on every row, since a flux series that misses its
+tail fails the observable.  Outputs are deterministic for a fixed config; the
+wall-clock data lives in a separate run_info.json so the CSVs and manifest
+stay byte-stable.
 A scan is one call per stationary time: a phase-time, bl-time, dwell or
 two-phase scan over E on the array of its energies, and a width or height
 scan (a or V0, hartman-scan, double-barrier-scan) on the family of its
@@ -30,18 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from . import emguide
-from .core import UNITS
-from .double_barrier import (
-    OPACITY_HARD_FLOOR,
-    OPACITY_WARN_BELOW,
-    on_resonance,
-    opaque_coefficients,
-)
+from .core import OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS
+from .double_barrier import on_resonance, opaque_coefficients
 from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from .scattering import ORACLE_TOL, UNITARITY_TOL, SolutionTable, two_phase
 from .stationary_times import bl_time, dwell_time_stationary, phase_time, two_phase_times
-from .wavepacket import _CACHE, TAIL_TOL, gaussian_packet, propagator
+from .wavepacket import _CACHE, MIN_N_K, TAIL_TOL, gaussian_packet, propagator
 
 
 class ConfigError(ValueError):
@@ -80,6 +77,11 @@ _WIDTH_SCANS = ("hartman-scan", "or-times", "double-barrier-scan")
 
 def _fail(path: str, message: str):
     raise ConfigError(path, message)
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """True for a JSON number of the given kind; a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_config(config_path: str) -> dict:
@@ -152,8 +154,8 @@ def resolve(raw: dict) -> dict:
         ]
 
     cfg["energy"] = raw.get("energy", _DEFAULTS["energy"])
-    if not cfg["energy"] > 0:
-        _fail("energy", "must be positive")
+    if not (_is_number(cfg["energy"]) and cfg["energy"] > 0):
+        _fail("energy", "must be a positive number")
     below = [name for name in ("hartman-scan", "double-barrier-scan") if name in obs]
     if below and not cfg["energy"] < pot_raw["V0"]:  # no kappa, no BL time
         _fail("energy", f"{below[0]} needs an energy below the barrier, V0 = {pot_raw['V0']!r}")
@@ -172,9 +174,13 @@ def resolve(raw: dict) -> dict:
     if "markers" in raw:
         m = raw["markers"]
         for key in ("x_i", "x_f"):
-            if key not in m:
-                _fail(f"markers.{key}", "required when markers are given")
+            if not _is_number(m.get(key)):
+                _fail(f"markers.{key}", "a number, required when markers are given")
         cfg["markers"] = {"x_i": float(m["x_i"]), "x_f": float(m["x_f"])}
+        right = (max(seg[1] for seg in pot_raw["segments"]) if kind == "segments"
+                 else pot_raw["a"] + (pot_raw["L"] if kind == "double" else 0.0))
+        if "causality" in obs and m["x_f"] < right:
+            _fail("markers.x_f", f"causality needs x_f at or past the right edge {right!r}")
 
     if "waveguide" in raw or "waveguide" in cfg["observables"]:
         wg = raw.get("waveguide")
@@ -186,9 +192,9 @@ def resolve(raw: dict) -> dict:
                     _fail(f"waveguide.{key}", "required")
             cfg["waveguide"] = wg
 
-    cfg["workers"] = int(raw.get("workers", _DEFAULTS["workers"]))
-    if cfg["workers"] < 1:
-        _fail("workers", "must be >= 1")
+    cfg["workers"] = raw.get("workers", _DEFAULTS["workers"])
+    if not (_is_number(cfg["workers"], int) and cfg["workers"] >= 1):
+        _fail("workers", "must be an integer >= 1")
     cfg["output_dir"] = str(raw.get("output_dir", _DEFAULTS["output_dir"]))
     return cfg
 
@@ -211,6 +217,8 @@ def _check_sub_barrier(name: str, scan: dict, energy: float, top: float):
 
 def _resolve_packet(path: str, p: dict, pot: dict) -> dict:
     if "k_bar" in p:
+        if not (_is_number(p["k_bar"]) and p["k_bar"] > 0):
+            _fail(f"{path}.k_bar", "must be a positive number (1/Angstrom)")
         k_bar = float(p["k_bar"])
     else:
         E_bar = p.get("E_bar")
@@ -226,8 +234,12 @@ def _resolve_packet(path: str, p: dict, pot: dict) -> dict:
         V0 = pot.get("V0")
         if V0 is not None and UNITS.energy(k_bar) >= V0:
             _fail(f"{path}.cutoff", "sub-barrier cutoff with mean energy above the barrier")
-    return {"k_bar": k_bar, "delta_k": float(delta_k), "n_k": int(p.get("n_k", 512)),
-            "cutoff": bool(p.get("cutoff", False)), "standoff": float(p.get("standoff", 0.0)),
+    if not (_is_number(p["n_k"], int) and p["n_k"] >= MIN_N_K):
+        _fail(f"{path}.n_k", f"must be an integer >= {MIN_N_K}")
+    if not _is_number(p["standoff"]):
+        _fail(f"{path}.standoff", "must be a number (Angstrom)")
+    return {"k_bar": k_bar, "delta_k": float(delta_k), "n_k": p["n_k"],
+            "cutoff": bool(p.get("cutoff", False)), "standoff": float(p["standoff"]),
             "E_bar": float(UNITS.energy(k_bar))}
 
 
@@ -363,15 +375,12 @@ def _obs_or_times(cfg: dict):
         def row(a, packet=packet, pk_cfg=pk_cfg):
             pot = rectangular(V0, a)
             prop = propagator(pot, packet)
-            fs0 = prop.flux_series(0.0)
-            fsa = prop.flux_series(a)
-            s0 = mean_time(fs0, "+")
-            sa = mean_time(fsa, "+")
+            s0 = mean_time(prop.flux_series(0.0), "+")
+            sa = mean_time(prop.flux_series(a), "+")
             tau_ph = phase_time(pot, prop.table.E)
-            tail = fs0.tail_captured and fsa.tail_captured
             return [pk_cfg["E_bar"], pk_cfg["delta_k"], a, s0.mean, sa.mean,
                     sa.mean - s0.mean, float(packet.energy_average(tau_ph)),
-                    int(tail), 0, 0]
+                    *_OK_FLAGS.values()]
 
         rows.extend(row(a) for a in _scan_values(cfg["scan"]))
     header = ["E_bar_eV", "delta_k", "a", "t_plus_0_fs", "t_plus_a_fs",
@@ -439,16 +448,7 @@ def _obs_waveguide(cfg: dict):
     if not branch.evanescent:
         return (["lambda_cm", "lambda_c_cm", "gamma_per_cm", *FLAGS],
                 [[spec.lam, lc, branch.gamma, *_OK_FLAGS.values()]])
-    opaque_warn = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            ph = emguide.photon_phase_time(spec)
-        except emguide.EvanescenceWarning:
-            opaque_warn = 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ph = emguide.photon_phase_time(spec)
+    ph = emguide.photon_phase_time(spec)  # an EvanescenceWarning counts in the manifest
     bm = emguide.map_to_barrier(spec)
     mapped_tau = emguide.mapped_phase_time(spec)
     c_cm = UNITS.c / 1e8
@@ -457,7 +457,7 @@ def _obs_waveguide(cfg: dict):
               "mapped_V0_eV", "mapped_a_A", "mapped_tau_fs", *FLAGS]
     row = [spec.lam, lc, branch.kappa_em, ph.L_kappa, ph.tau, ph.v_eff / c_cm,
            int(ph.superluminal), bm.V0_eff, bm.a_eff, mapped_tau,
-           1, 0, opaque_warn]
+           1, 0, int("opaque_warning" in ph.flags)]
     return header, [row]
 
 
@@ -515,10 +515,6 @@ def cmd_run(args) -> int:
         path = out_dir / f"{name}.csv"
         _write_csv(path, header, rows)
         outputs.append({"observable": name, "file": path.name, "rows": len(rows)})
-        for row in rows:
-            flags = dict(zip(FLAGS, row[-3:]))
-            if not flags.get("tail_captured", 1):
-                warning_count += 1
 
     manifest = {
         "config": cfg,

@@ -20,6 +20,10 @@ import numpy as np
 
 
 BRACKET_SAMPLES = 33  # samples per bracket and round: each round narrows 16-32 fold
+# opacity (decay constant x width: chi a of a barrier, L kappa_em of a guide)
+# below which the opaque-limit closed forms are refused, and below which they warn
+OPACITY_HARD_FLOOR = 5.0
+OPACITY_WARN_BELOW = 8.0
 
 
 class ContractViolation(ValueError):

@@ -28,14 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNITS, ContractViolation, bracket_search
+from .core import OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS, ContractViolation, bracket_search
 from .potential import double_rectangular
 from .scattering import SolutionTable, solve
 from .stationary_times import phase_time
 
 RESONANCE_DENOMINATOR_TOL = 1e-6
-OPACITY_HARD_FLOOR = 5.0
-OPACITY_WARN_BELOW = 8.0
 RESONANCE_SCAN = 2001  # energies of find_resonances' scan over its window
 
 

@@ -15,14 +15,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import UNITS, ContractViolation, central_difference
+from .core import (OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS, ContractViolation,
+                   central_difference)
 from .potential import PiecewisePotential, rectangular
 from .scattering import SolutionTable
 
 CM = 1e8  # Angstrom per cm
-
-LKAPPA_HARD_FLOOR = 5.0
-LKAPPA_WARN_BELOW = 8.0
 
 
 class EvanescenceWarning(UserWarning):
@@ -133,10 +131,10 @@ def photon_phase_time(spec: WaveguideSpec) -> PhotonTunnellingTime:
     c_cm = UNITS.c / CM              # cm/fs
     lk = spec.L * kap
     flags = ()
-    if lk < LKAPPA_HARD_FLOOR:
-        raise ContractViolation(f"opaque-guide formula needs L kappa_em >= {LKAPPA_HARD_FLOOR}")
-    if lk < LKAPPA_WARN_BELOW:
-        warnings.warn(f"L kappa_em = {lk:.2f} below {LKAPPA_WARN_BELOW}; "
+    if lk < OPACITY_HARD_FLOOR:
+        raise ContractViolation(f"opaque-guide formula needs L kappa_em >= {OPACITY_HARD_FLOOR}")
+    if lk < OPACITY_WARN_BELOW:
+        warnings.warn(f"L kappa_em = {lk:.2f} below {OPACITY_WARN_BELOW}; "
                       "saturation error not negligible", EvanescenceWarning,
                       stacklevel=2)
         flags = ("opaque_warning",)

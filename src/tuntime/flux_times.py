@@ -48,7 +48,6 @@ from .wavepacket import FluxSeries, Propagator, SpectralPacket, propagator
 
 MASS_FLOOR = 1e-10        # relative weight below which a sign channel is "absent"
 DWELL_FORM_TOL = 1e-3     # relative disagreement of the two dwell forms
-DWELL_N_T = 4096          # time samples of the shared dwell window
 FLUX_NOISE_FLOOR = 1e-12  # flux gaps below this fraction of the peak J_in are rounding
 
 DURATION_KINDS = (
@@ -95,11 +94,13 @@ def _moments(J, grid: Grid1D, floor: float = 0.0, label: str = "flux channel") -
 def mean_time(fs: FluxSeries, sign: str) -> TimeStatistics:
     """Statistics of the chosen sign channel of a flux series.
 
-    Raises NoSuchFluxError when the channel mass is below MASS_FLOOR of the
-    total |J| mass -- an absent process, as opposed to numerical underflow.
+    Raises QuadratureError when the series did not capture its tail, and
+    NoSuchFluxError when the channel mass is below MASS_FLOOR of the total
+    |J| mass -- an absent process, as opposed to numerical underflow.
     """
     if sign not in ("+", "-"):
         raise ContractViolation("sign must be '+' or '-'")
+    _captured(fs)
     mass, mean, var = _moments(fs.J_plus if sign == "+" else -fs.J_minus, fs.t_grid,
                                MASS_FLOOR * max(fs.abs_mass, 1e-300),
                                f"flux channel '{sign}' at x={fs.x}")
@@ -107,21 +108,15 @@ def mean_time(fs: FluxSeries, sign: str) -> TimeStatistics:
                           weight_mass=mass)
 
 
-def _series(prop: Propagator, x: float, component: str = "full") -> FluxSeries:
-    """prop.flux_series(x, component=component), refused when its tail was not captured."""
-    fs = prop.flux_series(x, component=component)
+def _captured(fs: FluxSeries) -> FluxSeries:
+    """fs, refused with QuadratureError when its window did not capture its tail."""
     if not fs.tail_captured:
-        raise QuadratureError(f"{component} flux series at x={x} did not capture its tail")
+        raise QuadratureError(f"{fs.component} flux series at x={fs.x} did not capture its tail")
     return fs
 
 
 def _stats(prop: Propagator, x: float, sign: str, component: str = "full") -> TimeStatistics:
-    return mean_time(_series(prop, x, component), sign)
-
-
-def _union_window(prop: Propagator, xs, components=("full",)) -> tuple:
-    grids = [_series(prop, x, c).t_grid for x in xs for c in components]
-    return min(g.lo for g in grids), max(g.hi for g in grids)
+    return mean_time(prop.flux_series(x, component=component), sign)
 
 
 def _validate_markers(pot: PiecewisePotential, kind: str, markers: RegionMarkers):
@@ -180,35 +175,33 @@ def duration(pot: PiecewisePotential, packet: SpectralPacket, kind: str,
 
 def _dwell_fluxes(pot: PiecewisePotential, packet: SpectralPacket,
                   markers: RegionMarkers) -> tuple:
-    """(prop, time grid, J(x_f), J(x_i), incident mass N, flux-moment dwell form),
-    evaluated once for dwell and its decomposition on one union window."""
+    """(prop, series at x_i, series at x_f, exact incident mass N, flux form
+    (integral t J(x_f) dt - integral t J(x_i) dt) / N over the two series)."""
     _validate_markers(pot, "dwell", markers)
     prop = propagator(pot, packet)
-    lo, hi = _union_window(prop, (markers.x_i, markers.x_f))
-    tg = Grid1D.uniform(lo, hi, DWELL_N_T)
-    J_f = prop.flux(markers.x_f, tg.points)
-    J_i = prop.flux(markers.x_i, tg.points)
-    N = float(integrate(prop.flux(markers.x_i, tg.points, "free"), tg))
-    flux_form = (float(integrate(tg.points * J_f, tg))
-                 - float(integrate(tg.points * J_i, tg))) / N
-    return prop, tg, J_f, J_i, N, flux_form
+    fs_i, fs_f = _captured(prop.flux_series(markers.x_i)), _captured(prop.flux_series(markers.x_f))
+    N = packet.incident_flux_mass()
+    flux_form = (float(integrate(fs_f.t * fs_f.J, fs_f.t_grid))
+                 - float(integrate(fs_i.t * fs_i.J, fs_i.t_grid))) / N
+    return prop, fs_i, fs_f, N, flux_form
 
 
-def _decomposition(prop: Propagator, markers: RegionMarkers, tg: Grid1D,
-                   J_f, J_i, N: float, flux_form: float) -> DurationReport:
+def _decomposition(markers: RegionMarkers, prop: Propagator, fs_i: FluxSeries,
+                   fs_f: FluxSeries, N: float, flux_form: float) -> DurationReport:
+    """dwell_decomposition from the sign-split moments of the two series."""
     x_i, x_f = markers.x_i, markers.x_f
-    Mp, t_plus_i, D_plus_i = _moments(np.where(J_i > 0, J_i, 0.0), tg,
+    Mp, t_plus_i, D_plus_i = _moments(fs_i.J_plus, fs_i.t_grid,
                                       label=f"flux channel '+' at x_i={x_i}")
-    _, t_plus_f, D_plus_f = _moments(np.where(J_f > 0, J_f, 0.0), tg,
+    _, t_plus_f, D_plus_f = _moments(fs_f.J_plus, fs_f.t_grid,
                                      label=f"flux channel '+' at x_f={x_f}")
-    J_back = np.where(J_i < 0, -J_i, 0.0)
-    if J_back.any():
-        _, t_minus_i, D_minus_i = _moments(J_back, tg, label=f"flux channel '-' at x_i={x_i}")
+    if fs_i.J_minus.any():
+        _, t_minus_i, D_minus_i = _moments(-fs_i.J_minus, fs_i.t_grid,
+                                           label=f"flux channel '-' at x_i={x_i}")
         tau_R, D_R = t_minus_i - t_plus_i, D_minus_i + D_plus_i
     else:  # nothing comes back through x_i (free space): no round trip to weigh
         tau_R = D_R = 0.0
 
-    r_xi = (Mp - N) / N
+    r_xi = Mp / N - 1.0
     T_E = float(prop.packet.energy_average(np.abs(prop.table.A_T) ** 2))
     R_E = 1.0 - T_E
     tau_T = t_plus_f - t_plus_i
@@ -234,7 +227,9 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
 
     Returns the space-time form (density integral over incident flux mass);
     the flux-moment form and their relative residual ride along in the
-    components.  Both divide by the incident mass N of the shared window.
+    components.  Both divide by the exact incident mass N =
+    packet.incident_flux_mass(), and the flux form reads the first moments of
+    the tail-captured series at x_i and x_f, each on its own window.
     Over all time, integral dt e^{i(w - w')t} = 2 pi delta(w - w'), so the
     space form is
 
@@ -251,7 +246,7 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
     The variance is the indirect one of dwell_decomposition (there is no
     direct definition).
     """
-    prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers)
+    prop, fs_i, fs_f, N, flux_form = _dwell_fluxes(pot, packet, markers)
     D = prop.table.density_integral(markers.x_i, markers.x_f)
     space_form = 2.0 * math.pi * float(integrate(np.abs(packet.G) ** 2 * D / packet.v,
                                                  packet.grid)) / N
@@ -263,7 +258,7 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
             f"({space_form!r} vs {flux_form!r}); extend the time window"
         )
 
-    var = _decomposition(prop, markers, tg, J_f, J_i, N, flux_form).variance
+    var = _decomposition(markers, prop, fs_i, fs_f, N, flux_form).variance
     return DurationReport(
         kind="dwell", markers=markers, mean=space_form, variance=var,
         mean_square=space_form**2 + var,
@@ -281,21 +276,17 @@ def dwell_decomposition(pot: PiecewisePotential, packet: SpectralPacket,
         tau_Dw = <T>_E tau_T + (<R>_E + <r(x_i)>) tau_R ,
 
     with tau_R the round trip observed at x_i (forward-in, backward-out) and
-    <r(x)> = integral (J_+ - J_in) dt / N, the interference deficit of the
+    <r(x)> = integral J_+ dt / N - 1, the interference deficit of the
     forward flux, negative near the barrier face and vanishing upstream.
     """
-    prop, tg, J_f, J_i, N, flux_form = _dwell_fluxes(pot, packet, markers)
-    return _decomposition(prop, markers, tg, J_f, J_i, N, flux_form)
+    return _decomposition(markers, *_dwell_fluxes(pot, packet, markers))
 
 
 def interference_deficit(pot: PiecewisePotential, packet: SpectralPacket,
                          x: float) -> float:
-    """<r(x)>: forward-flux mass at x minus the free incident mass, over N."""
-    prop = propagator(pot, packet)
-    fs = _series(prop, x)
-    J_in = prop.flux(x, fs.t, "free")
-    N = packet.incident_flux_mass()
-    return (float(integrate(fs.J_plus, fs.t_grid)) - float(integrate(J_in, fs.t_grid))) / N
+    """<r(x)>: forward-flux mass at x over the exact incident mass N, less 1."""
+    fs = _captured(propagator(pot, packet).flux_series(x))
+    return float(integrate(fs.J_plus, fs.t_grid)) / packet.incident_flux_mass() - 1.0
 
 
 def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
@@ -403,8 +394,8 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
         return CausalityResult("effective", margin >= 0.0, margin,
                                detail=f"x_i={xi}")
 
-    lo, hi = _union_window(prop, (x_f,), components=("full", "free"))
-    tg = Grid1D.uniform(lo, hi, 8192)
+    windows = [_captured(prop.flux_series(x_f, component=c)).t_grid for c in ("full", "free")]
+    tg = Grid1D.uniform(min(g.lo for g in windows), max(g.hi for g in windows), 8192)
     J_fin = prop.flux(x_f, tg.points)
     J_fin_p = np.where(J_fin > 0, J_fin, 0.0)
     J_in = prop.flux(x_f, tg.points, "free")

@@ -48,6 +48,7 @@ TAIL_TOL = 1e-4          # relative |J|-mass change that ends the tail extension
 FLUX_N_T = 2048          # samples of a flux series' requested window
 PACKET_SPAN = 12.0       # packet grid half-width in delta_k: edges below 1e-12 of the peak
 MAX_TAIL_EXTENSIONS = 8  # 25% window extensions before tail_captured=False
+MIN_N_K = 128            # fewest packet nodes gaussian_packet accepts
 PHASE_BLOCK = 1 << 19    # most entries of one phase build or stacked operand,
                          # and most samples one propagator's flux memo holds
 
@@ -124,8 +125,12 @@ class SpectralPacket:
         return float(wts @ np.asarray(values) / np.sum(wts))
 
     def incident_flux_mass(self) -> float:
-        """Analytic integral of the free-packet flux over all time: 2 pi |G|^2 dk."""
-        return float(2.0 * math.pi * integrate(np.abs(self.G) ** 2, self.grid))
+        """Analytic integral of the free-packet flux over all time: 2 pi |G|^2 dk,
+        weighted by k/k_bar for a photon packet, whose flux prefactor is c/k_bar."""
+        weight = np.abs(self.G) ** 2
+        if self.dispersion.kind == "photon":
+            weight = weight * self.k / self.k_bar
+        return float(2.0 * math.pi * integrate(weight, self.grid))
 
 
 def gaussian_packet(
@@ -153,8 +158,8 @@ def gaussian_packet(
     """
     if not k_bar > 6.0 * delta_k:
         raise ContractViolation("need k_bar > 6 delta_k to keep the support at k > 0")
-    if n_k < 128:
-        raise ContractViolation("need n_k >= 128")
+    if n_k < MIN_N_K:
+        raise ContractViolation(f"need n_k >= {MIN_N_K}")
     lo = max(k_bar - PACKET_SPAN * delta_k, 1e-3 * k_bar)
     hi = k_bar + PACKET_SPAN * delta_k
     if cutoff is not None:

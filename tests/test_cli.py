@@ -101,6 +101,45 @@ def test_validate_refuses_scans_that_leave_the_domain(tmp_path, capsys, case):
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+RUN_FAILURES_REFUSED = {  # case: (config keys, the field named)
+    "n_k-below-128": ({"observables": ["or-times"],
+                       "packets": [{"E_bar": 5.0, "delta_k": 0.02, "n_k": 64}]},
+                      "packets[0].n_k"),
+    "n_k-text": ({"observables": ["or-times"],
+                  "packets": [{"E_bar": 5.0, "delta_k": 0.02, "n_k": "many"}]},
+                 "packets[0].n_k"),
+    "n_k-fraction": ({"observables": ["or-times"],
+                      "packets": [{"E_bar": 5.0, "delta_k": 0.02, "n_k": 256.5}]},
+                     "packets[0].n_k"),
+    "standoff-non-numeric": ({"observables": ["or-times"],
+                              "packet": {"E_bar": 5.0, "delta_k": 0.02, "standoff": "far"}},
+                             "packets[0].standoff"),
+    "k_bar-non-numeric": ({"observables": ["or-times"],
+                           "packet": {"k_bar": "fast", "delta_k": 0.02}}, "packets[0].k_bar"),
+    "energy-non-numeric": ({"observables": ["hartman-scan"], "energy": "5 eV"}, "energy"),
+    "workers-non-numeric": ({"observables": ["hartman-scan"], "workers": "two"}, "workers"),
+    "marker-non-numeric": ({"observables": ["causality"],
+                            "packet": {"E_bar": 5.0, "delta_k": 0.02},
+                            "markers": {"x_i": "left", "x_f": 8.0}}, "markers.x_i"),
+    "causality-x_f-inside": ({"observables": ["causality"],
+                              "packet": {"E_bar": 5.0, "delta_k": 0.02},
+                              "markers": {"x_i": -30.0, "x_f": 2.0}}, "markers.x_f"),
+}
+
+
+@pytest.mark.parametrize("case", RUN_FAILURES_REFUSED)
+def test_resolve_refuses_configs_that_would_fail_in_run(tmp_path, capsys, case):
+    # each of these used to pass validate and then exit 2 in run (n_k below
+    # 128, causality's x_f inside the barrier), raise a Python traceback (a
+    # non-numeric value) or truncate a fractional n_k: validate and run
+    # refuse them as config errors
+    keys, field = RUN_FAILURES_REFUSED[case]
+    cfg = write(tmp_path, "bad.json", keys)
+    for argv in (["validate", cfg], ["run", cfg, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+
 def test_validate_fig2_ok_with_echo(tmp_path, capsys):
     cfg = write(tmp_path, "fig2.json", FIG2_CONFIG)
     assert main(["validate", cfg]) == 0
@@ -307,6 +346,24 @@ def test_run_waveguide(tmp_path):
     assert int(row["superluminal"]) == 1
     assert float(row["v_eff_over_c"]) == pytest.approx(float(row["L_kappa"]) / 2, rel=1e-9)
     assert float(row["mapped_tau_fs"]) == pytest.approx(float(row["tau_fs"]), rel=0.05)
+
+
+def test_run_waveguide_flags_a_guide_below_the_opaque_comfort_zone(tmp_path):
+    # L kappa_em = 6.5 (L = 7.4 cm) lies in [5, 8): the opaque-guide phase
+    # time is still computed, its EvanescenceWarning sets the row's
+    # opaque_warning flag and counts once in the manifest
+    cfg = write(tmp_path, "wg.json", {
+        "observables": ["waveguide"],
+        "waveguide": {"a_cm": 2.3, "b_cm": 4.6, "m": 1, "n": 0,
+                      "L_cm": 7.4, "lambda_cm": 6.0},
+    })
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 0
+    header, rows = read_csv(out_dir / "waveguide.csv")
+    row = dict(zip(header, rows[0]))
+    assert 5.0 <= float(row["L_kappa"]) < 8.0
+    assert row["opaque_warning"] == "1"
+    assert json.loads((out_dir / "manifest.json").read_text())["warning_count"] == 1
 
 
 def test_run_waveguide_requires_block(tmp_path, capsys):

@@ -7,6 +7,7 @@ crosses x = 0 at t = 0 exactly and the tunnel-duration identity
 <tau_tun> = <tau_ph>_E - <t_+(0)> applies as stated.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -171,9 +172,9 @@ def test_transparent_barrier_dwell_equals_transmission():
 
 
 def test_dwell_evaluates_each_flux_once(monkeypatch):
-    # one union window (a flux series per marker, each capturing its tail in
-    # the first round, so one flux call per series) and J(x_f), J(x_i),
-    # J_in(x_i) once, shared with the decomposition that supplies the variance
+    # a flux series per marker, each capturing its tail in the first round,
+    # so one flux call per series; the flux form, the decomposition that
+    # supplies the variance and the exact incident mass evaluate no other flux
     counts = {"flux": 0, "flux_series": 0}
     for name in counts:
         original = getattr(Propagator, name)
@@ -184,7 +185,7 @@ def test_dwell_evaluates_each_flux_once(monkeypatch):
 
         monkeypatch.setattr(Propagator, name, counted)
     dwell(POT, gaussian_packet(K_BAR, 0.02, n_k=128), RegionMarkers(-25.0, 30.0))
-    assert counts == {"flux": 5, "flux_series": 2}
+    assert counts == {"flux": 2, "flux_series": 2}
 
 
 @pytest.mark.parametrize("pot, E_bar, markers, dispersion", [
@@ -196,13 +197,16 @@ def test_dwell_evaluates_each_flux_once(monkeypatch):
 def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers, dispersion):
     # the energy-representation space form against the space-time integral
     # taken directly: Psi on composite Gauss panels of a quarter wavelength
-    # (order 10, cut at the potential's edges) x the dwell window from the
-    # full exp(-iEt/hbar) array, |Psi|^2 summed with the x and trapezoid
-    # weights; the photon packet checks the dw/dk = c measure
+    # (order 10, cut at the potential's edges) x 4096 time samples over the
+    # two markers' flux windows from the full exp(-iEt/hbar) array, |Psi|^2
+    # summed with the x and trapezoid weights, over the exact incident mass;
+    # the photon packet checks the dw/dk = c measure
     k_bar = float(UNITS.wavenumber(E_bar))
     pk = gaussian_packet(k_bar, 0.02, n_k=128, dispersion=dispersion)
     rep = dwell(pot, pk, markers)
-    prop, tg, _, _, N, _ = flux_times._dwell_fluxes(pot, pk, markers)
+    prop = propagator(pot, pk)
+    windows = [prop.flux_series(x).t_grid for x in (markers.x_i, markers.x_f)]
+    tg = Grid1D.uniform(min(g.lo for g in windows), max(g.hi for g in windows), 4096)
     cuts = sorted({markers.x_i, markers.x_f}
                   | {e for e in pot.edges() if markers.x_i < e < markers.x_f})
     xg = [Grid1D.composite_gauss(lo, hi, max(2, math.ceil(2.0 * k_bar * (hi - lo) / math.pi)), 10)
@@ -213,7 +217,8 @@ def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers, dis
     for xs, wx in zip(np.array_split(xg.points, 8), np.array_split(xg.weights, 8)):
         rows = prop._cw * np.array([prop.table.psi_dpsi(x)[0] for x in xs])
         total += wx @ (np.abs(rows @ phases) ** 2 @ tg.weights)
-    assert rep.components["space_time_form"] == pytest.approx(total / N, rel=1e-12)
+    assert rep.components["space_time_form"] == pytest.approx(
+        total / pk.incident_flux_mass(), rel=1e-12)
 
 
 def test_photon_dwell_forms_agree_only_in_free_space():
@@ -258,7 +263,9 @@ def test_dwell_after_a_dwell_evaluates_no_wave(monkeypatch):
     lambda pot, pk, m: projected_duration(pot, pk, m),
     lambda pot, pk, m: causality_check(pot, pk, m.x_f, "integral"),
     lambda pot, pk, m: interference_deficit(pot, pk, m.x_f),
-], ids=["duration", "dwell", "projected_duration", "causality", "interference_deficit"])
+    lambda pot, pk, m: mean_time(flux_series(pot, pk, m.x_f), "+"),
+], ids=["duration", "dwell", "projected_duration", "causality", "interference_deficit",
+        "mean_time"])
 def test_uncaptured_flux_tail_raises(routine, n_k):
     # a transmission resonance at 4.663 eV with Gamma = 1.2 meV sits inside
     # the packet's band and rings for hbar/Gamma, hundreds of fs, past every
@@ -270,8 +277,8 @@ def test_uncaptured_flux_tail_raises(routine, n_k):
 
 
 def test_decomposition_after_dwell_evaluates_no_flux(monkeypatch):
-    # dwell and its decomposition share one window: the second one reads
-    # every flux from the propagator's memo
+    # dwell and its decomposition read the same two flux series: the second
+    # one reads every flux from the propagator's memo
     pk = gaussian_packet(K_BAR, 0.02, n_k=128)
     markers = RegionMarkers(-25.0, 30.0)
     dwell(POT, pk, markers)
@@ -302,9 +309,10 @@ def test_empty_decomposition_channel_is_named():
     # a transmitted channel without mass is a real failure and says where
     pk = gaussian_packet(K_BAR, 0.02, n_k=128)
     markers = RegionMarkers(-30.0, 35.0)
-    prop, tg, J_f, J_i, N, flux_form = flux_times._dwell_fluxes(POT, pk, markers)
+    prop, fs_i, fs_f, N, flux_form = flux_times._dwell_fluxes(POT, pk, markers)
+    empty = dataclasses.replace(fs_f, J_plus=np.zeros_like(fs_f.J_plus))
     with pytest.raises(NoSuchFluxError, match=r"'\+' at x_f=35.0"):
-        flux_times._decomposition(prop, markers, tg, np.zeros_like(J_f), J_i, N, flux_form)
+        flux_times._decomposition(markers, prop, fs_i, empty, N, flux_form)
 
 
 def test_dwell_variance_is_the_decomposition_variance():

@@ -572,11 +572,29 @@ def test_barrier_face_has_both_signs():
     assert total == pytest.approx(mp + mm, rel=1e-12)
 
 
-def test_incident_mass_matches_analytic():
-    pk = gaussian_packet(K_BAR, 0.02)
+def _off_centre_photon_packet(shift=0.02, dk=0.02):
+    """A photon packet whose Gaussian |G|^2 sits `shift` above its k_bar, so it
+    has the first moment about k_bar that a cutoff gives, without a cut's
+    slowly decaying flux tail."""
+    grid = Grid1D.gauss_legendre(K_BAR + shift - 12 * dk, K_BAR + shift + 12 * dk, 512)
+    G = np.exp(-((grid.points - K_BAR - shift) ** 2) / (2 * dk) ** 2)
+    return SpectralPacket(grid=grid, G=G, k_bar=K_BAR, delta_k=dk, dispersion=PHOTON)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gaussian_packet(K_BAR, 0.02),
+    lambda: gaussian_packet(K_BAR, 0.02, dispersion=PHOTON),
+    _off_centre_photon_packet,
+], ids=["massive", "photon", "photon-off-centre"])
+def test_incident_mass_matches_analytic(make):
+    # the free flux summed over its tail-captured series is the all-time
+    # mass; a photon flux carries c/k_bar, so its mass weighs |G|^2 by
+    # k/k_bar, which moves it once |G|^2 has a first moment about k_bar (by
+    # 1.7% for the off-centre packet)
+    pk = make()
     fs = flux_series(FREE, pk, 0.0)
     numeric = float(integrate(fs.J, fs.t_grid))
-    assert numeric == pytest.approx(pk.incident_flux_mass(), rel=1e-6)
+    assert numeric == pytest.approx(pk.incident_flux_mass(), rel=1e-12)
 
 
 def test_transmitted_fraction_matches_weighted_T():
