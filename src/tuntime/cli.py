@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import emguide
-from .core import OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS
+from .core import OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS, ContractViolation
 from .double_barrier import on_resonance, opaque_coefficients
 from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
@@ -135,6 +135,7 @@ def resolve(raw: dict) -> dict:
             _fail("potential.segments", "must be a non-empty list of [x0, x1, V]")
     else:
         _fail("potential.kind", "one of 'rectangular', 'double', 'segments'")
+    pot = _built("potential", _build_potential, pot_raw)
     own = [name for name in _WIDTH_SCANS if name in obs]
     if own and kind != "rectangular":  # these build their own barriers from potential.V0
         _fail("potential.kind", f"{', '.join(own)} needs kind 'rectangular', not {kind!r}")
@@ -166,10 +167,9 @@ def resolve(raw: dict) -> dict:
                                 f"{', '.join(readers) or 'a scan'} on kind {kind!r}")
     if "scan2" in raw:
         cfg["scan2"] = _resolve_scan("scan2", raw["scan2"], {"L_minus_a"}, "the second axis")
-    top = max(seg[2] for seg in pot_raw["segments"]) if kind == "segments" else pot_raw["V0"]
     for name in ("bl-time", "two-phase"):
         if name in obs:
-            _check_sub_barrier(name, cfg["scan"], cfg["energy"], top)
+            _check_sub_barrier(name, cfg["scan"], cfg["energy"], pot.max_height)
 
     if "markers" in raw:
         m = raw["markers"]
@@ -177,10 +177,8 @@ def resolve(raw: dict) -> dict:
             if not _is_number(m.get(key)):
                 _fail(f"markers.{key}", "a number, required when markers are given")
         cfg["markers"] = {"x_i": float(m["x_i"]), "x_f": float(m["x_f"])}
-        right = (max(seg[1] for seg in pot_raw["segments"]) if kind == "segments"
-                 else pot_raw["a"] + (pot_raw["L"] if kind == "double" else 0.0))
-        if "causality" in obs and m["x_f"] < right:
-            _fail("markers.x_f", f"causality needs x_f at or past the right edge {right!r}")
+        if "causality" in obs and m["x_f"] < pot.x_right:
+            _fail("markers.x_f", f"causality needs x_f at or past the right edge {pot.x_right!r}")
 
     if "waveguide" in raw or "waveguide" in cfg["observables"]:
         wg = raw.get("waveguide")
@@ -188,8 +186,13 @@ def resolve(raw: dict) -> dict:
             _fail("waveguide", "observable 'waveguide' needs a waveguide block")
         if wg is not None:
             for key in ("a_cm", "b_cm", "m", "n", "L_cm", "lambda_cm"):
-                if key not in wg:
-                    _fail(f"waveguide.{key}", "required")
+                if not _is_number(wg.get(key)):
+                    _fail(f"waveguide.{key}", "a number, required")
+            spec = _built("waveguide", _waveguide_spec, wg)
+            branch = emguide.propagation_constant(spec)
+            if branch.evanescent and spec.L * branch.kappa_em < OPACITY_HARD_FLOOR:
+                _fail("waveguide.L_cm", f"L kappa_em = {spec.L * branch.kappa_em:.3g} is below "
+                                        f"{OPACITY_HARD_FLOOR}, the opaque-guide formula's floor")
             cfg["waveguide"] = wg
 
     cfg["workers"] = raw.get("workers", _DEFAULTS["workers"])
@@ -260,6 +263,19 @@ def _resolve_scan(path: str, s: dict, allowed: set, why: str) -> dict:
     if param != "L_minus_a" and not lo > 0:
         _fail(f"{path}.min", f"{param} must be positive on every row")
     return {"parameter": param, "min": lo, "max": hi, "steps": steps}
+
+
+def _built(path: str, build, cfg: dict):
+    """build(cfg), its ContractViolation refused as a config error on path."""
+    try:
+        return build(cfg)
+    except ContractViolation as exc:
+        _fail(path, str(exc))
+
+
+def _waveguide_spec(wg: dict) -> emguide.WaveguideSpec:
+    return emguide.WaveguideSpec(a=wg["a_cm"], b=wg["b_cm"], m=int(wg["m"]), n=int(wg["n"]),
+                                 L=wg["L_cm"], lam=wg["lambda_cm"])
 
 
 def _build_potential(pot: dict) -> PiecewisePotential:
@@ -440,9 +456,7 @@ def _obs_double(cfg: dict):
 
 
 def _obs_waveguide(cfg: dict):
-    wg = cfg["waveguide"]
-    spec = emguide.WaveguideSpec(a=wg["a_cm"], b=wg["b_cm"], m=int(wg["m"]),
-                                 n=int(wg["n"]), L=wg["L_cm"], lam=wg["lambda_cm"])
+    spec = _waveguide_spec(cfg["waveguide"])
     lc = emguide.cutoff_wavelength(spec)
     branch = emguide.propagation_constant(spec)
     if not branch.evanescent:

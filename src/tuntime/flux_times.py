@@ -11,13 +11,11 @@ the variance of a correlated difference).  The mean-square duration identity
 
 The dwell time is computed in both of its equivalent forms -- the space-time
 density integral and the flux first-moment form -- and their residual is a
-built-in diagnostic: for a massive packet the two can only drift apart
-through quadrature-tail truncation, since their equality is the continuity
-equation.  A photon packet's flux prefactor c/k_bar is not the current of
-the Schroedinger-form states it sums, so at a barrier its forms differ by
-about 1e-4 (in free space, to rounding).  The density integral is taken in
+built-in diagnostic: the two can only drift apart through quadrature-tail
+truncation, since their equality is the continuity equation of the flux and
+the density it conserves (see wavepacket).  The density integral is taken in
 the energy representation, where time is conjugate to energy: over all time
-the packet's |Psi|^2 integrates to an average over its energies of the
+the density integrates to an average over the packet's energies of the
 stationary dwell, so neither an x nor a t grid is built.
 
 A flux series whose window did not capture its tail is refused with
@@ -186,14 +184,14 @@ def _dwell_fluxes(pot: PiecewisePotential, packet: SpectralPacket,
     return prop, fs_i, fs_f, N, flux_form
 
 
-def _decomposition(markers: RegionMarkers, prop: Propagator, fs_i: FluxSeries,
-                   fs_f: FluxSeries, N: float, flux_form: float) -> DurationReport:
-    """dwell_decomposition from the sign-split moments of the two series."""
+def _decomposition(markers: RegionMarkers, fs_i: FluxSeries, fs_f: FluxSeries,
+                   N: float, flux_form: float) -> DurationReport:
+    """dwell_decomposition from the two series' sign-split moments, T_E = M_+(x_f) / N."""
     x_i, x_f = markers.x_i, markers.x_f
     Mp, t_plus_i, D_plus_i = _moments(fs_i.J_plus, fs_i.t_grid,
                                       label=f"flux channel '+' at x_i={x_i}")
-    _, t_plus_f, D_plus_f = _moments(fs_f.J_plus, fs_f.t_grid,
-                                     label=f"flux channel '+' at x_f={x_f}")
+    M_T, t_plus_f, D_plus_f = _moments(fs_f.J_plus, fs_f.t_grid,
+                                       label=f"flux channel '+' at x_f={x_f}")
     if fs_i.J_minus.any():
         _, t_minus_i, D_minus_i = _moments(-fs_i.J_minus, fs_i.t_grid,
                                            label=f"flux channel '-' at x_i={x_i}")
@@ -202,7 +200,7 @@ def _decomposition(markers: RegionMarkers, prop: Propagator, fs_i: FluxSeries,
         tau_R = D_R = 0.0
 
     r_xi = Mp / N - 1.0
-    T_E = float(prop.packet.energy_average(np.abs(prop.table.A_T) ** 2))
+    T_E = M_T / N
     R_E = 1.0 - T_E
     tau_T = t_plus_f - t_plus_i
     R_xi = R_E + r_xi
@@ -233,23 +231,22 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
     Over all time, integral dt e^{i(w - w')t} = 2 pi delta(w - w'), so the
     space form is
 
-        integral dt integral dx |Psi|^2 = 2 pi integral |G|^2 D_k / v_g dk
+        integral dt integral dx Re[Psi* Psi_w] = 2 pi integral |G|^2 w D_k / v_g dk
 
-    on the packet's k grid, D_k the closed-form stationary density integral
-    of psi_k over (x_i, x_f) and v_g = dw/dk (hbar k/m, or c for a photon
-    packet).  That sum is exact only when the k grid resolves |psi_k|^2 in
-    E: at a narrow resonance inside the band it is not, and there a flux
-    tail goes uncaptured or the two forms disagree.  Either raises
-    QuadratureError, as does any disagreement beyond DWELL_FORM_TOL, the
-    usual symptom being a truncated time tail; at a barrier a photon
-    packet's residual is about 1e-4 of its own (see the module docstring).
-    The variance is the indirect one of dwell_decomposition (there is no
-    direct definition).
+    on the packet's k grid, w its density weight, D_k the closed-form
+    stationary density integral of psi_k over (x_i, x_f) and v_g = dw/dk
+    (hbar k/m, or c for a photon packet).  That sum is exact only when the k
+    grid resolves |psi_k|^2 in E: at a narrow resonance inside the band it
+    is not, and there a flux tail goes uncaptured or the two forms disagree.
+    Either raises QuadratureError, as does any disagreement beyond
+    DWELL_FORM_TOL, the usual symptom being a truncated time tail.  The
+    variance is the indirect one of dwell_decomposition (there is no direct
+    definition).
     """
     prop, fs_i, fs_f, N, flux_form = _dwell_fluxes(pot, packet, markers)
     D = prop.table.density_integral(markers.x_i, markers.x_f)
-    space_form = 2.0 * math.pi * float(integrate(np.abs(packet.G) ** 2 * D / packet.v,
-                                                 packet.grid)) / N
+    space_form = 2.0 * math.pi * float(integrate(
+        np.abs(packet.G) ** 2 * packet.density_weight * D / packet.v, packet.grid)) / N
 
     resid = abs(space_form - flux_form) / max(abs(space_form), 1e-300)
     if resid > DWELL_FORM_TOL:
@@ -258,7 +255,7 @@ def dwell(pot: PiecewisePotential, packet: SpectralPacket,
             f"({space_form!r} vs {flux_form!r}); extend the time window"
         )
 
-    var = _decomposition(markers, prop, fs_i, fs_f, N, flux_form).variance
+    var = _decomposition(markers, fs_i, fs_f, N, flux_form).variance
     return DurationReport(
         kind="dwell", markers=markers, mean=space_form, variance=var,
         mean_square=space_form**2 + var,
@@ -273,13 +270,15 @@ def dwell_decomposition(pot: PiecewisePotential, packet: SpectralPacket,
                         markers: RegionMarkers) -> DurationReport:
     """Dwell time as the flux-split weighted average
 
-        tau_Dw = <T>_E tau_T + (<R>_E + <r(x_i)>) tau_R ,
+        tau_Dw = T tau_T + (R + <r(x_i)>) tau_R ,
 
-    with tau_R the round trip observed at x_i (forward-in, backward-out) and
-    <r(x)> = integral J_+ dt / N - 1, the interference deficit of the
-    forward flux, negative near the barrier face and vanishing upstream.
+    with T = 1 - R (T_E) the transmitted share of the flux mass, M_+(x_f) / N,
+    which the v |G|^2 dE bracket of |A_T|^2 misses by 3e-7 at delta_k = 0.02,
+    tau_R the round trip observed at x_i (forward-in, backward-out) and
+    <r(x)> = integral J_+ dt / N - 1, the interference deficit of the forward
+    flux, negative near the barrier face and vanishing upstream.
     """
-    return _decomposition(markers, *_dwell_fluxes(pot, packet, markers))
+    return _decomposition(markers, *_dwell_fluxes(pot, packet, markers)[1:])
 
 
 def interference_deficit(pot: PiecewisePotential, packet: SpectralPacket,
@@ -293,11 +292,12 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
                             markers: RegionMarkers) -> DurationReport:
     """Asymptotic transmission duration <t(x_f)>_T - <t(x_i)>_in.
 
-    The averages run over the transmitted-only and the freely moving incident
-    packets.  The report carries the quasi-monochromatic comparands: the
+    The averages run over the transmitted packet (the full flux at x_f, where
+    psi_k = A_T e^{ikx} is the whole state) and the freely moving incident
+    one.  The report carries the quasi-monochromatic comparands: the
     packet-averaged stationary phase time over the same markers, the
-    projected duration that replaces J_+(x_i) by J_in(x_i), and the spectral
-    variance formula  D ~= hbar^2 <(d|A_T|/dE)^2>_E / <|A_T|^2>_E  beside the
+    projected duration (J_+(x_i) replaced by J_in(x_i): the same difference)
+    and the spectral variance formula  D ~= hbar^2 <(d|A_T|/dE)^2>_E / <|A_T|^2>_E  beside the
     flux-route variances (see notes: the spectral formula is the squared
     modulus-sensitivity time, not a quantitative surrogate for the flux
     variance of Gaussian packets).
@@ -308,14 +308,10 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
         )
     _validate_markers(pot, "transmission", markers)
     prop = propagator(pot, packet)
-    stat_T = _stats(prop, markers.x_f, "+", component="transmitted")
+    stat_T = _stats(prop, markers.x_f, "+")
     stat_in = _stats(prop, markers.x_i, "+", component="free")
-    stat_full_f = _stats(prop, markers.x_f, "+", component="full")
     stat_in_f = _stats(prop, markers.x_f, "+", component="free")
     mean = stat_T.mean - stat_in.mean
-
-    tau_ph_avg = float(packet.energy_average(phase_time(pot, prop.table.E, markers)))
-    projected = stat_full_f.mean - stat_in.mean
 
     absAT = np.abs(prop.table.A_T)  # d|A_T|/dE = |A_T| d ln|A_T|/dE
     dabs = absAT * central_difference(lambda Es, _: SolutionTable(pot, Es).log_abs_A_T,
@@ -329,11 +325,11 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
         variance=var, mean_square=mean**2 + var,
         components={
             "t_T(x_f)": stat_T.mean, "t_in(x_i)": stat_in.mean,
-            "phase_time_avg": tau_ph_avg,
-            "projected_duration": projected,
+            "phase_time_avg": float(packet.energy_average(phase_time(pot, prop.table.E, markers))),
+            "projected_duration": mean,
             "spectral_variance": float(eq_var),
             "D_t_T(x_f)": stat_T.variance, "D_t_in(x_i)": stat_in.variance,
-            "dynamic_excess": stat_full_f.variance - stat_in_f.variance,
+            "dynamic_excess": stat_T.variance - stat_in_f.variance,
         },
     )
 

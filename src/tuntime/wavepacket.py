@@ -3,8 +3,10 @@ stationary scattering states,
 
     Psi(x, t) = integral dk G(k - k_bar) psi_k(x) e^{-i E(k) t / hbar},
 
-with the probability flux J = (hbar/m) Im[Psi* dPsi/dx] evaluated from the
+with the probability flux J = (v_bar/k_bar) Im[Psi* dPsi/dx] evaluated from the
 analytic spatial derivative of the integrand (no finite differences in x).
+It conserves the density Re[Psi* Psi_w], Psi_w the superposition weighted by
+the density weight w(k): 1 (massive) or omega/omega_bar = k/k_bar (photon).
 Superposing exact scattering states instead of stepping a PDE makes the
 t -> +-infinity flux tails cheap, which the full-axis time moments need.
 
@@ -80,7 +82,7 @@ class SpectralPacket:
 
     Normalised so that integral |G|^2 dE = 1 on its own grid with
     dE = hbar v(k) dk.  `cutoff` records the barrier height whose sub-barrier
-    band the grid was clipped to, if any.
+    band the grid was clipped to, if any; `density_weight` is the module's w(k).
     """
 
     grid: Grid1D
@@ -115,6 +117,10 @@ class SpectralPacket:
     def v(self) -> np.ndarray:
         return self.dispersion.velocity(self.k)
 
+    @property
+    def density_weight(self) -> np.ndarray:
+        return np.ones_like(self.k) if self.dispersion.kind == "massive" else self.k / self.k_bar
+
     def norm_dE(self) -> float:
         """integral |G|^2 dE on the grid; 1 by construction."""
         return float(integrate(np.abs(self.G) ** 2 * UNITS.hbar * self.v, self.grid))
@@ -125,12 +131,9 @@ class SpectralPacket:
         return float(wts @ np.asarray(values) / np.sum(wts))
 
     def incident_flux_mass(self) -> float:
-        """Analytic integral of the free-packet flux over all time: 2 pi |G|^2 dk,
-        weighted by k/k_bar for a photon packet, whose flux prefactor is c/k_bar."""
-        weight = np.abs(self.G) ** 2
-        if self.dispersion.kind == "photon":
-            weight = weight * self.k / self.k_bar
-        return float(2.0 * math.pi * integrate(weight, self.grid))
+        """Analytic integral of the free-packet flux over all time: 2 pi |G|^2 w dk."""
+        mass = np.abs(self.G) ** 2 * self.density_weight
+        return float(2.0 * math.pi * integrate(mass, self.grid))
 
 
 def gaussian_packet(
@@ -249,12 +252,9 @@ class Propagator:
         xs = np.asarray(xs, dtype=float)
         if component == "full":
             return self.table.psi(xs)
-        if component not in ("free", "transmitted"):
+        if component != "free":
             raise ContractViolation(f"unknown component {component!r}")
-        rows = np.exp(1j * np.multiply.outer(xs, self.packet.k))
-        if component == "transmitted":
-            np.multiply(self.table.A_T, rows, out=rows)
-        return rows
+        return np.exp(1j * np.multiply.outer(xs, self.packet.k))
 
     def _phases(self, ts: np.ndarray) -> np.ndarray:
         """e^{-i(E - E_ref)t/hbar} at every t of ts, shape (n_k, len(ts))."""
@@ -339,14 +339,18 @@ class Propagator:
         return J
 
     def density(self, x: float, ts, component: str = "full") -> np.ndarray:
-        return np.abs(self.psi(x, ts, component)) ** 2
+        """Re[Psi* Psi_w], the density the flux conserves (module docstring)."""
+        cw = self._cw * self._psi_rows([x], component)[0]
+        Psi, Psi_w = self._contract([cw, cw * self.packet.density_weight], ts)
+        return np.real(np.conj(Psi) * Psi_w)
 
     def density_rate(self, x: float, ts, component: str = "full") -> np.ndarray:
-        """d|Psi|^2/dt from the analytic time derivative of the superposition."""
+        """d Re[Psi* Psi_w]/dt from the analytic time derivative of the superposition."""
         cw = self._cw * self._psi_rows([x], component)[0]
-        # the carrier drops out of conj(Psi) dPsi/dt, as it does of J
-        Psi, dPsi_dt = self._contract([cw, cw * (-1j * self.packet.E / UNITS.hbar)], ts)
-        return 2.0 * np.real(np.conj(Psi) * dPsi_dt)
+        rate = -1j * self.packet.E / UNITS.hbar
+        w = self.packet.density_weight
+        Psi, Psi_w, dPsi, dPsi_w = self._contract([cw, cw * w, cw * rate, cw * rate * w], ts)
+        return np.real(np.conj(dPsi) * Psi_w + np.conj(Psi) * dPsi_w)
 
     def psi_grid(self, xs, ts, component: str = "full") -> np.ndarray:
         """Psi on an (x, t) product grid, shape (len(xs), len(ts))."""

@@ -135,11 +135,11 @@ def test_criterion_06_weighted_average_rule(fig2_packets):
     pot = rectangular(V0, 5.0)
     pk = fig2_packets[(5.0, 0.02)]
     rep = dwell_decomposition(pot, pk, RegionMarkers(-30.0, 35.0))
-    ok = rep.components["reconstruction_residual"] < 1e-3
+    ok = rep.components["reconstruction_residual"] < 1e-10
     mags = [abs(interference_deficit(pot, pk, x)) for x in (-30.0, -70.0, -140.0)]
     ok &= mags[0] > mags[1] > mags[2]
     _report(6, ok, time.time() - t0, 180.0,
-            "dwell decomposition closes to 1e-3 and <r(x_i)> dies off upstream")
+            "dwell decomposition closes to 1e-10 and <r(x_i)> dies off upstream")
 
 
 def test_criterion_07_negative_time_advance(fig2_packets):

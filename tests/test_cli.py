@@ -124,15 +124,36 @@ RUN_FAILURES_REFUSED = {  # case: (config keys, the field named)
     "causality-x_f-inside": ({"observables": ["causality"],
                               "packet": {"E_bar": 5.0, "delta_k": 0.02},
                               "markers": {"x_i": -30.0, "x_f": 2.0}}, "markers.x_f"),
+    "double-V0-negative": ({"observables": ["phase-time"],
+                            "potential": {"kind": "double", "V0": -1.0, "a": 2.0, "L": 6.0},
+                            "scan": {"parameter": "E", "min": 1.0, "max": 4.0, "steps": 3}},
+                           "potential"),
+    "double-a-negative": ({"observables": ["phase-time"],
+                           "potential": {"kind": "double", "V0": 10.0, "a": -3.0, "L": 6.0},
+                           "scan": {"parameter": "E", "min": 1.0, "max": 4.0, "steps": 3}},
+                          "potential"),
+    "segment-reversed": ({"observables": ["phase-time"],
+                          "potential": {"kind": "segments", "segments": [[5.0, 2.0, 3.0]]},
+                          "scan": {"parameter": "E", "min": 1.0, "max": 2.0, "steps": 3}},
+                         "potential"),
+    "waveguide-below-opaque-floor": ({"observables": ["waveguide"],
+                                      "waveguide": {"a_cm": 2.3, "b_cm": 4.6, "m": 1, "n": 0,
+                                                    "L_cm": 0.3, "lambda_cm": 6.0}},
+                                     "waveguide.L_cm"),
+    "waveguide-non-numeric": ({"observables": ["waveguide"],
+                               "waveguide": {"a_cm": 2.3, "b_cm": 4.6, "m": 1, "n": 0,
+                                             "L_cm": "long", "lambda_cm": 6.0}},
+                              "waveguide.L_cm"),
 }
 
 
 @pytest.mark.parametrize("case", RUN_FAILURES_REFUSED)
 def test_resolve_refuses_configs_that_would_fail_in_run(tmp_path, capsys, case):
     # each of these used to pass validate and then exit 2 in run (n_k below
-    # 128, causality's x_f inside the barrier), raise a Python traceback (a
-    # non-numeric value) or truncate a fractional n_k: validate and run
-    # refuse them as config errors
+    # 128, causality's x_f inside the barrier, a potential its builder
+    # refuses, a guide too short for the opaque formula), raise a Python
+    # traceback (a non-numeric value) or truncate a fractional n_k: validate
+    # and run refuse them as config errors
     keys, field = RUN_FAILURES_REFUSED[case]
     cfg = write(tmp_path, "bad.json", keys)
     for argv in (["validate", cfg], ["run", cfg, "--out", str(tmp_path / "out")]):
