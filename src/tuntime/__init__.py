@@ -30,7 +30,6 @@ from .stationary_times import (
     bl_time,
     dwell_time_stationary,
     opaque_dwell_limits,
-    packet_averaged,
     phase_time,
     rect_dwell_closed,
     resonance_delay,

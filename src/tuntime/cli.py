@@ -10,8 +10,8 @@ stay byte-stable.
 A scan is one call per stationary time: a phase-time, bl-time, dwell or
 two-phase scan over E on the array of its energies, and a width or height
 scan (a or V0, hartman-scan, double-barrier-scan) on the family of its
-potentials; the `workers` key and `--workers` flag are accepted and echoed
-in the manifest but select nothing.
+potentials; the `workers` key is accepted and echoed in the manifest but
+selects nothing.
 
 Exit codes: 0 success (possibly with warnings), 1 config error, 2 numerical
 failure.
@@ -150,7 +150,7 @@ def resolve(raw: dict) -> dict:
         if packets is None:
             packets = [raw.get("packet", {})]
         cfg["packets"] = [
-            _resolve_packet(f"packets[{i}]", {**_DEFAULTS["packet"], **p}, pot_raw)
+            _resolve_packet(f"packets[{i}]", {**_DEFAULTS["packet"], **p}, pot.max_height)
             for i, p in enumerate(packets)
         ]
 
@@ -218,7 +218,7 @@ def _check_sub_barrier(name: str, scan: dict, energy: float, top: float):
                      f"reaches a barrier of {V_min!r}")
 
 
-def _resolve_packet(path: str, p: dict, pot: dict) -> dict:
+def _resolve_packet(path: str, p: dict, top: float) -> dict:
     if "k_bar" in p:
         if not (_is_number(p["k_bar"]) and p["k_bar"] > 0):
             _fail(f"{path}.k_bar", "must be a positive number (1/Angstrom)")
@@ -233,10 +233,8 @@ def _resolve_packet(path: str, p: dict, pot: dict) -> dict:
         _fail(f"{path}.delta_k", "must be a positive number (1/Angstrom)")
     if not k_bar > 6 * delta_k:
         _fail(f"{path}.delta_k", f"needs k_bar > 6 delta_k (k_bar = {k_bar:.4f})")
-    if p.get("cutoff"):
-        V0 = pot.get("V0")
-        if V0 is not None and UNITS.energy(k_bar) >= V0:
-            _fail(f"{path}.cutoff", "sub-barrier cutoff with mean energy above the barrier")
+    if p.get("cutoff") and UNITS.energy(k_bar) >= top:
+        _fail(f"{path}.cutoff", "sub-barrier cutoff with mean energy above the barrier")
     if not (_is_number(p["n_k"], int) and p["n_k"] >= MIN_N_K):
         _fail(f"{path}.n_k", f"must be an integer >= {MIN_N_K}")
     if not _is_number(p["standoff"]):
@@ -287,8 +285,9 @@ def _build_potential(pot: dict) -> PiecewisePotential:
     return PiecewisePotential(tuple(tuple(s) for s in pot["segments"]))
 
 
-def _build_packet(p: dict, pot: dict):
-    cutoff = pot.get("V0") if p["cutoff"] else None
+def _build_packet(p: dict, top: float):
+    """The packet of p, cut to the band below the barrier top when p asks."""
+    cutoff = top if p["cutoff"] else None
     return gaussian_packet(p["k_bar"], p["delta_k"], n_k=p["n_k"], cutoff=cutoff,
                            x0=-abs(p["standoff"]) if p["standoff"] else 0.0)
 
@@ -386,7 +385,7 @@ def _obs_or_times(cfg: dict):
     V0 = cfg["potential"]["V0"]
     rows = []
     for pk_cfg in cfg["packets"]:
-        packet = _build_packet(pk_cfg, cfg["potential"])
+        packet = _build_packet(pk_cfg, V0)
 
         def row(a, packet=packet, pk_cfg=pk_cfg):
             pot = rectangular(V0, a)
@@ -406,7 +405,7 @@ def _obs_or_times(cfg: dict):
 
 def _obs_causality(cfg: dict):
     pot = _build_potential(cfg["potential"])
-    packet = _build_packet(cfg["packets"][0], cfg["potential"])
+    packet = _build_packet(cfg["packets"][0], pot.max_height)
     x_f = cfg.get("markers", {}).get("x_f", pot.x_right)
     rows = []
     for variant in ("integral", "delay", "effective"):
@@ -507,8 +506,6 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.workers is not None:
-        cfg["workers"] = max(1, int(args.workers))
     out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -575,8 +572,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario config and write CSVs")
     p_run.add_argument("config")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="accepted and echoed in the manifest; selects nothing")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(fn=cmd_run)
 

@@ -109,12 +109,12 @@ def mean_time(fs: FluxSeries, sign: str) -> TimeStatistics:
 def _captured(fs: FluxSeries) -> FluxSeries:
     """fs, refused with QuadratureError when its window did not capture its tail."""
     if not fs.tail_captured:
-        raise QuadratureError(f"{fs.component} flux series at x={fs.x} did not capture its tail")
+        raise QuadratureError(f"flux series at x={fs.x} did not capture its tail")
     return fs
 
 
-def _stats(prop: Propagator, x: float, sign: str, component: str = "full") -> TimeStatistics:
-    return mean_time(prop.flux_series(x, component=component), sign)
+def _stats(prop: Propagator, x: float, sign: str) -> TimeStatistics:
+    return mean_time(prop.flux_series(x), sign)
 
 
 def _validate_markers(pot: PiecewisePotential, kind: str, markers: RegionMarkers):
@@ -309,8 +309,8 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
     _validate_markers(pot, "transmission", markers)
     prop = propagator(pot, packet)
     stat_T = _stats(prop, markers.x_f, "+")
-    stat_in = _stats(prop, markers.x_i, "+", component="free")
-    stat_in_f = _stats(prop, markers.x_f, "+", component="free")
+    stat_in = _stats(prop.free, markers.x_i, "+")
+    stat_in_f = _stats(prop.free, markers.x_f, "+")
     mean = stat_T.mean - stat_in.mean
 
     absAT = np.abs(prop.table.A_T)  # d|A_T|/dE = |A_T| d ln|A_T|/dE
@@ -344,7 +344,7 @@ def projected_duration(pot: PiecewisePotential, packet: SpectralPacket,
     """
     prop = propagator(pot, packet)
     stat_f = _stats(prop, markers.x_f, "+")
-    stat_in = _stats(prop, markers.x_i, "+", component="free")
+    stat_in = _stats(prop.free, markers.x_i, "+")
     return stat_f.mean - stat_in.mean
 
 
@@ -390,11 +390,12 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
         return CausalityResult("effective", margin >= 0.0, margin,
                                detail=f"x_i={xi}")
 
-    windows = [_captured(prop.flux_series(x_f, component=c)).t_grid for c in ("full", "free")]
+    free = prop.free
+    windows = [_captured(p.flux_series(x_f)).t_grid for p in (prop, free)]
     tg = Grid1D.uniform(min(g.lo for g in windows), max(g.hi for g in windows), 8192)
     J_fin = prop.flux(x_f, tg.points)
     J_fin_p = np.where(J_fin > 0, J_fin, 0.0)
-    J_in = prop.flux(x_f, tg.points, "free")
+    J_in = free.flux(x_f, tg.points)
     N = float(integrate(J_in, tg))
 
     if variant == "integral":
@@ -421,7 +422,7 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
     t_lo, t_hi = tg.points[kept[sign_change[0]:sign_change[0] + 2]]
 
     def gap(ts):
-        return np.maximum(prop.flux(x_f, ts), 0.0) - prop.flux(x_f, ts, "free")
+        return np.maximum(prop.flux(x_f, ts), 0.0) - free.flux(x_f, ts)
 
     t0 = float(bracket_search(gap, t_lo, t_hi, "sign", 1e-12)[0])
     sel = tg.points <= t0

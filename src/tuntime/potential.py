@@ -80,13 +80,6 @@ class PiecewisePotential:
             prev_end = x1
         return regions
 
-    def edges(self) -> list:
-        """All interior joint positions, left to right."""
-        regs = self.interior_regions()
-        if not regs:
-            return []
-        return [regs[0][0]] + [r[1] for r in regs]
-
     def is_symmetric(self) -> bool:
         """True when V(x) is mirror-symmetric about the midpoint of its extent."""
         regs = self.interior_regions()

@@ -40,7 +40,8 @@ largest.  The pair (f_j, b_j) has unit size and the growth (e^{kappa d},
 |A_T|) is the log scale s_j, so no opacity overflows; a component underflows
 only where it is negligible beside the other.  Continuity at interior joints
 holds by construction and the residual at the leftmost joint measures the
-global accuracy of the solve.
+global accuracy of the solve.  psi_dpsi is the one evaluator of psi and
+psi' from these pairs, at one position or an array of positions.
 
 SolutionTable is the one solution format: solve(pot, E) is a one-row table,
 and the two-phase angles and S-matrices are arrays read from its columns.
@@ -124,7 +125,7 @@ class SolutionTable:
     count (a geometry family: a width or height scan), one per row, with Es
     one per row or one for all.  A family's refs, ends and bounds have a row
     axis, and every row is bit-identical to the one-row table of its own
-    potential; pot is then the first row's potential, and psi, psi_dpsi,
+    potential; pot is then the first row's potential, and psi_dpsi,
     two_phase and s_matrix, which read a single geometry, refuse the table.
 
     A build runs the forward pass only and stores log_abs_A_T, which every
@@ -132,7 +133,7 @@ class SolutionTable:
     second row on their first read, so a caller that reads only the modulus
     (a BL time, a resonance search) never forms them.  f, b and log_scale
     come from the backward substitution, run once, on their first read
-    (psi_dpsi, psi, density_integral, boundary_residual), so a caller that
+    (psi_dpsi, density_integral, boundary_residual), so a caller that
     reads only the transmission never pays for it.
     """
 
@@ -277,37 +278,37 @@ class SolutionTable:
     def _region(self, x):
         """Index of the region holding x (a joint belongs to the region on its right)."""
         if self.family:
-            raise ContractViolation("psi and psi_dpsi need a single-geometry table")
+            raise ContractViolation("psi_dpsi needs a single-geometry table")
         return np.searchsorted(self.bounds[1:-1], x, side="right")
 
     def _waves(self, j: int, x):
-        """Region j's forward and backward waves at x (a scalar, or a column of
-        positions for one row each) and i q_j."""
+        """Region j's forward and backward waves at a column of positions x,
+        one row each, and i q_j."""
         iq, s = 1j * self.q[:, j], self.log_scale[:, j]
         ef = self.f[:, j] * np.exp(s + iq * (x - self.refs[j]))
         eb = self.b[:, j] * np.exp(s - iq * (x - self.ends[j]))
         return ef, eb, iq
 
-    def psi_dpsi(self, x: float):
-        """Arrays over energy of psi(x) and psi'(x)."""
-        ef, eb, iq = self._waves(int(self._region(x)), x)
-        return ef + eb, iq * (ef - eb)
+    def psi_dpsi(self, x):
+        """psi and psi' at a position or an array of positions, each of shape
+        np.shape(x) + (n_E,).
 
-    def psi(self, xs) -> np.ndarray:
-        """psi at every x of xs, without psi', shape (len(xs), n_E).
-
-        The positions of each region are evaluated together and written into
-        the one result; each row equals psi_dpsi(x)[0].
+        The positions of each region are evaluated together, so every
+        position reads the same values whether it comes alone or with others.
         """
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty((xs.size, len(self.E)), dtype=complex)
+        x = np.asarray(x, dtype=float)
+        xs = x.reshape(-1)
+        psi = np.empty((xs.size, len(self.E)), dtype=complex)
+        dpsi = np.empty_like(psi)
         regions = self._region(xs)
         for j in range(len(self.bounds) - 1):
             at = regions == j
             if at.any():
-                ef, eb, _ = self._waves(j, xs[at, None])
-                out[at] = np.add(ef, eb, out=ef)
-        return out
+                ef, eb, iq = self._waves(j, xs[at, None])
+                psi[at] = ef + eb
+                dpsi[at] = iq * (ef - eb)
+        shape = x.shape + (len(self.E),)
+        return psi.reshape(shape), dpsi.reshape(shape)
 
     def density_integral(self, x_i, x_f) -> np.ndarray:
         """Integral of |psi|^2 over (x_i, x_f), an array over energy; on a

@@ -229,10 +229,3 @@ def time_catalog(V0: float, a: float, E: float) -> TimeCatalog:
         tau_larmor_z=bl,
     )
 
-
-def packet_averaged(fn, pot: PiecewisePotential, packet) -> float:
-    """Average a stationary time fn(pot, E) over a spectral packet with the
-    energy-measure weight v |G|^2 dE (the quasi-monochromatic bracket).
-
-    fn is called once, on the array of the packet's energies."""
-    return float(packet.energy_average(fn(pot, packet.E)))

@@ -32,6 +32,11 @@ matrix product per batch of at most PHASE_BLOCK operand entries does the rest.
 Flux windows are memoised per propagator, so a window that several analyses
 share is evaluated once, and a flux series evaluates only its widened
 windows, reading each tail check from their own samples.
+
+The incident packet, the reference of the projected durations and the
+causality checks, is the same packet on the free potential, where
+psi_k(x) = e^{ikx}: Propagator.free, evaluated by the same code as any other
+potential.
 """
 
 from __future__ import annotations
@@ -202,7 +207,6 @@ class FluxSeries:
     J: np.ndarray
     J_plus: np.ndarray
     J_minus: np.ndarray
-    component: str
     tail_captured: bool
     abs_mass: float
 
@@ -216,11 +220,12 @@ class Propagator:
 
     Building the table solves scattering once per spectral node; every psi,
     flux and moment afterwards is a dense-array contraction against it.
-    `flux` keeps a memo of its results, keyed by x, component and a 64-bit
-    hash of the samples and holding at most PHASE_BLOCK samples (oldest out
-    first), so a window that several analyses share is evaluated once; the
-    arrays it returns are read-only, since a repeated call returns the same
-    one.  The memo is updated under a lock, so evaluations are thread-safe.
+    `flux` keeps a memo of its results, keyed by x and a 64-bit hash of the
+    samples and holding at most PHASE_BLOCK samples (oldest out first), so a
+    window that several analyses share is evaluated once; the arrays it
+    returns are read-only, since a repeated call returns the same one.  The
+    memo is updated under a lock, so evaluations are thread-safe.  `free` is
+    the same packet's propagator on the free potential, with its own memo.
     """
 
     def __init__(self, pot: PiecewisePotential, packet: SpectralPacket):
@@ -239,22 +244,19 @@ class Propagator:
         self._memo: dict = {}
         self._memo_samples = 0
         self._memo_lock = threading.Lock()
+        self._free = None
 
-    # -- spectral rows -------------------------------------------------
-    def _modes(self, x: float, component: str):
-        if component == "full":
-            return self.table.psi_dpsi(x)
-        ps = self._psi_rows([x], component)[0]
-        return ps, 1j * self.packet.k * ps
-
-    def _psi_rows(self, xs, component: str) -> np.ndarray:
-        """psi_k(x) at every x of xs, without psi', shape (len(xs), n_k)."""
-        xs = np.asarray(xs, dtype=float)
-        if component == "full":
-            return self.table.psi(xs)
-        if component != "free":
-            raise ContractViolation(f"unknown component {component!r}")
-        return np.exp(1j * np.multiply.outer(xs, self.packet.k))
+    @property
+    def free(self) -> Propagator:
+        """The same packet on the free potential: the incident packet, built
+        on first read.  A free-potential propagator returns itself instead of
+        storing itself, which would be a reference cycle."""
+        if self.pot.is_free:
+            return self
+        with self._memo_lock:
+            if self._free is None:
+                self._free = Propagator(PiecewisePotential(), self.packet)
+        return self._free
 
     def _phases(self, ts: np.ndarray) -> np.ndarray:
         """e^{-i(E - E_ref)t/hbar} at every t of ts, shape (n_k, len(ts))."""
@@ -316,17 +318,17 @@ class Propagator:
         return out.transpose(1, 0, 2).reshape(n_r, nb * B)[:, :n_t]
 
     # -- field evaluations ----------------------------------------------
-    def psi(self, x: float, ts, component: str = "full") -> np.ndarray:
-        return self.psi_grid([x], ts, component)[0]
+    def psi(self, x: float, ts) -> np.ndarray:
+        return self.psi_grid([x], ts)[0]
 
-    def flux(self, x: float, ts, component: str = "full") -> np.ndarray:
+    def flux(self, x: float, ts) -> np.ndarray:
         """J(x, t) at the samples ts, read-only and memoised (see the class)."""
         ts = np.asarray(ts, dtype=float)
-        key = (float(x), component, ts.shape, hash(ts.tobytes()))
+        key = (float(x), ts.shape, hash(ts.tobytes()))
         J = self._memo.get(key)
         if J is not None:
             return J
-        ps, dps = self._modes(x, component)
+        ps, dps = self.table.psi_dpsi(x)
         # Psi and dPsi/dx without their common carrier, which drops out of J
         Psi, dPsi = self._contract([self._cw * ps, self._cw * dps], ts)
         J = self._flux_pref * np.imag(np.conj(Psi) * dPsi)
@@ -338,23 +340,23 @@ class Propagator:
                 self._memo_samples -= self._memo.pop(next(iter(self._memo))).size
         return J
 
-    def density(self, x: float, ts, component: str = "full") -> np.ndarray:
+    def density(self, x: float, ts) -> np.ndarray:
         """Re[Psi* Psi_w], the density the flux conserves (module docstring)."""
-        cw = self._cw * self._psi_rows([x], component)[0]
+        cw = self._cw * self.table.psi_dpsi(x)[0]
         Psi, Psi_w = self._contract([cw, cw * self.packet.density_weight], ts)
         return np.real(np.conj(Psi) * Psi_w)
 
-    def density_rate(self, x: float, ts, component: str = "full") -> np.ndarray:
+    def density_rate(self, x: float, ts) -> np.ndarray:
         """d Re[Psi* Psi_w]/dt from the analytic time derivative of the superposition."""
-        cw = self._cw * self._psi_rows([x], component)[0]
+        cw = self._cw * self.table.psi_dpsi(x)[0]
         rate = -1j * self.packet.E / UNITS.hbar
         w = self.packet.density_weight
         Psi, Psi_w, dPsi, dPsi_w = self._contract([cw, cw * w, cw * rate, cw * rate * w], ts)
         return np.real(np.conj(dPsi) * Psi_w + np.conj(Psi) * dPsi_w)
 
-    def psi_grid(self, xs, ts, component: str = "full") -> np.ndarray:
+    def psi_grid(self, xs, ts) -> np.ndarray:
         """Psi on an (x, t) product grid, shape (len(xs), len(ts))."""
-        rows = self._psi_rows(xs, component)
+        rows = self.table.psi_dpsi(xs)[0]
         out = self._contract(np.multiply(self._cw, rows, out=rows), ts)
         out *= self._carrier(ts)
         return out
@@ -377,8 +379,7 @@ class Propagator:
         pad = 10.0 * sigma_t * widen
         return t_lo - pad, t_hi + pad
 
-    def flux_series(self, x: float, t_range: tuple | None = None,
-                    component: str = "full") -> FluxSeries:
+    def flux_series(self, x: float, t_range: tuple | None = None) -> FluxSeries:
         """Flux samples at x with tail-capture control.
 
         The requested window (t_range, or suggest_window(x)) is sampled at
@@ -399,7 +400,7 @@ class Propagator:
             pad = 0.25 * (hi - lo)
             wide = (lo - pad, hi + pad)
             g = Grid1D.uniform(*wide, min(int(density * (wide[1] - wide[0])) + 1, 1 << 17))
-            J = self.flux(x, g.points, component)
+            J = self.flux(x, g.points)
             if mass is None:
                 inner = np.abs(J[(g.points >= lo) & (g.points <= hi)])
                 mass = g.weights[1] * (np.sum(inner) - 0.5 * (inner[0] + inner[-1]))
@@ -412,7 +413,7 @@ class Propagator:
             x=float(x), t_grid=g, J=J,
             J_plus=np.where(J > 0, J, 0.0),
             J_minus=np.where(J < 0, J, 0.0),
-            component=component, tail_captured=captured, abs_mass=mass,
+            tail_captured=captured, abs_mass=mass,
         )
 
 
@@ -440,13 +441,12 @@ def propagator(pot: PiecewisePotential, packet: SpectralPacket) -> Propagator:
     return prop
 
 
-def psi(pot: PiecewisePotential, packet: SpectralPacket, x: float, t: float,
-        component: str = "full") -> complex:
+def psi(pot: PiecewisePotential, packet: SpectralPacket, x: float, t: float) -> complex:
     """Psi(x, t) by quadrature of the spectral integral on the packet grid."""
-    return complex(propagator(pot, packet).psi(x, [t], component)[0])
+    return complex(propagator(pot, packet).psi(x, [t])[0])
 
 
 def flux_series(pot: PiecewisePotential, packet: SpectralPacket, x: float,
-                t_range: tuple | None = None, component: str = "full") -> FluxSeries:
+                t_range: tuple | None = None) -> FluxSeries:
     """Propagator.flux_series on the cached propagator of (pot, packet)."""
-    return propagator(pot, packet).flux_series(x, t_range=t_range, component=component)
+    return propagator(pot, packet).flux_series(x, t_range=t_range)

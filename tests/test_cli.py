@@ -64,6 +64,28 @@ def test_validate_cutoff_above_barrier(tmp_path, capsys):
     })
     assert main(["validate", cfg]) == 1
     assert "cutoff" in capsys.readouterr().err
+    # a segments barrier's top is its highest segment
+    cfg = write(tmp_path, "seg.json", {
+        "observables": ["causality"],
+        "potential": {"kind": "segments", "segments": [[0, 5, 4], [8, 9, 2]]},
+        "packet": {"E_bar": 5.0, "delta_k": 0.02, "cutoff": True},
+    })
+    assert main(["validate", cfg]) == 1
+    assert "packets[0].cutoff" in capsys.readouterr().err
+
+
+def test_cutoff_reads_the_built_barrier_top(tmp_path):
+    # the cutoff height is the built potential's top, whatever its kind: a
+    # segments barrier cuts its packet as the same rectangular barrier does
+    packet = {"E_bar": 5.0, "delta_k": 0.02, "cutoff": True}
+    csvs = []
+    for name, potential in [("seg", {"kind": "segments", "segments": [[0, 5, 10]]}),
+                            ("rect", {"kind": "rectangular", "V0": 10, "a": 5})]:
+        cfg = write(tmp_path, f"{name}.json", {"observables": ["causality"],
+                                                "potential": potential, "packet": packet})
+        assert main(["run", cfg, "--out", str(tmp_path / name)]) == 0
+        csvs.append((tmp_path / name / "causality.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_validate_scan_steps(tmp_path, capsys):
@@ -316,7 +338,7 @@ def test_run_deterministic_csv(tmp_path):
     })
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["run", cfg, "--out", str(out1)]) == 0
-    assert main(["run", cfg, "--out", str(out2), "--workers", "4"]) == 0
+    assert main(["run", cfg, "--out", str(out2)]) == 0
     assert (out1 / "hartman-scan.csv").read_bytes() == (out2 / "hartman-scan.csv").read_bytes()
     assert (out1 / "manifest.json").read_text() != ""
 
@@ -324,7 +346,7 @@ def test_run_deterministic_csv(tmp_path):
 def test_run_fig2_family(tmp_path):
     cfg = write(tmp_path, "fig2.json", FIG2_CONFIG)
     out_dir = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out_dir), "--workers", "2"]) == 0
+    assert main(["run", cfg, "--out", str(out_dir)]) == 0
     assert wavepacket._CACHE == {}  # the run's propagators and flux memos are gone
     header, rows = read_csv(out_dir / "or-times.csv")
     assert header[:7] == ["E_bar_eV", "delta_k", "a", "t_plus_0_fs", "t_plus_a_fs",
@@ -451,16 +473,17 @@ def test_flag_columns_on_every_csv(tmp_path):
 
 
 def test_parser_reused_without_state(tmp_path):
-    # main() builds its parser once per process: a --workers given to one
-    # call does not carry over, and the next manifest echoes the config's
-    cfg = write(tmp_path, "w.json", {"observables": ["phase-time"], "workers": 2,
+    # main() builds its parser once per process: an --out given to one call
+    # does not carry over, and the next run writes to the config's output_dir
+    cfg = write(tmp_path, "w.json", {"observables": ["phase-time"],
+                                     "output_dir": str(tmp_path / "b"),
                                      "scan": {"parameter": "E", "min": 2.0, "max": 4.0,
                                               "steps": 3}})
-    assert main(["run", cfg, "--workers", "3", "--out", str(tmp_path / "a")]) == 0
-    assert main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
-    workers = [json.loads((tmp_path / d / "manifest.json").read_text())["config"]["workers"]
-               for d in ("a", "b")]
-    assert workers == [3, 2]
+    assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert not (tmp_path / "b").exists()
+    assert main(["run", cfg]) == 0
+    csvs = [(tmp_path / d / "phase-time.csv").read_bytes() for d in ("a", "b")]
+    assert csvs[0] == csvs[1]
     assert cli._parser() is cli._parser()
 
 

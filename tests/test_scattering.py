@@ -170,17 +170,21 @@ def test_wavefunction_continuity_at_joints():
 
 
 def test_psi_at_many_positions_matches_psi_dpsi():
-    # SolutionTable.psi evaluates psi alone at many positions in one array;
-    # each row is psi_dpsi(x)[0], in every region of a double barrier, at the
-    # joints, in free space and whatever the order of the positions
+    # psi_dpsi evaluates an array of positions in one call; each position's
+    # psi and psi' equal its own scalar call bit for bit, in every region of
+    # a double barrier, at the joints, in free space and whatever the order
+    # of the positions, and an empty array gives empty results
     rng = np.random.default_rng(3)
     for pot in (double_rectangular(10.0, 4.0, 10.0), PiecewisePotential(())):
         table = SolutionTable(pot, np.linspace(1.0, 15.0, 64))
         xs = np.concatenate([rng.permutation(np.linspace(-10.0, 24.0, 97)), table.bounds[1:-1]])
-        rows = table.psi(xs)
-        assert rows.shape == (xs.size, 64)
-        np.testing.assert_allclose(rows, [table.psi_dpsi(x)[0] for x in xs], rtol=1e-14, atol=0)
-    assert table.psi([]).shape == (0, 64)
+        psi, dpsi = table.psi_dpsi(xs)
+        assert psi.shape == dpsi.shape == (xs.size, 64)
+        one = [table.psi_dpsi(x) for x in xs]
+        assert one[0][0].shape == (64,)
+        assert np.array_equal(psi, [p for p, _ in one])
+        assert np.array_equal(dpsi, [d for _, d in one])
+    assert all(a.shape == (0, 64) for a in table.psi_dpsi([]))
 
 
 def test_degeneracy_shift_flag():
@@ -442,7 +446,7 @@ def test_geometry_rows_equal_one_row_tables(case):
 
 def test_geometry_rows_refuse_single_geometry_reads():
     family = SolutionTable([rectangular(10.0, a) for a in (2.0, 3.0)], 5.0)
-    for read in (lambda: family.psi_dpsi(1.0), lambda: family.psi([0.5, 1.0]),
+    for read in (lambda: family.psi_dpsi(1.0), lambda: family.psi_dpsi([0.5, 1.0]),
                  lambda: two_phase(family), lambda: s_matrix(family)):
         with pytest.raises(ContractViolation):
             read()

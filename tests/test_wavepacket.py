@@ -6,13 +6,15 @@ G = C exp[-(k - kb)^2/(2 dk)^2] the spectral integral has the closed form
     Psi(x, t) = C sqrt(pi/A) e^{i(kb x - E(kb) t/hbar)} e^{-B^2/(4A)},
     A = 1/(2 dk)^2 + i (hbar/2m) t,   B = x - v(kb) t,
 
-which every full evaluation must reproduce in free space.
+which every evaluation must reproduce in free space.
 """
 
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from hypothesis import strategies as st
 from tuntime import wavepacket
 from tuntime.core import UNITS, ContractViolation, Grid1D, integrate
 from tuntime.potential import PiecewisePotential, rectangular
-from tuntime.scattering import SolutionTable
 from tuntime.wavepacket import (
     MASSIVE,
     PHOTON,
@@ -300,7 +301,7 @@ def test_start_phases_built_as_one_table(monkeypatch):
 def _direct_sum(prop, x, ts):
     """Psi and J at x with exp(-iEt/hbar) built in full, and the bounds
     sum_k |c_k psi_k(x)| of |Psi| and (hbar/m) |c psi|_1 |c psi'|_1 of |J|."""
-    cps, cdps = prop._cw * np.array(prop._modes(x, "full"))
+    cps, cdps = prop._cw * np.array(prop.table.psi_dpsi(x))
     phases = np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / UNITS.hbar)
     Psi, dPsi = cps @ phases, cdps @ phases
     J = prop._flux_pref * np.imag(np.conj(Psi) * dPsi)
@@ -348,7 +349,7 @@ def test_contract_as_accurate_as_direct_sum_at_large_phases(lo, hi, n_t):
     # the direct sum is
     prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
     ts = np.linspace(lo, hi, n_t)
-    ps, dps = prop._modes(-30.0, "full")
+    ps, dps = prop.table.psi_dpsi(-30.0)
     rows = np.array([prop._cw * ps, prop._cw * dps])
     arg = np.multiply.outer(prop.packet.E.astype(np.longdouble), ts.astype(np.longdouble))
     exact = rows.astype(np.clongdouble) @ np.exp(-1j * (arg / np.longdouble(UNITS.hbar)))
@@ -375,35 +376,44 @@ def test_psi_grid_with_more_rows_than_base_steps(monkeypatch, phase_block):
     prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
     xs = np.linspace(-20.0, 30.0, 101)
     ts = np.linspace(-60.0, 100.0, 257)
-    rows = prop._cw * prop.table.psi(xs)
+    rows = prop._cw * prop.table.psi_dpsi(xs)[0]
     direct = np.abs(rows @ np.exp(-1j * np.multiply.outer(prop.packet.E, ts) / UNITS.hbar))
     bound = np.sum(np.abs(rows), axis=1)[:, None]
     assert np.max(np.abs(np.abs(prop.psi_grid(xs, ts)) - direct) / bound) <= 1e-13
 
 
-def test_psi_grid_rows_are_psi_only(monkeypatch):
-    # psi_grid builds its n_x x n_k rows in one array from psi alone: the rows
-    # equal the per-x spectral rows of both components, psi' is never
-    # evaluated, and an unknown component is refused
+def test_psi_grid_rows_of_barrier_and_free_twin():
+    # psi_grid builds its n_x x n_k rows in one array: they are the per-x
+    # spectral rows psi_dpsi(x)[0], on the barrier and on its free twin,
+    # whose rows are the plane waves e^{ikx}; the free twin's twin is itself,
+    # without a reference cycle (reference counting alone frees it)
     prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
+    free = prop.free
+    assert free.pot.is_free and free.packet is prop.packet and free.free is free
+    assert prop.free is free  # built once
+    twin = Propagator(FREE, prop.packet)
+    assert twin.free is twin
+    gc.disable()
+    try:
+        ref = weakref.ref(twin)
+        del twin
+        assert ref() is None
+    finally:
+        gc.enable()
     xs = np.linspace(-20.0, 30.0, 101)
     plane = np.array([np.exp(1j * prop.packet.k * x) for x in xs])
-    per_x = {"full": np.array([prop.table.psi_dpsi(x)[0] for x in xs]), "free": plane}
-    monkeypatch.setattr(SolutionTable, "psi_dpsi",
-                        lambda *a: pytest.fail("psi_grid evaluated psi'"))
-    for component, rows in per_x.items():
-        np.testing.assert_allclose(prop._psi_rows(xs, component), rows, rtol=1e-14, atol=0)
-        grid = prop.psi_grid(xs, [7.0], component)[:, 0]
-        direct = (prop._cw * rows) @ np.exp(-1j * prop.packet.E * 7.0 / UNITS.hbar)
+    np.testing.assert_allclose(free.table.psi_dpsi(xs)[0], plane, rtol=1e-14, atol=0)
+    for p in (prop, free):
+        rows = np.array([p.table.psi_dpsi(x)[0] for x in xs])
+        grid = p.psi_grid(xs, [7.0])[:, 0]
+        direct = (p._cw * rows) @ np.exp(-1j * p.packet.E * 7.0 / UNITS.hbar)
         assert np.max(np.abs(grid - direct)) <= 1e-13 * np.max(np.abs(direct))
     # 101 rows outnumber the B = 16 base steps of 256 samples (|Psi| only,
     # for the sample-position rounding noted above)
     ts = np.linspace(-60.0, 100.0, 256)
-    direct = np.abs((prop._cw * per_x["full"]) @ np.exp(
+    direct = np.abs((prop._cw * prop.table.psi_dpsi(xs)[0]) @ np.exp(
         -1j * np.multiply.outer(prop.packet.E, ts) / UNITS.hbar))
     assert np.max(np.abs(np.abs(prop.psi_grid(xs, ts)) - direct)) <= 1e-13 * np.max(direct)
-    with pytest.raises(ContractViolation):
-        prop.psi_grid(xs, [7.0], "transmitted")
 
 
 def _contract_spy(monkeypatch):
@@ -414,9 +424,9 @@ def _contract_spy(monkeypatch):
     return calls
 
 
-def test_flux_memo_keys_on_position_samples_and_component(monkeypatch):
-    # a repeated (x, samples, component) is answered from the memo with the
-    # same read-only array; a changed x, grid or component is evaluated
+def test_flux_memo_keys_on_position_and_samples(monkeypatch):
+    # a repeated (x, samples) is answered from the memo with the same
+    # read-only array; a changed x or grid is evaluated
     prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
     calls = _contract_spy(monkeypatch)
     ts = np.linspace(-60.0, 100.0, 301)
@@ -425,13 +435,12 @@ def test_flux_memo_keys_on_position_samples_and_component(monkeypatch):
     assert prop.flux(-30.0, list(ts)) is J and calls == [301]
     with pytest.raises(ValueError):
         J[0] = 0.0
-    for x, t, component in [(-29.0, ts, "full"), (-30.0, ts[:-1], "full"),
-                            (-30.0, ts + 1e-9, "full"), (-30.0, ts, "free")]:
+    for x, t in [(-29.0, ts), (-30.0, ts[:-1]), (-30.0, ts + 1e-9)]:
         calls.clear()
-        other = prop.flux(x, t, component)
+        other = prop.flux(x, t)
         assert calls == [len(t)]
         assert not other.flags.writeable
-        np.testing.assert_array_equal(other, Propagator(prop.pot, prop.packet).flux(x, t, component))
+        np.testing.assert_array_equal(other, Propagator(prop.pot, prop.packet).flux(x, t))
 
 
 def test_flux_memo_holds_at_most_phase_block_samples(monkeypatch):
@@ -459,15 +468,17 @@ def test_flux_memo_bookkeeping_survives_threads(monkeypatch):
     # samples holds, so every call evaluates, stores and evicts, with the
     # interpreter switching threads as often as it can: the sample count
     # stays the sum of what the memo holds, within the cap, and every result
-    # is the single-thread one
+    # is the single-thread one; the free twin, first read by all four at
+    # once, is built once
     monkeypatch.setattr(wavepacket, "PHASE_BLOCK", 16)
     prop = Propagator(rectangular(10.0, 5.0), gaussian_packet(K_BAR, 0.02, n_k=128))
     ts = np.array([0.0, 2.0])
     xs = np.linspace(-30.0, 30.0, 24)
     expected = {x: Propagator(prop.pot, prop.packet).flux(x, ts) for x in xs}
-    mismatches, finished = [], []
+    mismatches, finished, twins = [], [], []
 
     def work(offset):
+        twins.append(prop.free)
         for i in range(1500):
             x = xs[(i + offset) % len(xs)]
             if not np.array_equal(prop.flux(x, ts), expected[x]):
@@ -486,6 +497,7 @@ def test_flux_memo_bookkeeping_survives_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(finished) == [0, 6, 12, 18] and mismatches == []
+    assert len(twins) == 4 and all(t is twins[0] for t in twins)
     assert prop._memo_samples == sum(J.size for J in prop._memo.values()) <= 16
 
 
