@@ -20,33 +20,26 @@ from .potential import PiecewisePotential, RegionMarkers, double_rectangular, re
 from .scattering import (
     SolutionTable,
     TwoPhase,
-    rect_amplitude,
     s_matrix,
     solve,
     two_phase,
 )
 from .stationary_times import (
-    TimeCatalog,
     bl_time,
     dwell_time_stationary,
-    opaque_dwell_limits,
     phase_time,
-    rect_dwell_closed,
     resonance_delay,
-    time_catalog,
     two_phase_times,
 )
 from .double_barrier import (
     DoubleBarrierSolution,
     Resonance,
-    cavity_factor,
     find_resonances,
     on_resonance,
     opaque_coefficients,
     opaque_phase_time,
     phase_time_total,
     resonance_denominator,
-    solve_exact,
 )
 from .wavepacket import (
     MASSIVE,
@@ -58,7 +51,6 @@ from .wavepacket import (
     flux_series,
     gaussian_packet,
     propagator,
-    psi,
 )
 from .flux_times import (
     CausalityResult,
@@ -78,12 +70,10 @@ from .emguide import (
     PhotonTunnellingTime,
     WaveguideSpec,
     cutoff_wavelength,
-    ftir_shifts,
     map_to_barrier,
     mapped_phase_time,
     photon_phase_time,
     propagation_constant,
-    te_mode_fields,
 )
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .core import OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS, ContractViolati
 from .double_barrier import on_resonance, opaque_coefficients
 from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
-from .scattering import ORACLE_TOL, UNITARITY_TOL, SolutionTable, two_phase
+from .scattering import SolutionTable, two_phase
 from .stationary_times import bl_time, dwell_time_stationary, phase_time, two_phase_times
 from .wavepacket import _CACHE, MIN_N_K, TAIL_TOL, gaussian_packet, propagator
 
@@ -432,17 +432,13 @@ def _obs_double(cfg: dict):
     for joined in (False, True):
         rows = [i for i, (_, gap) in enumerate(pairs) if (gap == 0) == joined]
         if rows:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                taus[rows] = phase_time([pots[i] for i in rows], E)
+            taus[rows] = phase_time([pots[i] for i in rows], E)
 
     def row(pair, tau):
         a, gap = pair
         L = a + gap
         on_res = int(on_resonance(V0, a, L, E))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sol = opaque_coefficients(V0, a, L, E) if chi * a >= OPACITY_HARD_FLOOR else None
+        sol = opaque_coefficients(V0, a, L, E) if chi * a >= OPACITY_HARD_FLOOR else None
         opaque_warn = int(chi * a < OPACITY_WARN_BELOW)
         delta = sol.delta if sol is not None else float("nan")
         im_ratio = (abs(sol.A_real_factor.imag) / abs(sol.A_real_factor)
@@ -531,8 +527,6 @@ def cmd_run(args) -> int:
         "config": cfg,
         "constants": dataclasses.asdict(UNITS),
         "tolerances": {
-            "unitarity": UNITARITY_TOL,
-            "oracle_equivalence": ORACLE_TOL,
             "dwell_form_agreement": DWELL_FORM_TOL,
             "tail_capture": TAIL_TOL,
         },

@@ -134,19 +134,6 @@ class Grid1D:
         return cls(mid + half * x, half * w)
 
     @classmethod
-    def composite_gauss(cls, lo: float, hi: float, panels: int, order: int = 12) -> "Grid1D":
-        """Panel-wise Gauss-Legendre; robust for oscillatory integrands."""
-        if not hi > lo:
-            raise ContractViolation("need hi > lo")
-        x, w = _legendre_rule(int(order))
-        edges = np.linspace(lo, hi, int(panels) + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfs = 0.5 * np.diff(edges)
-        pts = (mids[:, None] + halfs[:, None] * x).ravel()
-        wts = (halfs[:, None] * w).ravel()
-        return cls(pts, wts)
-
-    @classmethod
     def uniform(cls, lo: float, hi: float, n: int) -> "Grid1D":
         """Uniform grid with trapezoid weights (used for time series)."""
         if not hi > lo:

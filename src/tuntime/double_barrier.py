@@ -1,13 +1,11 @@
 """Closed-form analysis of two equal rectangular barriers.
 
-Exact coefficients come from the general transfer-matrix table (the 8x8
-matching system is never assembled densely; the product of 2x2 transfers is
-the well-conditioned equivalent), read from its log-scaled region pairs so
-that no opacity overflows them.  The opaque-limit closed forms follow the
-published coefficient set for the second barrier; for the first barrier the
-printed source collapses the region-III amplitude with the phase-referenced
-total, so the region-III forms here are re-derived from the matching
-conditions:
+The exact amplitudes of a double barrier are those of the general
+transfer-matrix table (SolutionTable of double_rectangular).  The
+opaque-limit closed forms follow the published coefficient set for the
+second barrier; for the first barrier the printed source collapses the
+region-III amplitude with the phase-referenced total, so the region-III
+forms here are re-derived from the matching conditions:
 
     A_T  -> e^{-chi a} e^{-ikL} A,      A_R -> -(chi + ik)/(chi - ik),
     alpha -> 2ik/(ik - chi),            beta -> (A/2) e^{-2 chi a}
@@ -30,7 +28,7 @@ import numpy as np
 
 from .core import OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS, ContractViolation, bracket_search
 from .potential import double_rectangular
-from .scattering import SolutionTable, solve
+from .scattering import SolutionTable
 from .stationary_times import phase_time
 
 RESONANCE_DENOMINATOR_TOL = 1e-6
@@ -47,7 +45,8 @@ class ResonanceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DoubleBarrierSolution:
-    """All eight matching coefficients for barriers (0,a) and (L, L+a).
+    """All eight matching coefficients for barriers (0,a) and (L, L+a), in the
+    opaque limit (opaque_coefficients).
 
     Region III carries A_T [e^{ikx} + A'_R e^{-ikx}]; region V carries
     A_T A'_T e^{ikx}.  A_real_factor is the cavity enhancement factor (real
@@ -101,55 +100,8 @@ def on_resonance(V0: float, a: float, L: float, E: float) -> bool:
     return abs(resonance_denominator(V0, a, L, E)) < RESONANCE_DENOMINATOR_TOL * chi * k
 
 
-def cavity_factor(V0: float, a: float, L: float, E: float) -> float:
-    """The real factor A = 2 chi k / resonance_denominator."""
-    k, chi = _kinematics(V0, a, L, E)
-    return 2 * chi * k / resonance_denominator(V0, a, L, E)
-
-
 def _delta(k: float, chi: float) -> float:
     return cmath.phase((1j * k + chi) / (1j * k - chi))
-
-
-def solve_exact(V0: float, a: float, L: float, E: float) -> DoubleBarrierSolution:
-    """Exact coefficients for unit incidence, read from the transfer-matrix
-    table's scaled region pairs.
-
-    Each ratio to region III's amplitude A_T is formed from the pairs (f, b)
-    with their log scales subtracted before anything is exponentiated, so a
-    field is 0 only where its own value lies below the double range.
-    """
-    k, chi = _kinematics(V0, a, L, E)
-    table = solve(double_rectangular(V0, a, L), E)
-    f, b, s = table.f[0], table.b[0], table.log_scale[0]
-    d = 1j * table.q[0] * (table.ends - table.refs)  # log of e^{iqd} across each region
-
-    def pair(j, shift=0.0):
-        """Region j's forward and backward amplitudes at its left edge, times e^{shift}."""
-        return f[j] * np.exp(s[j] + shift), b[j] * np.exp(s[j] + d[j] + shift)
-
-    alpha, beta = pair(1)
-    if L > a:  # regions I, barrier, cavity III, barrier', V
-        ika = 1j * k * a
-        A_T = f[2] * np.exp(s[2] - ika)
-        Ap_R = b[2] / f[2] * np.exp(d[2] + 2 * ika)
-        alphap, betap = (c / f[2] for c in pair(3, ika - s[2]))
-        Ap_T = np.exp(table.log_abs_A_T[0] - s[2] + 1j * table.arg_A_T[0] + ika) / f[2]
-        # invert A_T = e^{-chi a} e^{-ikL} A; real off resonance, opaque
-        A_fac = f[2] * np.exp(s[2] - ika + 1j * k * L + chi * a)
-    else:  # no cavity: the full first-barrier transmission is attributed at x = a
-        A_T, Ap_R, Ap_T = table.A_T[0], 0j, 1 + 0j
-        alphap, betap = pair(2)
-        A_fac = cavity_factor(V0, a, L, E)
-
-    flags = ("on_resonance",) if on_resonance(V0, a, L, E) else ()
-    return DoubleBarrierSolution(
-        E=E, k=k, chi=chi, a=a, L=L,
-        A_R=complex(table.A_R[0]), A_T=complex(A_T), Ap_R=complex(Ap_R),
-        Ap_T=complex(Ap_T), alpha=complex(alpha), beta=complex(beta),
-        alphap=complex(alphap), betap=complex(betap),
-        A_real_factor=complex(A_fac), delta=_delta(k, chi), flags=flags,
-    )
 
 
 def opaque_coefficients(V0: float, a: float, L: float, E: float) -> DoubleBarrierSolution:

@@ -1,4 +1,4 @@
-"""Undersized-waveguide analog of particle tunnelling, and FTIR shift relations.
+"""Undersized-waveguide analog of particle tunnelling.
 
 An evanescent TE mode in a rectangular guide obeys the same stationary
 equation as a sub-barrier particle: kappa_em^2 = k_c^2 - k^2 mirrors
@@ -92,21 +92,6 @@ def propagation_constant(spec: WaveguideSpec) -> PropagationBranch:
     return PropagationBranch(True, kap, lc, flags)
 
 
-def te_mode_fields(spec: WaveguideSpec, y: float, z: float):
-    """TE_mn transverse field profile (arbitrary units): E_x = 0,
-    E_y ~ sin(k_z z) cos(k_y y), E_z ~ -(k_y/k_z) cos(k_z z) sin(k_y y),
-    vanishing on the walls z in {0, a}, y in {0, b}."""
-    if not (0 <= z <= spec.a and 0 <= y <= spec.b):
-        raise ContractViolation("field point outside the guide cross-section")
-    k_z = spec.m * math.pi / spec.a
-    k_y = spec.n * math.pi / spec.b
-    E_y = math.sin(k_z * z) * math.cos(k_y * y)
-    if spec.n == 0:
-        return E_y, 0.0
-    E_z = -(k_y / k_z) * math.cos(k_z * z) * math.sin(k_y * y)
-    return E_y, E_z
-
-
 @dataclass(frozen=True)
 class PhotonTunnellingTime:
     """Opaque-guide photon phase time with its effective-velocity verdict."""
@@ -187,15 +172,3 @@ def mapped_phase_time(spec: WaveguideSpec) -> float:
                               bm.k_op, periodic=True)
     return (dphi + bm.a_eff) / UNITS.c
 
-
-def ftir_shifts(tau_ph: float, v_z: float, tau_la_z: float, Omega: float):
-    """Frustrated-total-internal-reflection observables.
-
-    D = v_z * tau_ph (spatial shift of the transmitted beam along the
-    interface) and delta_i = Omega * tau_la_z (angular deviation from the
-    beam-direction rotation at frequency Omega).  Unit bookkeeping is the
-    caller's: D inherits v_z's length unit, delta_i is in radians.
-    """
-    if tau_ph < 0 or v_z < 0 or tau_la_z < 0 or Omega < 0:
-        raise ContractViolation("ftir inputs must be non-negative")
-    return v_z * tau_ph, Omega * tau_la_z

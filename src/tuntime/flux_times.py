@@ -294,10 +294,10 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
 
     The averages run over the transmitted packet (the full flux at x_f, where
     psi_k = A_T e^{ikx} is the whole state) and the freely moving incident
-    one.  The report carries the quasi-monochromatic comparands: the
-    packet-averaged stationary phase time over the same markers, the
-    projected duration (J_+(x_i) replaced by J_in(x_i): the same difference)
-    and the spectral variance formula  D ~= hbar^2 <(d|A_T|/dE)^2>_E / <|A_T|^2>_E  beside the
+    one, so the mean is also the projected duration (J_+(x_i) replaced by
+    J_in(x_i)).  The report carries the quasi-monochromatic comparands: the
+    packet-averaged stationary phase time over the same markers and the
+    spectral variance formula  D ~= hbar^2 <(d|A_T|/dE)^2>_E / <|A_T|^2>_E  beside the
     flux-route variances (see notes: the spectral formula is the squared
     modulus-sensitivity time, not a quantitative surrogate for the flux
     variance of Gaussian packets).
@@ -326,7 +326,6 @@ def asymptotic_transmission(pot: PiecewisePotential, packet: SpectralPacket,
         components={
             "t_T(x_f)": stat_T.mean, "t_in(x_i)": stat_in.mean,
             "phase_time_avg": float(packet.energy_average(phase_time(pot, prop.table.E, markers))),
-            "projected_duration": mean,
             "spectral_variance": float(eq_var),
             "D_t_T(x_f)": stat_T.variance, "D_t_in(x_i)": stat_in.variance,
             "dynamic_excess": stat_T.variance - stat_in_f.variance,

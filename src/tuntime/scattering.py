@@ -54,7 +54,6 @@ table of its own potential.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from collections.abc import Sequence
@@ -66,10 +65,6 @@ from .core import UNITS, BranchResolutionError, ContractViolation
 from .potential import PiecewisePotential
 
 DEGENERACY_REL_SHIFT = 1e-9  # relative; applied when E collides with a segment height
-# the bounds the test suite holds a solve to: |A_T|^2 + |A_R|^2 - 1, and the
-# amplitudes' distance from the closed-form rectangular and double barriers
-UNITARITY_TOL = 1e-10
-ORACLE_TOL = 1e-12
 TWO_PHASE_TOL = 1e-6         # roundtrip residual of a two-phase extraction
 _RESCALE_LIMIT = 1e150
 _RESCALE_LOG_LIMIT = math.log(_RESCALE_LIMIT)
@@ -357,29 +352,6 @@ class SolutionTable:
 def solve(pot: PiecewisePotential, E: float) -> SolutionTable:
     """One-row table at energy E for unit incidence e^{ikx} from the left."""
     return SolutionTable(pot, [E])
-
-
-def rect_amplitude(V0: float, a: float, E: float):
-    """Closed-form sub-barrier amplitudes (A_T, A_R) of a rectangular barrier.
-
-    A_T = 4 i k kappa [(k^2 - kappa^2) D_- + 2 i k kappa D_+]^{-1} e^{-(kappa + ik) a}
-    with D_+- = 1 +- e^{-2 kappa a}; the reflection follows from the same
-    matching, A_R = -(i/2)(k/kappa + kappa/k) sinh(kappa a) A_T e^{ika}, taken
-    with the e^{-kappa a} of A_T folded into sinh(kappa a) e^{-kappa a} = D_-/2
-    so that no opacity overflows (A_T itself underflows to 0 past kappa a ~ 745).
-    """
-    if not (0 < E < V0):
-        raise ContractViolation("rect_amplitude needs 0 < E < V0; use solve above barrier")
-    if not a > 0:
-        raise ContractViolation("need a > 0")
-    k = float(UNITS.wavenumber(E))
-    kap = float(UNITS.decay_constant(V0, E))
-    Dm = -math.expm1(-2.0 * kap * a)
-    Dp = 2.0 - Dm
-    unscaled = 4j * k * kap / ((k**2 - kap**2) * Dm + 2j * k * kap * Dp)
-    A_T = unscaled * cmath.exp(-(kap + 1j * k) * a)
-    A_R = -0.25j * (k / kap + kap / k) * Dm * unscaled
-    return A_T, A_R
 
 
 @dataclass(frozen=True)

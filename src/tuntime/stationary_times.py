@@ -1,35 +1,23 @@
 """Single-energy tunnelling-time definitions.
 
-Phase time (energy derivative of the transmission phase), the modulus
--sensitivity time identified with the Buttiker-Landauer clock and the
-spin-flip Larmor component, the stationary dwell time, the two-phase route
-to the same quantities, and the near-resonance Lorentzian delay.
+Phase time (energy derivative of the transmission phase), the
+modulus-sensitivity time identified with the Buttiker-Landauer clock, the
+stationary dwell time, the two-phase route to the same quantities, and the
+near-resonance Lorentzian delay.  The BL time is an energy derivative; the
+spin-flip Larmor time tau_z = -hbar d ln|A_T|/dV (Buttiker, PRB 27, 6178
+(1983)) is a derivative in the barrier height, and the two agree only in the
+opaque limit.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import UNITS, ContractViolation, central_difference
-from .potential import PiecewisePotential, RegionMarkers, rectangular
-from .scattering import SolutionTable, rect_amplitude, two_phase
-
-
-@dataclass(frozen=True)
-class TimeCatalog:
-    """All stationary time definitions evaluated at one energy, in fs."""
-
-    E: float
-    tau_phase: float
-    tau_bl: float
-    tau_dwell: float
-    tau_larmor_y: float
-    tau_larmor_z: float
+from .potential import PiecewisePotential, RegionMarkers
+from .scattering import SolutionTable, two_phase
 
 
 def _is_family(pot) -> bool:
@@ -99,9 +87,11 @@ def phase_time(
 def bl_time(pot: PiecewisePotential | Sequence[PiecewisePotential], E):
     """Modulus-sensitivity time hbar |d ln|A_T| / dE|.
 
-    This is the monochromatic limit of the spin-flip Larmor component and is
-    identified with the Buttiker-Landauer oscillating-barrier time; it grows
-    linearly with width for opaque barriers instead of saturating.  Computed
+    This is identified with the Buttiker-Landauer oscillating-barrier time; it
+    grows linearly with width for opaque barriers instead of saturating.  The
+    spin-flip Larmor time -hbar d ln|A_T|/dV0 equals it only in the opaque
+    limit (on rect(10, 5) at 5 eV to 1e-10; 23% and 33% apart on rect(10, 2)
+    at 3 eV and rect(8, 1) at 6 eV).  Computed
     from the log-magnitude form of the amplitude, so extreme opacities
     (kappa a > 700) need no special casing.  E may be a scalar (returns a
     float) or an array of sub-barrier energies; pot may be a family of
@@ -137,50 +127,6 @@ def dwell_time_stationary(pot: PiecewisePotential | Sequence[PiecewisePotential]
     return _like(E, rho / UNITS.velocity(UNITS.wavenumber(E)))
 
 
-def rect_dwell_closed(V0: float, a: float, E: float) -> float:
-    """Closed-form barrier-interval dwell time for a rectangular barrier.
-
-    psi = alpha e^{-kappa x} + beta e^{kappa x} in the barrier, with alpha from
-    the incident side and beta e^{kappa a} = A_T e^{ika} (1 + ik/kappa)/2 from
-    the transmitted side, where neither cancels; the density then integrates
-    with no growing exponential.  An algebra-only route, independent of
-    SolutionTable, for any opacity.
-    """
-    A_T, A_R = rect_amplitude(V0, a, E)
-    k = float(UNITS.wavenumber(E))
-    kap = float(UNITS.decay_constant(V0, E))
-    v = float(UNITS.velocity(k))
-    alpha = 0.5 * ((1 + A_R) - 1j * k * (1 - A_R) / kap)
-    beta_end = 0.5 * A_T * cmath.exp(1j * k * a) * (1 + 1j * k / kap)
-    ep = -math.expm1(-2 * kap * a)  # 1 - e^{-2 kappa a}, accurate for small kap*a
-    integral = (
-        (abs(alpha) ** 2 + abs(beta_end) ** 2) * ep / (2 * kap)
-        + 2 * (alpha * beta_end.conjugate()).real * math.exp(-kap * a) * a
-    )
-    return integral / v
-
-
-def opaque_dwell_limits(V0: float, E: float) -> dict:
-    """Both printed opaque-barrier dwell limits, side by side.
-
-    `with_interference`  = hbar k / (kappa V0), the limit that keeps the
-    incident/reflected interference term in the entry flux; the full
-    stationary dwell approaches this one.  `separated` = 2/(kappa v), the
-    limit with that term dropped (well-separated packets).  Which arrangement
-    an experiment realises is a boundary-condition question, so callers get
-    both numbers rather than a silent choice.
-    """
-    if not 0 < E < V0:
-        raise ContractViolation("need 0 < E < V0")
-    k = float(UNITS.wavenumber(E))
-    kap = float(UNITS.decay_constant(V0, E))
-    v = float(UNITS.velocity(k))
-    return {
-        "with_interference": UNITS.hbar * k / (kap * V0),
-        "separated": 2.0 / (kap * v),
-    }
-
-
 def two_phase_times(pot: PiecewisePotential, E):
     """(tau_phase, tau_z) from the two-phase representation, at a scalar
     energy (floats) or an array of energies (arrays).
@@ -205,27 +151,4 @@ def resonance_delay(E: float, E_r: float, Gamma: float, tau_nr: float) -> float:
     if not Gamma > 0:
         raise ContractViolation("resonance_delay needs Gamma > 0")
     return UNITS.hbar * Gamma / ((E - E_r) ** 2 + Gamma**2) + tau_nr
-
-
-def time_catalog(V0: float, a: float, E: float) -> TimeCatalog:
-    """Every stationary time for a rectangular barrier at one energy.
-
-    tau_dwell and tau_larmor_y are both closed-form dwells, by two independent
-    routes (SolutionTable's region integral and rect_dwell_closed's analytic
-    pair), and coincide at every opacity; tau_larmor_z is by definition the
-    same expression as the BL time.
-    """
-    if not 0 < E < V0:
-        raise ContractViolation("time_catalog needs 0 < E < V0")
-    pot_markers = RegionMarkers(0.0, a)
-    pot = rectangular(V0, a)
-    bl = bl_time(pot, E)
-    return TimeCatalog(
-        E=E,
-        tau_phase=phase_time(pot, E),
-        tau_bl=bl,
-        tau_dwell=dwell_time_stationary(pot, E, pot_markers),
-        tau_larmor_y=rect_dwell_closed(V0, a, E),
-        tau_larmor_z=bl,
-    )
 

@@ -149,15 +149,12 @@ def gaussian_packet(
     x0: float = 0.0,
     t0: float = 0.0,
     dispersion: Dispersion = MASSIVE,
-    cutoff_keeps_above: bool = False,
 ) -> SpectralPacket:
     """Gaussian weight G = C exp[-(k - k_bar)^2 / (2 dk)^2] on a GL grid.
 
     The grid spans k_bar +- PACKET_SPAN delta_k (12 delta_k, which puts the
     boundary samples below 1e-12 of the peak), clipped to k > 0 and, when
     `cutoff` is a barrier height, to the sub-barrier band E(k) < V0.
-    `cutoff_keeps_above` flips the retained band to E > V0 to reproduce the
-    as-printed step function.
 
     x0 displaces the packet reference (a e^{-ik x0} phase); t0 shifts the
     launch time (e^{+iE t0/hbar}, an exact time translation of Psi).  The
@@ -171,11 +168,7 @@ def gaussian_packet(
     lo = max(k_bar - PACKET_SPAN * delta_k, 1e-3 * k_bar)
     hi = k_bar + PACKET_SPAN * delta_k
     if cutoff is not None:
-        k_edge = float(UNITS.wavenumber(cutoff))
-        if cutoff_keeps_above:
-            lo = max(lo, k_edge)
-        else:
-            hi = min(hi, k_edge)
+        hi = min(hi, float(UNITS.wavenumber(cutoff)))
         if not hi > lo:
             raise ContractViolation("cutoff band leaves no packet support")
     grid = Grid1D.gauss_legendre(lo, hi, n_k)
@@ -318,9 +311,6 @@ class Propagator:
         return out.transpose(1, 0, 2).reshape(n_r, nb * B)[:, :n_t]
 
     # -- field evaluations ----------------------------------------------
-    def psi(self, x: float, ts) -> np.ndarray:
-        return self.psi_grid([x], ts)[0]
-
     def flux(self, x: float, ts) -> np.ndarray:
         """J(x, t) at the samples ts, read-only and memoised (see the class)."""
         ts = np.asarray(ts, dtype=float)
@@ -439,11 +429,6 @@ def propagator(pot: PiecewisePotential, packet: SpectralPacket) -> Propagator:
             _CACHE.pop(next(iter(_CACHE)))
         _CACHE[key] = prop
     return prop
-
-
-def psi(pot: PiecewisePotential, packet: SpectralPacket, x: float, t: float) -> complex:
-    """Psi(x, t) by quadrature of the spectral integral on the packet grid."""
-    return complex(propagator(pot, packet).psi(x, [t])[0])
 
 
 def flux_series(pot: PiecewisePotential, packet: SpectralPacket, x: float,

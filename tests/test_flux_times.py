@@ -30,6 +30,8 @@ from tuntime.scattering import SolutionTable
 from tuntime.stationary_times import phase_time
 from tuntime.wavepacket import MASSIVE, PHOTON, Propagator, flux_series, gaussian_packet, propagator
 
+from oracles import composite_gauss
+
 E_BAR = 5.0
 K_BAR = float(UNITS.wavenumber(E_BAR))
 V_BAR = float(UNITS.velocity(K_BAR))
@@ -210,7 +212,7 @@ def test_dwell_space_form_matches_direct_space_time_sum(pot, E_bar, markers, dis
     tg = Grid1D.uniform(min(g.lo for g in windows), max(g.hi for g in windows), 4096)
     cuts = sorted({markers.x_i, markers.x_f}
                   | {e for r in pot.interior_regions() for e in r[:2] if markers.x_i < e < markers.x_f})
-    xg = [Grid1D.composite_gauss(lo, hi, max(2, math.ceil(2.0 * k_bar * (hi - lo) / math.pi)), 10)
+    xg = [composite_gauss(lo, hi, max(2, math.ceil(2.0 * k_bar * (hi - lo) / math.pi)), 10)
           for lo, hi in zip(cuts[:-1], cuts[1:])]
     xg = Grid1D(np.concatenate([g.points for g in xg]), np.concatenate([g.weights for g in xg]))
     phases = np.exp(-1j * np.multiply.outer(pk.E, tg.points) / UNITS.hbar)

@@ -20,15 +20,14 @@ from tuntime.potential import (
 from tuntime import scattering
 from tuntime.scattering import (
     _RESCALE_LIMIT,
-    ORACLE_TOL,
-    UNITARITY_TOL,
     SolutionTable,
-    rect_amplitude,
     s_matrix,
     solve,
     two_phase,
 )
 from tuntime.stationary_times import two_phase_times
+
+from oracles import ORACLE_TOL, UNITARITY_TOL, rect_amplitude
 
 
 def test_free_particle():
