@@ -48,7 +48,6 @@ from .wavepacket import (
     FluxSeries,
     Propagator,
     SpectralPacket,
-    flux_series,
     gaussian_packet,
     propagator,
 )

@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 import warnings
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import emguide
 from .core import OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS, ContractViolation
-from .double_barrier import on_resonance, opaque_coefficients
+from .double_barrier import OpacityWarning, on_resonance, opaque_coefficients
 from .flux_times import DWELL_FORM_TOL, causality_check, mean_time
 from .potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from .scattering import SolutionTable, two_phase
@@ -80,8 +81,10 @@ def _fail(path: str, message: str):
 
 
 def _is_number(value, kind=(int, float)) -> bool:
-    """True for a JSON number of the given kind; a bool is not one."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """True for a finite JSON number of the given kind; a bool is not one,
+    nor are the NaN and Infinity that Python's json module reads."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def load_config(config_path: str) -> dict:
@@ -119,11 +122,11 @@ def resolve(raw: dict) -> dict:
     if kind == "rectangular":
         pot_raw = {**_DEFAULTS["potential"], **pot_raw}  # only this kind takes the default V0, a
         for key in ("V0", "a"):
-            if not isinstance(pot_raw.get(key), (int, float)) or pot_raw[key] <= 0:
+            if not _is_number(pot_raw.get(key)) or pot_raw[key] <= 0:
                 _fail(f"potential.{key}", "must be a positive number")
     elif kind == "double":
         for key in ("V0", "a", "L"):
-            if not isinstance(pot_raw.get(key), (int, float)):
+            if not _is_number(pot_raw.get(key)):
                 _fail(f"potential.{key}", "required for kind 'double'")
         if pot_raw["L"] < pot_raw["a"]:
             _fail("potential.L", "need L >= a")
@@ -131,7 +134,7 @@ def resolve(raw: dict) -> dict:
         segs = pot_raw.get("segments")
         if not (isinstance(segs, list) and segs and all(
                 isinstance(seg, list) and len(seg) == 3
-                and all(isinstance(v, (int, float)) for v in seg) for seg in segs)):
+                and all(_is_number(v) for v in seg) for seg in segs)):
             _fail("potential.segments", "must be a non-empty list of [x0, x1, V]")
     else:
         _fail("potential.kind", "one of 'rectangular', 'double', 'segments'")
@@ -185,9 +188,12 @@ def resolve(raw: dict) -> dict:
         if "waveguide" in cfg["observables"] and wg is None:
             _fail("waveguide", "observable 'waveguide' needs a waveguide block")
         if wg is not None:
-            for key in ("a_cm", "b_cm", "m", "n", "L_cm", "lambda_cm"):
+            for key in ("a_cm", "b_cm", "L_cm", "lambda_cm"):
                 if not _is_number(wg.get(key)):
                     _fail(f"waveguide.{key}", "a number, required")
+            for key in ("m", "n"):  # mode indices
+                if not _is_number(wg.get(key), int):
+                    _fail(f"waveguide.{key}", "an integer, required")
             spec = _built("waveguide", _waveguide_spec, wg)
             branch = emguide.propagation_constant(spec)
             if branch.evanescent and spec.L * branch.kappa_em < OPACITY_HARD_FLOOR:
@@ -225,11 +231,11 @@ def _resolve_packet(path: str, p: dict, top: float) -> dict:
         k_bar = float(p["k_bar"])
     else:
         E_bar = p.get("E_bar")
-        if not isinstance(E_bar, (int, float)) or E_bar <= 0:
+        if not _is_number(E_bar) or E_bar <= 0:
             _fail(f"{path}.E_bar", "positive E_bar (eV) or k_bar (1/Angstrom) required")
         k_bar = float(UNITS.wavenumber(E_bar))
     delta_k = p.get("delta_k")
-    if not isinstance(delta_k, (int, float)) or delta_k <= 0:
+    if not _is_number(delta_k) or delta_k <= 0:
         _fail(f"{path}.delta_k", "must be a positive number (1/Angstrom)")
     if not k_bar > 6 * delta_k:
         _fail(f"{path}.delta_k", f"needs k_bar > 6 delta_k (k_bar = {k_bar:.4f})")
@@ -248,9 +254,8 @@ def _resolve_scan(path: str, s: dict, allowed: set, why: str) -> dict:
     param = s.get("parameter")
     if param not in allowed:
         _fail(f"{path}.parameter", f"must be one of {sorted(allowed)} for {why}")
-    try:
-        lo, hi, steps = float(s["min"]), float(s["max"]), int(s["steps"])
-    except (KeyError, TypeError, ValueError):
+    lo, hi, steps = s.get("min"), s.get("max"), s.get("steps")
+    if not (_is_number(lo) and _is_number(hi) and _is_number(steps, int)):
         _fail(f"{path}", "needs numeric min, max and integer steps")
     if not hi > lo:
         _fail(f"{path}.max", "must exceed min")
@@ -260,7 +265,7 @@ def _resolve_scan(path: str, s: dict, allowed: set, why: str) -> dict:
         _fail(f"{path}.min", "a gap L - a must be >= 0")
     if param != "L_minus_a" and not lo > 0:
         _fail(f"{path}.min", f"{param} must be positive on every row")
-    return {"parameter": param, "min": lo, "max": hi, "steps": steps}
+    return {"parameter": param, "min": float(lo), "max": float(hi), "steps": steps}
 
 
 def _built(path: str, build, cfg: dict):
@@ -272,7 +277,7 @@ def _built(path: str, build, cfg: dict):
 
 
 def _waveguide_spec(wg: dict) -> emguide.WaveguideSpec:
-    return emguide.WaveguideSpec(a=wg["a_cm"], b=wg["b_cm"], m=int(wg["m"]), n=int(wg["n"]),
+    return emguide.WaveguideSpec(a=wg["a_cm"], b=wg["b_cm"], m=wg["m"], n=wg["n"],
                                  L=wg["L_cm"], lam=wg["lambda_cm"])
 
 
@@ -420,7 +425,8 @@ def _obs_double(cfg: dict):
     """Total two-barrier phase time over width and gap: one phase_time call
     on the family of the scan's double barriers (a zero gap joins the two
     barriers, so those rows, with one region fewer, make a family of their
-    own)."""
+    own).  A row with chi a below OPACITY_HARD_FLOOR writes nan in the
+    opaque columns and raises one OpacityWarning."""
     pot_cfg = cfg["potential"]
     V0 = pot_cfg["V0"]
     E = cfg["energy"]
@@ -439,6 +445,9 @@ def _obs_double(cfg: dict):
         L = a + gap
         on_res = int(on_resonance(V0, a, L, E))
         sol = opaque_coefficients(V0, a, L, E) if chi * a >= OPACITY_HARD_FLOOR else None
+        if sol is None:
+            warnings.warn(f"chi*a = {chi * a:.2f} below {OPACITY_HARD_FLOOR}; the opaque "
+                          "columns delta_rad and A_im_over_abs are not computed", OpacityWarning)
         opaque_warn = int(chi * a < OPACITY_WARN_BELOW)
         delta = sol.delta if sol is not None else float("nan")
         im_ratio = (abs(sol.A_real_factor.imag) / abs(sol.A_real_factor)

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .core import ContractViolation
 
-SYMMETRY_TOL = 1e-12  # edge and height mismatch, Angstrom / eV, of a mirror-symmetric potential
-
 
 @dataclass(frozen=True)
 class PiecewisePotential:
@@ -79,18 +77,6 @@ class PiecewisePotential:
             regions.append((x0, x1, v))
             prev_end = x1
         return regions
-
-    def is_symmetric(self) -> bool:
-        """True when V(x) is mirror-symmetric about the midpoint of its extent."""
-        regs = self.interior_regions()
-        if not regs:
-            return True
-        centre = 0.5 * (self.x_left + self.x_right)
-        mirrored = [(2 * centre - hi, 2 * centre - lo, v) for (lo, hi, v) in reversed(regs)]
-        return all(
-            max(abs(a0 - b0), abs(a1 - b1), abs(av - bv)) <= SYMMETRY_TOL
-            for (a0, a1, av), (b0, b1, bv) in zip(regs, mirrored)
-        )
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,18 @@ largest.  The pair (f_j, b_j) has unit size and the growth (e^{kappa d},
 only where it is negligible beside the other.  Continuity at interior joints
 holds by construction and the residual at the leftmost joint measures the
 global accuracy of the solve.  psi_dpsi is the one evaluator of psi and
-psi' from these pairs, at one position or an array of positions.
+psi' from these pairs, at one position or an array of positions: one sorted
+search finds each position's region, whose pair it reads directly.
 
-SolutionTable is the one solution format: solve(pot, E) is a one-row table,
-and the two-phase angles and S-matrices are arrays read from its columns.
+The forward pass is the whole two-port.  With T the unscaled product (the
+ratios below do not see the log scale), A_T = e^{ik(x1 - xm)}/T11, A_R =
+-T10/T11 e^{2ik x1} and r_prime = T01/T11 e^{-2ik xm}, the reflection for
+incidence from the right (the A_R of the mirrored potential V(-x)).
+s_matrix assembles the exact two-port S from these columns, unitary for
+every potential, and two_phase reads its angles from log_abs_A_T, arg_A_T
+and |A_R|, so both hold at any opacity and neither re-derives an amplitude.
+
+SolutionTable is the one solution format: solve(pot, E) is a one-row table.
 Its rows may also carry their own geometry: a sequence of potentials with one
 region count (a width or height scan) is one table, whose heights, widths and
 edges have a row axis through the forward pass, the backward substitution and
@@ -124,12 +132,12 @@ class SolutionTable:
     two_phase and s_matrix, which read a single geometry, refuse the table.
 
     A build runs the forward pass only and stores log_abs_A_T, which every
-    consumer reads.  arg_A_T, A_T and A_R are derived from the product's
-    second row on their first read, so a caller that reads only the modulus
-    (a BL time, a resonance search) never forms them.  f, b and log_scale
-    come from the backward substitution, run once, on their first read
-    (psi_dpsi, density_integral, boundary_residual), so a caller that
-    reads only the transmission never pays for it.
+    consumer reads.  arg_A_T, A_T, A_R and r_prime are derived from the
+    product's second row and T01 on their first read, so a caller that reads
+    only the modulus (a BL time, a resonance search) never forms them.  f, b
+    and log_scale come from the backward substitution, run once, on their
+    first read (psi_dpsi, density_integral, boundary_residual), so a caller
+    that reads only the transmission never pays for it.
     """
 
     def __init__(self, pot: PiecewisePotential | Sequence[PiecewisePotential], Es):
@@ -165,7 +173,7 @@ class SolutionTable:
         if heights.shape[1] == 1:  # free space
             self.q = self.k.astype(complex)[:, None]
             self.A_T = np.ones(n, dtype=complex)
-            self.A_R = np.zeros(n, dtype=complex)
+            self.A_R = self.r_prime = np.zeros(n, dtype=complex)
             self.log_abs_A_T = np.zeros(n)
             self.arg_A_T = np.zeros(n)
             return
@@ -207,8 +215,8 @@ class SolutionTable:
         # A_T = e^{ik(x1-xm)} / T11_true with T11_true = T11 e^{logscale}.
         # Modulus and phase are kept apart so that derivatives of either
         # can avoid the (possibly underflowed) complex amplitude; the row
-        # T[1] is kept for the columns derived on first read
-        self._T1, self._x1, self._xm = T[1], x1, xm
+        # T[1] and T01 are kept for the columns derived on first read
+        self._T1, self._T01, self._x1, self._xm = T[1], T[0, 1], x1, xm
         self.log_abs_A_T = -logscale - np.log(np.abs(T[1, 1]))
 
     @functools.cached_property
@@ -228,6 +236,13 @@ class SolutionTable:
         potential."""
         T10, T11 = self._T1
         return -T10 / T11 * np.exp(2j * self.k * self._x1)
+
+    @functools.cached_property
+    def r_prime(self):
+        """The reflection for incidence from the right, psi = e^{-ikx} +
+        r_prime e^{ikx} right of the potential: the A_R of the mirrored
+        potential V(-x)."""
+        return self._T01 / self._T1[1] * np.exp(-2j * self.k * self._xm)
 
     @functools.cached_property
     def _regions(self):
@@ -270,40 +285,23 @@ class SolutionTable:
     def __len__(self) -> int:
         return len(self.E)
 
-    def _region(self, x):
-        """Index of the region holding x (a joint belongs to the region on its right)."""
-        if self.family:
-            raise ContractViolation("psi_dpsi needs a single-geometry table")
-        return np.searchsorted(self.bounds[1:-1], x, side="right")
-
-    def _waves(self, j: int, x):
-        """Region j's forward and backward waves at a column of positions x,
-        one row each, and i q_j."""
-        iq, s = 1j * self.q[:, j], self.log_scale[:, j]
-        ef = self.f[:, j] * np.exp(s + iq * (x - self.refs[j]))
-        eb = self.b[:, j] * np.exp(s - iq * (x - self.ends[j]))
-        return ef, eb, iq
-
     def psi_dpsi(self, x):
         """psi and psi' at a position or an array of positions, each of shape
         np.shape(x) + (n_E,).
 
-        The positions of each region are evaluated together, so every
-        position reads the same values whether it comes alone or with others.
+        Each position reads its own region's pair (a joint belongs to the
+        region on its right), so every position reads the same values whether
+        it comes alone or with others.
         """
+        if self.family:
+            raise ContractViolation("psi_dpsi needs a single-geometry table")
         x = np.asarray(x, dtype=float)
-        xs = x.reshape(-1)
-        psi = np.empty((xs.size, len(self.E)), dtype=complex)
-        dpsi = np.empty_like(psi)
-        regions = self._region(xs)
-        for j in range(len(self.bounds) - 1):
-            at = regions == j
-            if at.any():
-                ef, eb, iq = self._waves(j, xs[at, None])
-                psi[at] = ef + eb
-                dpsi[at] = iq * (ef - eb)
-        shape = x.shape + (len(self.E),)
-        return psi.reshape(shape), dpsi.reshape(shape)
+        j = np.searchsorted(self.bounds[1:-1], x, side="right")
+        f, b, log_scale = self._regions
+        iq, s = 1j * self.q.T[j], log_scale[j]
+        ef = f[j] * np.exp(s + iq * np.expand_dims(x - self.refs[j], -1))
+        eb = b[j] * np.exp(s - iq * np.expand_dims(x - self.ends[j], -1))
+        return ef + eb, iq * (ef - eb)
 
     def density_integral(self, x_i, x_f) -> np.ndarray:
         """Integral of |psi|^2 over (x_i, x_f), an array over energy; on a
@@ -384,13 +382,15 @@ class TwoPhase:
 
 
 def two_phase(table: SolutionTable) -> TwoPhase:
-    """Extract (phi1, phi2) at every energy of a single-rectangular-barrier
-    table, whose extent is the width a.
+    """(phi1, phi2) at every energy of a single-rectangular-barrier table,
+    whose extent is the width a, read from the table's columns:
 
-    Branch choice: phi1 in (0, pi/2] for sub-barrier energies; the common
-    phase comes from e^{2 i theta} = A_R,centred^2 - A_T^2 with the residual
-    of the roundtrip reconstruction, held to TWO_PHASE_TOL, as the acceptance
-    test.
+        phi1 = arctan2(|A_T|, |A_R|),  |A_T| = e^{log_abs_A_T}
+        phi2 = ka + theta,  theta = arg A_T - pi/2 reduced to (-pi, pi]
+
+    so phi1 lies in [0, pi/2] (0 only where |A_T| underflows) and both hold
+    at any opacity.  The residual of the roundtrip reconstruction, held to
+    TWO_PHASE_TOL, checks the pair against the table's A_T and A_R.
     """
     pot = table.pot
     if table.family:
@@ -400,36 +400,27 @@ def two_phase(table: SolutionTable) -> TwoPhase:
     if not np.all(table.E < pot.max_height):
         raise ContractViolation("two_phase needs sub-barrier energies")
     a, k = pot.extent, table.k
-    A_T, A_R = table.A_T, table.A_R
-    ARc = A_R * np.exp(-1j * k * (pot.x_left + pot.x_right))
-    theta = 0.5 * np.angle(ARc**2 - A_T**2)
-    s1 = (-1j * A_T * np.exp(-1j * theta)).real
-    c1 = (ARc * np.exp(-1j * theta)).real
-    flip = s1 < 0  # gauge (phi1, theta) -> (phi1 + pi, theta + pi)
-    theta = np.where(flip, np.where(theta <= 0, theta + np.pi, theta - np.pi), theta)
-    phi1 = np.arctan2(np.where(flip, -s1, s1), np.where(flip, -c1, c1))
+    theta = np.pi - np.mod(1.5 * np.pi - table.arg_A_T, 2.0 * np.pi)
+    phi1 = np.arctan2(np.exp(table.log_abs_A_T), np.abs(table.A_R))
     tp = TwoPhase(phi1=phi1, phi2=theta + k * a, k=k, a=a)
     rT, rR = tp.reconstruct()
-    resid = np.abs(rT - A_T) + np.abs(rR * np.exp(2j * k * pot.x_left) - A_R)
+    resid = np.abs(rT - table.A_T) + np.abs(rR * np.exp(2j * k * pot.x_left) - table.A_R)
     if np.any(resid > TWO_PHASE_TOL):
         raise BranchResolutionError(f"two-phase reconstruction residual {resid.max():.3e}")
     return tp
 
 
-def s_matrix(table: SolutionTable):
-    """Two-channel collision matrices, shape (n_E, 2, 2), with S00 = S11 = A_T
-    and S01 = S10 = A_R.
-
-    The reflection entry uses the symmetric phase reference (A_R recentred by
-    e^{-ik(x_left + x_right)}), the convention in which S is unitary for a
-    spatially symmetric potential.  For an asymmetric potential the matrix is
-    still built from left-incidence data but flagged, since S01 = S10 is then
-    an assumption rather than a theorem.
+def s_matrix(table: SolutionTable) -> np.ndarray:
+    """Two-port collision matrices, shape (n_E, 2, 2), unitary for every
+    potential: S00 = S11 = A_T, S10 = A_R (incidence from the left) and
+    S01 = r_prime (incidence from the right), each reflection re-referenced
+    to the potential's centre c, A_R e^{-2ikc} and r_prime e^{+2ikc}.
     """
-    pot = table.pot
     if table.family:
         raise ContractViolation("s_matrix needs a single-geometry table")
+    centre = np.exp(1j * table.k * (table.pot.x_left + table.pot.x_right))
     S = np.empty((len(table), 2, 2), dtype=complex)
     S[:, 0, 0] = S[:, 1, 1] = table.A_T
-    S[:, 0, 1] = S[:, 1, 0] = table.A_R * np.exp(-1j * table.k * (pot.x_left + pot.x_right))
-    return (S, ("asymmetric",)) if not pot.is_symmetric() else (S, ())
+    S[:, 1, 0] = table.A_R / centre
+    S[:, 0, 1] = table.r_prime * centre
+    return S

@@ -2,11 +2,11 @@
 
 Phase time (energy derivative of the transmission phase), the
 modulus-sensitivity time identified with the Buttiker-Landauer clock, the
-stationary dwell time, the two-phase route to the same quantities, and the
-near-resonance Lorentzian delay.  The BL time is an energy derivative; the
-spin-flip Larmor time tau_z = -hbar d ln|A_T|/dV (Buttiker, PRB 27, 6178
-(1983)) is a derivative in the barrier height, and the two agree only in the
-opaque limit.
+stationary dwell time, the two-phase times read from the same table
+columns, and the near-resonance Lorentzian delay.  The BL time is an energy
+derivative; the spin-flip Larmor time tau_z = -hbar d ln|A_T|/dV
+(Buttiker, PRB 27, 6178 (1983)) is a derivative in the barrier height, and
+the two agree only in the opaque limit.
 """
 
 from __future__ import annotations
@@ -131,17 +131,17 @@ def two_phase_times(pot: PiecewisePotential, E):
     """(tau_phase, tau_z) from the two-phase representation, at a scalar
     energy (floats) or an array of energies (arrays).
 
-    tau_phase = hbar d(phi2)/dE and tau_z = hbar d(phi1)/dE cot(phi1); the
-    latter is evaluated as hbar d ln sin(phi1) / dE, which is the same product
-    without the 0 * inf ambiguity when phi1 -> 0 deep in the opaque regime.
-    Both angles come from two_phase() on one table per difference round, an
-    independent route to phase_time and bl_time; phi2 is differenced mod 2 pi.
+    tau_phase = hbar d(phi2)/dE and tau_z = hbar d(phi1)/dE cot(phi1).  The
+    angles are the table's columns (two_phase), so phi2 = ka + arg A_T - pi/2
+    makes tau_phase the phase time hbar d(arg A_T + ka)/dE, and sin(phi1) =
+    |A_T| makes tau_z = hbar d ln sin(phi1)/dE the BL time.  ln sin(phi1) is
+    read as log_abs_A_T, so tau_z holds at any opacity, with no 0 * inf as
+    phi1 -> 0; phi2, differenced mod 2 pi, reads arg_A_T, so tau_phase holds
+    the opaque plateau past kappa a ~ 717, where phase_time fails.
     """
-    def angles(Es):
-        return two_phase(SolutionTable(pot, Es))
-
-    dphi2 = central_difference(lambda Es, _: angles(Es).phi2, E, periodic=True)
-    dlogsin = central_difference(lambda Es, _: np.log(np.sin(angles(Es).phi1)), E)
+    dphi2 = central_difference(lambda Es, _: two_phase(SolutionTable(pot, Es)).phi2, E,
+                               periodic=True)
+    dlogsin = central_difference(lambda Es, _: SolutionTable(pot, Es).log_abs_A_T, E)
     return _like(E, UNITS.hbar * dphi2), _like(E, UNITS.hbar * dlogsin)
 
 

@@ -429,9 +429,3 @@ def propagator(pot: PiecewisePotential, packet: SpectralPacket) -> Propagator:
             _CACHE.pop(next(iter(_CACHE)))
         _CACHE[key] = prop
     return prop
-
-
-def flux_series(pot: PiecewisePotential, packet: SpectralPacket, x: float,
-                t_range: tuple | None = None) -> FluxSeries:
-    """Propagator.flux_series on the cached propagator of (pot, packet)."""
-    return propagator(pot, packet).flux_series(x, t_range=t_range)

@@ -166,6 +166,42 @@ RUN_FAILURES_REFUSED = {  # case: (config keys, the field named)
                                "waveguide": {"a_cm": 2.3, "b_cm": 4.6, "m": 1, "n": 0,
                                              "L_cm": "long", "lambda_cm": 6.0}},
                               "waveguide.L_cm"),
+    # a bool or a non-finite value is not a number and a count is a JSON
+    # integer: each of these used to run, as 1 eV, as a truncated count, or
+    # into a numerical failure
+    "V0-true": ({"observables": ["hartman-scan"], "potential": {"V0": True}}, "potential.V0"),
+    "double-L-true": ({"observables": ["phase-time"],
+                       "potential": {"kind": "double", "V0": 10.0, "a": 1.0, "L": True},
+                       "scan": {"parameter": "E", "min": 1.0, "max": 4.0, "steps": 3}},
+                      "potential.L"),
+    "segment-height-true": ({"observables": ["phase-time"],
+                             "potential": {"kind": "segments", "segments": [[0.0, 2.0, True]]},
+                             "scan": {"parameter": "E", "min": 1.0, "max": 2.0, "steps": 3}},
+                            "potential.segments"),
+    "E_bar-true": ({"observables": ["or-times"], "packet": {"E_bar": True, "delta_k": 0.02}},
+                   "packets[0].E_bar"),
+    "delta_k-true": ({"observables": ["or-times"], "packet": {"k_bar": 10.0, "delta_k": True}},
+                     "packets[0].delta_k"),
+    "steps-text": ({"observables": ["phase-time"],
+                    "scan": {"parameter": "a", "min": 1.0, "max": 4.0, "steps": "7"}}, "scan"),
+    "steps-fraction": ({"observables": ["phase-time"],
+                        "scan": {"parameter": "a", "min": 1.0, "max": 4.0, "steps": 7.9}}, "scan"),
+    "scan-min-text": ({"observables": ["phase-time"],
+                       "scan": {"parameter": "a", "min": "1", "max": 4.0, "steps": 7}}, "scan"),
+    "scan2-steps-fraction": ({"observables": ["double-barrier-scan"],
+                              "scan": {"parameter": "a", "min": 4.0, "max": 6.0, "steps": 2},
+                              "scan2": {"parameter": "L_minus_a", "min": 1.0, "max": 5.0,
+                                        "steps": 2.5}}, "scan2"),
+    "scan-max-infinite": ({"observables": ["phase-time"],
+                           "scan": {"parameter": "a", "min": 1.0, "max": float("inf"),
+                                    "steps": 3}}, "scan"),
+    "standoff-nan": ({"observables": ["causality"],
+                      "packet": {"E_bar": 5.0, "delta_k": 0.02, "standoff": float("nan")}},
+                     "packets[0].standoff"),
+    "waveguide-m-fraction": ({"observables": ["waveguide"],
+                              "waveguide": {"a_cm": 2.3, "b_cm": 4.6, "m": 1.5, "n": 0,
+                                            "L_cm": 10.0, "lambda_cm": 6.0}},
+                             "waveguide.m"),
 }
 
 
@@ -174,8 +210,8 @@ def test_resolve_refuses_configs_that_would_fail_in_run(tmp_path, capsys, case):
     # each of these used to pass validate and then exit 2 in run (n_k below
     # 128, causality's x_f inside the barrier, a potential its builder
     # refuses, a guide too short for the opaque formula), raise a Python
-    # traceback (a non-numeric value) or truncate a fractional n_k: validate
-    # and run refuse them as config errors
+    # traceback (a non-numeric value), run a bool as 1 or truncate a
+    # fractional count: validate and run refuse them as config errors
     keys, field = RUN_FAILURES_REFUSED[case]
     cfg = write(tmp_path, "bad.json", keys)
     for argv in (["validate", cfg], ["run", cfg, "--out", str(tmp_path / "out")]):
@@ -393,6 +429,25 @@ def test_run_double_scan_counts_its_warnings(tmp_path):
     flags = [dict(zip(header, r)) for r in rows]
     assert all(f["opaque_warning"] == "1" and f["on_resonance"] == "0" for f in flags)
     assert json.loads((out_dir / "manifest.json").read_text())["warning_count"] == len(rows) == 12
+
+
+def test_run_double_scan_counts_a_warning_per_thin_row(tmp_path):
+    # chi a = 3.4 and 4.6 lie below the opaque forms' floor of 5: no opaque
+    # coefficients are computed there, so delta_rad is nan, and each of the
+    # four flagged rows counts one OpacityWarning in the manifest
+    cfg = write(tmp_path, "double.json", {
+        "potential": {"kind": "rectangular", "V0": 10.0, "a": 3.0},
+        "energy": 5.0,
+        "scan": {"parameter": "a", "min": 3.0, "max": 4.0, "steps": 2},
+        "scan2": {"parameter": "L_minus_a", "min": 5.0, "max": 6.0, "steps": 2},
+        "observables": ["double-barrier-scan"],
+    })
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 0
+    header, rows = read_csv(out_dir / "double-barrier-scan.csv")
+    flags = [dict(zip(header, r)) for r in rows]
+    assert all(f["opaque_warning"] == "1" and f["delta_rad"] == "nan" for f in flags)
+    assert json.loads((out_dir / "manifest.json").read_text())["warning_count"] == len(rows) == 4
 
 
 def test_run_waveguide(tmp_path):

@@ -139,10 +139,10 @@ def test_photon_flux_machinery_reuse():
     from tuntime.core import UNITS as U
     from tuntime.flux_times import mean_time
     from tuntime.potential import PiecewisePotential
-    from tuntime.wavepacket import PHOTON, flux_series, gaussian_packet
+    from tuntime.wavepacket import PHOTON, gaussian_packet, propagator
 
     pk = gaussian_packet(float(U.wavenumber(5.0)), 0.02, dispersion=PHOTON)
-    fs = flux_series(PiecewisePotential(()), pk, 1000.0)
+    fs = propagator(PiecewisePotential(()), pk).flux_series(1000.0)
     stat = mean_time(fs, "+")
     assert stat.mean == pytest.approx(1000.0 / U.c, rel=1e-9)
 

@@ -28,7 +28,7 @@ from tuntime.flux_times import (
 from tuntime.potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
 from tuntime.scattering import SolutionTable
 from tuntime.stationary_times import phase_time
-from tuntime.wavepacket import MASSIVE, PHOTON, Propagator, flux_series, gaussian_packet, propagator
+from tuntime.wavepacket import MASSIVE, PHOTON, Propagator, gaussian_packet, propagator
 
 from oracles import composite_gauss
 
@@ -48,7 +48,7 @@ def packet():
 
 def test_free_flight_time(packet):
     x = 40.0
-    fs = flux_series(FREE, packet, x)
+    fs = propagator(FREE, packet).flux_series(x)
     stat = mean_time(fs, "+")
     assert stat.mean == pytest.approx(x / V_BAR, rel=0.01)
     assert stat.variance > 0
@@ -58,14 +58,14 @@ def test_free_flight_time(packet):
 def test_time_translation_covariance():
     base = gaussian_packet(K_BAR, 0.02)
     shifted = gaussian_packet(K_BAR, 0.02, t0=3.0)
-    s0 = mean_time(flux_series(FREE, base, 25.0), "+")
-    s1 = mean_time(flux_series(FREE, shifted, 25.0, t_range=(-20.0, 30.0)), "+")
+    s0 = mean_time(propagator(FREE, base).flux_series(25.0), "+")
+    s1 = mean_time(propagator(FREE, shifted).flux_series(25.0, t_range=(-20.0, 30.0)), "+")
     assert s1.mean - s0.mean == pytest.approx(3.0, abs=1e-9)
     assert s1.variance == pytest.approx(s0.variance, abs=1e-9)
 
 
 def test_no_such_flux_error(packet):
-    fs = flux_series(FREE, packet, 30.0)
+    fs = propagator(FREE, packet).flux_series(30.0)
     with pytest.raises(NoSuchFluxError):
         mean_time(fs, "-")
 
@@ -74,7 +74,7 @@ def test_negative_time_advance_fig2_family():
     # <t_+(0)> < 0 for the five-packet family at an opaque barrier
     for (Eb, dk) in [(2.5, 0.02), (5.0, 0.02), (7.5, 0.02), (5.0, 0.04), (5.0, 0.06)]:
         pk = gaussian_packet(float(UNITS.wavenumber(Eb)), dk)
-        stat = mean_time(flux_series(POT, pk, 0.0), "+")
+        stat = mean_time(propagator(POT, pk).flux_series(0.0), "+")
         assert stat.mean < 0.0, (Eb, dk)
 
 
@@ -114,7 +114,7 @@ def test_tunnel_identity_phase_minus_advance(packet):
     # <tau_tun(0,a)> = <tau_ph>_E - <t_+(0)> within 2% for real weights
     rep = duration(POT, packet, "tunnelling")
     tau_ph = packet.energy_average(phase_time(POT, packet.E))
-    t_plus_0 = mean_time(flux_series(POT, packet, 0.0), "+").mean
+    t_plus_0 = mean_time(propagator(POT, packet).flux_series(0.0), "+").mean
     assert rep.mean == pytest.approx(tau_ph - t_plus_0, rel=0.02)
 
 
@@ -255,7 +255,7 @@ def test_dwell_after_a_dwell_evaluates_no_wave(monkeypatch):
     markers = RegionMarkers(-25.0, 30.0)
     first = dwell(POT, pk, markers)
     for cls, name in [(Propagator, "_contract"), (Propagator, "_phases"),
-                      (SolutionTable, "_waves"), (SolutionTable, "psi_dpsi")]:
+                      (SolutionTable, "psi_dpsi")]:
         monkeypatch.setattr(cls, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
     assert dwell(POT, pk, markers) == first
 
@@ -267,7 +267,7 @@ def test_dwell_after_a_dwell_evaluates_no_wave(monkeypatch):
     lambda pot, pk, m: projected_duration(pot, pk, m),
     lambda pot, pk, m: causality_check(pot, pk, m.x_f, "integral"),
     lambda pot, pk, m: interference_deficit(pot, pk, m.x_f),
-    lambda pot, pk, m: mean_time(flux_series(pot, pk, m.x_f), "+"),
+    lambda pot, pk, m: mean_time(propagator(pot, pk).flux_series(m.x_f), "+"),
 ], ids=["duration", "dwell", "projected_duration", "causality", "interference_deficit",
         "mean_time"])
 def test_uncaptured_flux_tail_raises(routine, n_k):

@@ -92,13 +92,6 @@ def test_value_half_open():
     assert pot.value(-1e-12) == 0.0
 
 
-def test_symmetry_detection():
-    assert rectangular(10.0, 5.0).is_symmetric()
-    assert double_rectangular(10.0, 5.0, 15.0).is_symmetric()
-    assert not PiecewisePotential(((0.0, 1.0, 2.0), (3.0, 7.0, 2.0))).is_symmetric()
-    assert not PiecewisePotential(((0.0, 2.0, 1.0), (2.0, 4.0, 3.0))).is_symmetric()
-
-
 def test_markers():
     m = RegionMarkers(-10.0, 12.0)
     assert m.x_i == -10.0 and m.x_f == 12.0

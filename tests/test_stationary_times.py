@@ -14,7 +14,7 @@ from hypothesis.strategies import floats
 
 from tuntime.core import UNITS, ContractViolation
 from tuntime.potential import PiecewisePotential, RegionMarkers, double_rectangular, rectangular
-from tuntime.scattering import SolutionTable, solve
+from tuntime.scattering import SolutionTable, solve, two_phase
 from tuntime.stationary_times import (
     bl_time,
     dwell_time_stationary,
@@ -272,6 +272,20 @@ def test_opaque_phi2_plateau_independent_of_width():
     t1, _ = two_phase_times(rectangular(V0, 9.0), E)
     t2, _ = two_phase_times(rectangular(V0, 12.0), E)
     assert t1 == pytest.approx(t2, rel=1e-3)
+
+
+@pytest.mark.parametrize("kappa_a", [740.0, 800.0, 2000.0, 1e4])
+def test_two_phase_times_past_the_underflow(kappa_a):
+    # the angles are read from log_abs_A_T and arg_A_T, exact at any
+    # opacity: tau_z is the BL time to the bit, tau_phase sits on the Hartman
+    # plateau where phase_time fails, and phi1 stays in [0, pi/2] after
+    # sin(phi1) = |A_T| underflows
+    pot = rectangular(V0, kappa_a / KAPPA)
+    tau_phase, tau_z = two_phase_times(pot, E)
+    assert tau_z == bl_time(pot, E)
+    assert tau_phase == pytest.approx(2.0 / (V_GROUP * KAPPA), rel=1e-6)
+    phi1 = two_phase(solve(pot, E)).phi1
+    assert np.all((0.0 <= phi1) & (phi1 <= np.pi / 2))
 
 
 # ----------------------------------------------------------- resonance delay

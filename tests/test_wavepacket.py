@@ -29,7 +29,6 @@ from tuntime.wavepacket import (
     PHOTON,
     Propagator,
     SpectralPacket,
-    flux_series,
     gaussian_packet,
     propagator,
 )
@@ -200,7 +199,7 @@ def test_probability_conservation():
 def test_flux_series_identities():
     pot = rectangular(10.0, 5.0)
     pk = gaussian_packet(K_BAR, 0.02)
-    fs = flux_series(pot, pk, -5.0)
+    fs = propagator(pot, pk).flux_series(-5.0)
     assert fs.tail_captured
     assert np.all(fs.J_plus >= 0)
     assert np.all(fs.J_minus <= 0)
@@ -502,7 +501,7 @@ def test_flux_series_autoextends_from_small_window():
     # the same early window handed to the series machinery gets grown until
     # the passage is captured
     pk = gaussian_packet(K_BAR, 0.02)
-    fs = flux_series(FREE, pk, 300.0, t_range=(-40.0, -20.0))
+    fs = propagator(FREE, pk).flux_series(300.0, t_range=(-40.0, -20.0))
     assert fs.tail_captured
     assert fs.t_grid.hi > 25.0
     assert float(integrate(fs.J, fs.t_grid)) == pytest.approx(
@@ -563,7 +562,7 @@ def test_flux_series_evaluates_only_widened_windows(monkeypatch, pot, x, t_range
 
 def test_free_packet_has_no_backward_flux():
     pk = gaussian_packet(K_BAR, 0.02)
-    fs = flux_series(FREE, pk, 10.0)
+    fs = propagator(FREE, pk).flux_series(10.0)
     assert abs(float(integrate(fs.J_minus, fs.t_grid))) < 1e-12 * fs.abs_mass
 
 
@@ -579,7 +578,7 @@ def test_reflection_region_late_time_flux_is_negative():
 def test_barrier_face_has_both_signs():
     pot = rectangular(10.0, 5.0)
     pk = gaussian_packet(K_BAR, 0.02)
-    fs = flux_series(pot, pk, -3.0)
+    fs = propagator(pot, pk).flux_series(-3.0)
     mp = float(integrate(fs.J_plus, fs.t_grid))
     mm = float(integrate(fs.J_minus, fs.t_grid))
     assert mp > 0 and mm < 0
@@ -607,7 +606,7 @@ def test_incident_mass_matches_analytic(make):
     # k/k_bar, which moves it once |G|^2 has a first moment about k_bar (by
     # 1.7% for the off-centre packet)
     pk = make()
-    fs = flux_series(FREE, pk, 0.0)
+    fs = propagator(FREE, pk).flux_series(0.0)
     numeric = float(integrate(fs.J, fs.t_grid))
     assert numeric == pytest.approx(pk.incident_flux_mass(), rel=1e-12)
 
@@ -652,7 +651,7 @@ def test_narrow_packet_time_approaches_phase_time():
 
     pot = rectangular(10.0, 5.0)
     pk = gaussian_packet(K_BAR, 0.005)
-    fs = flux_series(pot, pk, 5.0)
+    fs = propagator(pot, pk).flux_series(5.0)
     stat = mean_time(fs, "+")
     assert stat.mean == pytest.approx(phase_time(pot, E_BAR), rel=0.02)
 
