@@ -48,18 +48,6 @@ class ConfigError(ValueError):
         self.path = path
 
 
-OBSERVABLES = {
-    "phase-time": "stationary phase time over the scan axis",
-    "bl-time": "modulus-sensitivity (Buttiker-Landauer) time over the scan axis",
-    "dwell": "stationary dwell time over the scan axis",
-    "two-phase": "two-phase angles and the times they generate, over energy",
-    "hartman-scan": "phase/BL/dwell times vs barrier width at fixed energy",
-    "or-times": "flux-weighted packet times vs width for each packet in the family",
-    "causality": "all three causality predicates for the packet scenario",
-    "double-barrier-scan": "total two-barrier phase time over width and gap",
-    "waveguide": "undersized-guide photon times and the mapped-barrier check",
-}
-
 _DEFAULTS = {
     "potential": {"kind": "rectangular", "V0": 10.0, "a": 5.0},
     "packet": {"E_bar": 5.0, "delta_k": 0.02, "n_k": 512, "cutoff": False,
@@ -78,6 +66,13 @@ _WIDTH_SCANS = ("hartman-scan", "or-times", "double-barrier-scan")
 
 def _fail(path: str, message: str):
     raise ConfigError(path, message)
+
+
+def _object(path: str, value) -> dict:
+    """value, refused as a config error on path unless it is a JSON object."""
+    if not isinstance(value, dict):
+        _fail(path, "must be a JSON object")
+    return value
 
 
 def _is_number(value, kind=(int, float)) -> bool:
@@ -110,14 +105,14 @@ def resolve(raw: dict) -> dict:
             _fail(key, "unknown configuration key")
 
     obs = raw.get("observables")
-    if not obs:
-        _fail("observables", f"required; choose from {sorted(OBSERVABLES)}")
+    if not (isinstance(obs, list) and obs):
+        _fail("observables", f"a non-empty list, required; choose from {sorted(OBSERVABLES)}")
     for i, name in enumerate(obs):
-        if name not in OBSERVABLES:
+        if not (isinstance(name, str) and name in OBSERVABLES):
             _fail(f"observables[{i}]", f"unknown observable {name!r}")
     cfg["observables"] = list(obs)
 
-    pot_raw = dict(raw.get("potential", {}))
+    pot_raw = dict(_object("potential", raw.get("potential", {})))
     kind = pot_raw.setdefault("kind", _DEFAULTS["potential"]["kind"])
     if kind == "rectangular":
         pot_raw = {**_DEFAULTS["potential"], **pot_raw}  # only this kind takes the default V0, a
@@ -151,11 +146,11 @@ def resolve(raw: dict) -> dict:
     if "packet" in raw or "packets" in raw or {"or-times", "causality"} & set(obs):
         packets = raw.get("packets")
         if packets is None:
-            packets = [raw.get("packet", {})]
-        cfg["packets"] = [
-            _resolve_packet(f"packets[{i}]", {**_DEFAULTS["packet"], **p}, pot.max_height)
-            for i, p in enumerate(packets)
-        ]
+            packets = [_object("packet", raw.get("packet", {}))]
+        elif not (isinstance(packets, list) and packets):
+            _fail("packets", "must be a non-empty list of packet objects")
+        cfg["packets"] = [_resolve_packet(f"packets[{i}]", p, pot.max_height)
+                          for i, p in enumerate(packets)]
 
     cfg["energy"] = raw.get("energy", _DEFAULTS["energy"])
     if not (_is_number(cfg["energy"]) and cfg["energy"] > 0):
@@ -175,7 +170,7 @@ def resolve(raw: dict) -> dict:
             _check_sub_barrier(name, cfg["scan"], cfg["energy"], pot.max_height)
 
     if "markers" in raw:
-        m = raw["markers"]
+        m = _object("markers", raw["markers"])
         for key in ("x_i", "x_f"):
             if not _is_number(m.get(key)):
                 _fail(f"markers.{key}", "a number, required when markers are given")
@@ -188,6 +183,7 @@ def resolve(raw: dict) -> dict:
         if "waveguide" in cfg["observables"] and wg is None:
             _fail("waveguide", "observable 'waveguide' needs a waveguide block")
         if wg is not None:
+            _object("waveguide", wg)
             for key in ("a_cm", "b_cm", "L_cm", "lambda_cm"):
                 if not _is_number(wg.get(key)):
                     _fail(f"waveguide.{key}", "a number, required")
@@ -225,6 +221,7 @@ def _check_sub_barrier(name: str, scan: dict, energy: float, top: float):
 
 
 def _resolve_packet(path: str, p: dict, top: float) -> dict:
+    p = {**_DEFAULTS["packet"], **_object(path, p)}
     if "k_bar" in p:
         if not (_is_number(p["k_bar"]) and p["k_bar"] > 0):
             _fail(f"{path}.k_bar", "must be a positive number (1/Angstrom)")
@@ -251,7 +248,7 @@ def _resolve_packet(path: str, p: dict, top: float) -> dict:
 
 
 def _resolve_scan(path: str, s: dict, allowed: set, why: str) -> dict:
-    param = s.get("parameter")
+    param = _object(path, s).get("parameter")
     if param not in allowed:
         _fail(f"{path}.parameter", f"must be one of {sorted(allowed)} for {why}")
     lo, hi, steps = s.get("min"), s.get("max"), s.get("steps")
@@ -479,16 +476,24 @@ def _obs_waveguide(cfg: dict):
     return header, [row]
 
 
-_HANDLERS = {
-    "phase-time": lambda cfg: _obs_stationary(cfg, "phase-time"),
-    "bl-time": lambda cfg: _obs_stationary(cfg, "bl-time"),
-    "dwell": lambda cfg: _obs_stationary(cfg, "dwell"),
-    "two-phase": _obs_two_phase,
-    "hartman-scan": _obs_hartman,
-    "or-times": _obs_or_times,
-    "causality": _obs_causality,
-    "double-barrier-scan": _obs_double,
-    "waveguide": _obs_waveguide,
+# each observable's name: (its description, the handler that returns its
+# CSV header and rows)
+OBSERVABLES = {
+    "phase-time": ("stationary phase time over the scan axis",
+                   lambda cfg: _obs_stationary(cfg, "phase-time")),
+    "bl-time": ("modulus-sensitivity (Buttiker-Landauer) time over the scan axis",
+                lambda cfg: _obs_stationary(cfg, "bl-time")),
+    "dwell": ("stationary dwell time over the scan axis",
+              lambda cfg: _obs_stationary(cfg, "dwell")),
+    "two-phase": ("two-phase angles and the times they generate, over energy",
+                  _obs_two_phase),
+    "hartman-scan": ("phase/BL/dwell times vs barrier width at fixed energy", _obs_hartman),
+    "or-times": ("flux-weighted packet times vs width for each packet in the family",
+                 _obs_or_times),
+    "causality": ("all three causality predicates for the packet scenario", _obs_causality),
+    "double-barrier-scan": ("total two-barrier phase time over width and gap", _obs_double),
+    "waveguide": ("undersized-guide photon times and the mapped-barrier check",
+                  _obs_waveguide),
 }
 
 
@@ -521,7 +526,7 @@ def cmd_run(args) -> int:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                header, rows = _HANDLERS[name](cfg)
+                header, rows = OBSERVABLES[name][1](cfg)
             warning_count += len(caught)
         except Exception as exc:  # numerical failure
             print(f"numerical failure in observable {name!r}: {exc}", file=sys.stderr)
@@ -558,8 +563,8 @@ def cmd_constants(_args) -> int:
 
 
 def cmd_list(_args) -> int:
-    for name in sorted(OBSERVABLES):
-        print(f"{name:22s} {OBSERVABLES[name]}")
+    for name, (description, _) in sorted(OBSERVABLES.items()):
+        print(f"{name:22s} {description}")
     return 0
 
 

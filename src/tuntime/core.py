@@ -6,8 +6,8 @@ are hbar, the kinetic constant hbar^2/(2 m_e), and the speed of light, fixed
 in UNITS, which every module reads; every wavenumber, velocity and time in
 the package derives from these three.
 Every stationary time that is an energy (or wavenumber) derivative takes it
-through `central_difference`, which evaluates a vectorised function once on
-a stacked array of shifted arguments; every peak or crossing search goes
+through `central_difference` of ln|A_T|, i arg A_T or ln A_T, evaluated once
+on a stacked array of shifted arguments; every peak or crossing search goes
 through `bracket_search`, one vectorised call per round for all brackets.
 """
 
@@ -155,18 +155,20 @@ def integrate(values, grid: Grid1D):
     return values @ grid.weights
 
 
-def central_difference(f, x, rel_step: float = 1e-6, periodic: bool = False):
+def central_difference(f, x, rel_step: float = 1e-6):
     """Central-difference derivative df/dx at x > 0, a scalar or an array.
 
     f is vectorised: it is called once as f(xs, rows) on the stacked array
     xs = [x - h, x + h] with h = rel_step * x, where rows gives the index
     into x.ravel() of each stacked entry (so that f can evaluate each entry
     with its own row's parameters, such as a potential per row), and must
-    return one finite value per entry.  A periodic f (a phase) has each
-    difference wrapped into [-pi, pi]; entries whose wrapped difference still
-    exceeds pi/2 straddle a fast phase swing, and only they are evaluated
-    again, at a hundredth of the step, until the step falls below 1e-13 * x,
-    where QuadratureError is raised.  A scalar x returns a float.
+    return one finite value per entry.  A real f takes that one pass.  The
+    imaginary part of a complex f (f = ln A = ln|A| + i arg A) is a phase:
+    its differences are wrapped into [-pi, pi], and entries whose wrapped
+    difference still exceeds pi/2 straddle a fast phase swing, and only they
+    are evaluated again, at a hundredth of the step, until the step falls
+    below 1e-13 * x, where QuadratureError is raised.  Each part is divided
+    by 2h on its own.  A scalar x returns a float or a complex.
     """
     if not 0 < rel_step < 1:
         raise ContractViolation("central_difference needs 0 < rel_step < 1")
@@ -174,7 +176,7 @@ def central_difference(f, x, rel_step: float = 1e-6, periodic: bool = False):
     if not np.all(x > 0):
         raise ContractViolation("central_difference needs x > 0")
     xs = x.ravel()
-    out = np.empty(xs.shape)
+    out = np.empty(xs.shape, dtype=complex)
     todo = np.arange(len(xs))
     while len(todo):
         h = rel_step * xs[todo]
@@ -185,19 +187,19 @@ def central_difference(f, x, rel_step: float = 1e-6, periodic: bool = False):
         if np.any(bad):
             raise ContractViolation(f"non-finite function value near x={xs[todo][bad][0]}")
         diff = hi - lo
-        if periodic:
-            diff -= 2.0 * np.pi * np.round(diff / (2.0 * np.pi))
-        out[todo] = diff / (2.0 * h)
-        if not periodic:
+        if not np.iscomplexobj(diff):  # no phase: one pass
+            out = diff / (2.0 * h)
             break
-        swing = np.abs(diff) > 0.5 * np.pi
+        turn = diff.imag - 2.0 * np.pi * np.round(diff.imag / (2.0 * np.pi))
+        out.real[todo], out.imag[todo] = diff.real / (2.0 * h), turn / (2.0 * h)
+        swing = np.abs(turn) > 0.5 * np.pi
         if np.any(swing) and rel_step < 1e-13:
             raise QuadratureError(
                 f"phase swings faster than any resolvable step at x={xs[todo][swing][0]}"
             )
         todo = todo[swing]
         rel_step *= 0.01
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    return out[0].item() if x.ndim == 0 else out.reshape(x.shape)
 
 
 def bracket_search(f, lo, hi, rule: str, tol, level=0.0):

@@ -168,7 +168,7 @@ def mapped_phase_time(spec: WaveguideSpec) -> float:
     """
     bm = map_to_barrier(spec)
     pot = bm.potential
-    dphi = central_difference(lambda ks, _: SolutionTable(pot, UNITS.energy(ks)).arg_A_T,
-                              bm.k_op, periodic=True)
+    dphi = central_difference(
+        lambda ks, _: 1j * SolutionTable(pot, UNITS.energy(ks)).arg_A_T, bm.k_op).imag
     return (dphi + bm.a_eff) / UNITS.c
 

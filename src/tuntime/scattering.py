@@ -53,6 +53,8 @@ every potential, and two_phase reads its angles from log_abs_A_T, arg_A_T
 and |A_R|, so both hold at any opacity and neither re-derives an amplitude.
 
 SolutionTable is the one solution format: solve(pot, E) is a one-row table.
+The free potential is two free regions joined at x = 0 (q ratio 1), whose
+forward pass gives A_T = 1, A_R = 0 and psi = e^{ikx} exactly.
 Its rows may also carry their own geometry: a sequence of potentials with one
 region count (a width or height scan) is one table, whose heights, widths and
 edges have a row axis through the forward pass, the backward substitution and
@@ -91,12 +93,8 @@ def _geometry(pots):
     potentials must share one region count."""
     rows = []
     for pot in pots:
-        regions = pot.interior_regions()
-        if not regions:  # free space: one region
-            rows.append(([0.0], [0.0], [0.0], [-np.inf, np.inf]))
-            continue
-        lo, hi, v = zip(*regions)
-        x1, xm = lo[0], hi[-1]
+        lo, hi, v = np.reshape(pot.interior_regions(), (-1, 3)).T
+        x1, xm = pot.x_left, pot.x_right
         rows.append(([0.0, *v, 0.0], [x1, *lo, xm], [x1, *hi, xm], [-np.inf, *lo, xm, np.inf]))
     if len({len(row[0]) for row in rows}) != 1:
         raise ContractViolation("the potentials of a table must share one region count")
@@ -120,9 +118,10 @@ class SolutionTable:
     The one description of a solution: energy scans, spectral packets, the
     stacked energies of a central difference and a single energy (solve) are
     all tables, and every consumer reads their columns.  The transmission is
-    held as log_abs_A_T and arg_A_T, from which A_T is derived; region j as
-    the pair f, b and its log_scale, referenced to refs (left edges) and ends
-    (right edges; equal to refs in the outer regions).
+    held as log_abs_A_T and arg_A_T, both parts of ln A_T from one table per
+    central-difference round; region j as the pair f, b and its log_scale,
+    referenced to refs (left edges) and ends (right edges; equal to refs in
+    the outer regions).
 
     pot is one potential, or a sequence of potentials that share one region
     count (a geometry family: a width or height scan), one per row, with Es
@@ -169,14 +168,6 @@ class SolutionTable:
         self.refs, self.ends, self.bounds = (refs, ends, bounds) if self.family else (
             refs[0], ends[0], bounds[0])
         self._edges = refs.T, ends.T, bounds.T  # region-major, a row axis of length 1 or n
-
-        if heights.shape[1] == 1:  # free space
-            self.q = self.k.astype(complex)[:, None]
-            self.A_T = np.ones(n, dtype=complex)
-            self.A_R = self.r_prime = np.zeros(n, dtype=complex)
-            self.log_abs_A_T = np.zeros(n)
-            self.arg_A_T = np.zeros(n)
-            return
 
         x1, xm = refs[:, 0], ends[:, -1]
         widths = (ends - refs).T  # (n_regions, 1 or n), as q below
@@ -340,8 +331,6 @@ class SolutionTable:
         Interior joints are continuous by construction; this is the one
         genuine consistency check (0 for free space).
         """
-        if self.q.shape[1] == 1:
-            return np.zeros(len(self.E))
         x1, scale = self._edges[0][0], np.exp(self.log_scale[:, 0])
         return (np.abs(self.f[:, 0] * scale - np.exp(1j * self.k * x1))
                 + np.abs(self.b[:, 0] * scale - self.A_R * np.exp(-1j * self.k * x1)))

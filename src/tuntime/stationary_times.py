@@ -62,8 +62,8 @@ def phase_time(
     Defaults to the barrier extent (x_i, x_f) = outermost edges, for which the
     expression equals hbar d(arg A_T + k a_total)/dE; for free space over a
     marker distance d it reduces to the ballistic d/v.  The derivative is a
-    central difference of the phase of the complex amplitude A_T, wrapped
-    mod 2 pi and refined across fast phase swings (core.central_difference).
+    central difference of i times the phase of the complex amplitude A_T,
+    refined across fast phase swings (core.central_difference).
     That phase loses precision once |A_T| is subnormal (kappa a past about
     717) and ContractViolation is raised where A_T underflows to zero.
     E may be a scalar (returns a float) or an array (one table for all).
@@ -77,9 +77,9 @@ def phase_time(
 
     def phase(Es, rows):
         A_T = SolutionTable(_potentials(pot, rows), Es).A_T
-        return np.where(A_T != 0, np.angle(A_T), np.nan)
+        return 1j * np.where(A_T != 0, np.angle(A_T), np.nan)
 
-    dphi = central_difference(phase, E, rel_step, periodic=True)
+    dphi = central_difference(phase, E, rel_step).imag
     v = UNITS.velocity(UNITS.wavenumber(E))
     return _like(E, (x_f - x_i) / v + UNITS.hbar * dphi)
 
@@ -136,13 +136,16 @@ def two_phase_times(pot: PiecewisePotential, E):
     makes tau_phase the phase time hbar d(arg A_T + ka)/dE, and sin(phi1) =
     |A_T| makes tau_z = hbar d ln sin(phi1)/dE the BL time.  ln sin(phi1) is
     read as log_abs_A_T, so tau_z holds at any opacity, with no 0 * inf as
-    phi1 -> 0; phi2, differenced mod 2 pi, reads arg_A_T, so tau_phase holds
-    the opaque plateau past kappa a ~ 717, where phase_time fails.
+    phi1 -> 0; phi2 reads arg_A_T, so tau_phase holds the opaque plateau past
+    kappa a ~ 717, where phase_time fails.  Both are one central difference
+    of ln sin(phi1) + i phi2: one checked two_phase table per round.
     """
-    dphi2 = central_difference(lambda Es, _: two_phase(SolutionTable(pot, Es)).phi2, E,
-                               periodic=True)
-    dlogsin = central_difference(lambda Es, _: SolutionTable(pot, Es).log_abs_A_T, E)
-    return _like(E, UNITS.hbar * dphi2), _like(E, UNITS.hbar * dlogsin)
+    def angles(Es, _):
+        table = SolutionTable(pot, Es)
+        return table.log_abs_A_T + 1j * two_phase(table).phi2
+
+    d = central_difference(angles, E)
+    return _like(E, UNITS.hbar * d.imag), _like(E, UNITS.hbar * d.real)
 
 
 def resonance_delay(E: float, E_r: float, Gamma: float, tau_nr: float) -> float:

@@ -1,9 +1,9 @@
 """Closed forms and reference routines the tests hold the package to.
 
 None of these is part of the package: each is a second route to a number
-that `SolutionTable` already computes (the rectangular amplitudes and dwell,
-the double-barrier coefficients) or a quadrature rule that only the tests'
-spatial integrals use, kept here as an independent check.
+that `SolutionTable` already computes (the rectangular amplitudes, phase
+slope and dwell, the double-barrier coefficients) or a quadrature rule that
+only the tests' spatial integrals use, kept here as an independent check.
 """
 
 import cmath
@@ -55,6 +55,28 @@ def rect_amplitude(V0: float, a: float, E: float):
     A_T = unscaled * cmath.exp(-(kap + 1j * k) * a)
     A_R = -0.25j * (k / kap + kap / k) * Dm * unscaled
     return A_T, A_R
+
+
+def rect_phase_slope(k: float, kappa: float, a: float) -> float:
+    """d(arg A_T + ka)/dk of a rectangular barrier of width a below its top
+    (Hartman's closed form), with k0^2 = k^2 + kappa^2:
+
+        [2 kappa a k^2 (kappa^2 - k^2)/sinh^2(kappa a) + 2 k0^4 coth(kappa a)]
+        / [kappa (4 k^2 kappa^2/sinh^2(kappa a) + k0^4)]
+
+    1/sinh^2 and coth are formed from e^{-2 kappa a}, so no opacity
+    overflows.  Divided by the velocity it is the phase time
+    hbar d(arg A_T + ka)/dE; divided by c, the photon phase time of a guide
+    mapped onto the barrier.
+    """
+    x = kappa * a
+    em = -math.expm1(-2.0 * x)  # 1 - e^{-2 kappa a}, accurate for small kappa a
+    inv_sinh2 = 4.0 * math.exp(-2.0 * x) / em**2
+    coth = (2.0 - em) / em
+    k2, kap2 = k * k, kappa * kappa
+    k04 = (k2 + kap2) ** 2
+    num = 2.0 * x * k2 * (kap2 - k2) * inv_sinh2 + 2.0 * k04 * coth
+    return num / (kappa * (4.0 * k2 * kap2 * inv_sinh2 + k04))
 
 
 def rect_dwell_closed(V0: float, a: float, E: float) -> float:

@@ -202,6 +202,24 @@ RUN_FAILURES_REFUSED = {  # case: (config keys, the field named)
                               "waveguide": {"a_cm": 2.3, "b_cm": 4.6, "m": 1.5, "n": 0,
                                             "L_cm": 10.0, "lambda_cm": 6.0}},
                              "waveguide.m"),
+    # a block of the wrong JSON type used to end in a Python traceback, and
+    # an empty packet list in a traceback's message (causality, exit 2) or in
+    # a CSV that held only its header (or-times, exit 0)
+    "markers-list": ({"observables": ["causality"], "packet": {"E_bar": 5.0, "delta_k": 0.02},
+                      "markers": [1, 2]}, "markers"),
+    "potential-number": ({"observables": ["phase-time"], "potential": 5}, "potential"),
+    "packet-text": ({"observables": ["or-times"], "packet": "wide"}, "packet"),
+    "scan-number": ({"observables": ["phase-time"], "scan": 3}, "scan"),
+    "scan2-text": ({"observables": ["double-barrier-scan"],
+                    "scan": {"parameter": "a", "min": 4.0, "max": 6.0, "steps": 2},
+                    "scan2": "x"}, "scan2"),
+    "waveguide-number": ({"observables": ["waveguide"], "waveguide": 3}, "waveguide"),
+    "observables-number": ({"observables": 5}, "observables"),
+    "packets-object": ({"observables": ["or-times"], "packets": {"E_bar": 5.0}}, "packets"),
+    "packets-entry-number": ({"observables": ["or-times"],
+                              "packets": [{"E_bar": 5.0, "delta_k": 0.02}, 3]}, "packets[1]"),
+    "packets-empty-causality": ({"observables": ["causality"], "packets": []}, "packets"),
+    "packets-empty-or-times": ({"observables": ["or-times"], "packets": []}, "packets"),
 }
 
 

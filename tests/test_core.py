@@ -31,7 +31,7 @@ def test_no_signature_takes_a_unit_system_or_a_retired_knob():
     # the constants are fixed (UNITS) and the sampling and step options that
     # no caller set are module constants: no exported function, class or
     # method takes them
-    retired = {"units", "rel_k_step", "eps_tail", "n_t", "span"}
+    retired = {"units", "rel_k_step", "eps_tail", "n_t", "span", "periodic"}
     exported = [(name, obj) for name, obj in vars(tuntime).items() if callable(obj)]
     found = []
     for name, obj in exported:
@@ -155,19 +155,31 @@ def test_ddE_array_matches_scalar():
 
 
 def test_phase_derivative_plane_rotation():
-    # g = e^{i w E}: d(arg)/dE = w, from the principal-value arg
+    # g = e^{i w E}: d(arg)/dE = w, from the principal-value arg passed as
+    # the imaginary part
     w = 0.7
     assert central_difference(
-        lambda E, _: np.angle(np.exp(1j * w * E)), 5.0, periodic=True
-    ) == pytest.approx(w, rel=1e-9)
+        lambda E, _: 1j * np.angle(np.exp(1j * w * E)), 5.0
+    ).imag == pytest.approx(w, rel=1e-9)
 
 
 def test_phase_difference_wraps_across_the_branch_cut():
     # arg = w E mod 2 pi jumps by -2 pi between E - h and E + h at E = pi / w
     w = 2.0
     E0 = np.pi / w
-    d = central_difference(lambda E, _: np.angle(np.exp(1j * w * E)), E0, periodic=True)
-    assert d == pytest.approx(w, rel=1e-9)
+    d = central_difference(lambda E, _: 1j * np.angle(np.exp(1j * w * E)), E0)
+    assert d.imag == pytest.approx(w, rel=1e-9)
+
+
+def test_complex_f_differences_each_part_as_a_real_f():
+    # ln A = ln|A| + i arg A with |A| = x^2 and arg A = w x: each part of the
+    # derivative equals the real central difference of that part alone, bit
+    # for bit, since each part is divided by 2h on its own
+    w, xs = 0.7, np.array([0.5, 1.0, 2.0, 3.7])
+    d = central_difference(lambda x, _: np.log(x**2) + 1j * (w * x), xs)
+    assert np.array_equal(d.real, central_difference(lambda x, _: np.log(x**2), xs))
+    assert np.array_equal(d.imag, central_difference(lambda x, _: w * x, xs))
+    assert isinstance(central_difference(lambda x, _: 1j * x, 2.0), complex)
 
 
 def test_phase_swing_refined_per_entry():
@@ -179,15 +191,14 @@ def test_phase_swing_refined_per_entry():
 
     def phase(x, rows):
         calls.append(rows.tolist())
-        return np.angle(np.exp(1j * c * x**2))
+        return 1j * np.angle(np.exp(1j * c * x**2))
 
     x = np.array([0.5, 1.0, 2.0])
-    assert central_difference(phase, x, periodic=True) == pytest.approx(2 * c * x, rel=1e-6)
+    assert central_difference(phase, x).imag == pytest.approx(2 * c * x, rel=1e-6)
     assert calls == [[0, 1, 2, 0, 1, 2], [1, 2, 1, 2]]
 
 
 def test_unresolvable_phase_swing_raises():
     # a true discontinuity of 0.9 pi is never resolved by shrinking the step
     with pytest.raises(QuadratureError):
-        central_difference(lambda x, _: np.where(x < 1.0, 0.0, 0.9 * np.pi), 1.0,
-                           periodic=True)
+        central_difference(lambda x, _: 1j * np.where(x < 1.0, 0.0, 0.9 * np.pi), 1.0)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis.strategies import floats
 
 from tuntime.core import UNITS, ContractViolation
 from tuntime.emguide import (
@@ -14,6 +16,8 @@ from tuntime.emguide import (
     photon_phase_time,
     propagation_constant,
 )
+
+from oracles import rect_phase_slope
 
 # standard X-band-style geometry used throughout: a = 2.3 cm, TE10
 SPEC = WaveguideSpec(a=2.3, b=4.6, m=1, n=0, L=10.0, lam=6.0)
@@ -131,6 +135,20 @@ def test_mapped_phase_time_tightens_with_opacity():
     spec = WaveguideSpec(a=2.3, b=4.6, m=1, n=0, L=25.0, lam=6.0)
     ph = photon_phase_time(spec)
     assert mapped_phase_time(spec) == pytest.approx(ph.tau, rel=1e-6)
+
+
+@given(ratio=floats(1.05, 3.0, exclude_min=True, exclude_max=True),
+       L_kappa=floats(5.0, 40.0))
+def test_mapped_phase_time_matches_the_closed_form(ratio, L_kappa):
+    # TE10 guides with lambda/lambda_c in (1.05, 3): the mapped barrier's
+    # phase time is (1/c) d(arg A_T + kL)/dk of its closed form, well inside
+    # the 5% that the opaque guide formula 2/(c kappa_em) is held to
+    lam = ratio * cutoff_wavelength(SPEC)
+    kappa_em = propagation_constant(WaveguideSpec(2.3, 4.6, 1, 0, 1.0, lam)).kappa_em
+    spec = WaveguideSpec(a=2.3, b=4.6, m=1, n=0, L=L_kappa / kappa_em, lam=lam)
+    bm = map_to_barrier(spec)
+    closed = rect_phase_slope(bm.k_op, bm.kappa, bm.a_eff) / UNITS.c
+    assert mapped_phase_time(spec) == pytest.approx(closed, rel=1e-7)
 
 
 def test_photon_flux_machinery_reuse():

@@ -24,7 +24,7 @@ from tuntime.stationary_times import (
 )
 from tuntime.wavepacket import gaussian_packet
 
-from oracles import opaque_dwell_limits, rect_amplitude, rect_dwell_closed
+from oracles import opaque_dwell_limits, rect_amplitude, rect_dwell_closed, rect_phase_slope
 
 V0, E = 10.0, 5.0
 KAPPA = 1.1455750187578737
@@ -139,6 +139,51 @@ def test_geometry_families_match_scalar_calls():
         bl_time(heights, E)  # V0 = 4 eV lies below E
 
 
+@given(V0=floats(1.0, 20.0), ratio=floats(0.005, 0.995),
+       kappa_a=floats(-1.0, np.log10(700.0)).map(lambda p: 10.0**p))
+def test_phase_time_matches_the_hartman_closed_form(V0, ratio, kappa_a):
+    # kappa a from 0.1 to 700, short of the underflow where phase_time fails:
+    # the central difference meets the log-stable closed form to 1e-6
+    Et = ratio * V0
+    k, kap = float(UNITS.wavenumber(Et)), float(UNITS.decay_constant(V0, Et))
+    a = kappa_a / kap
+    closed = rect_phase_slope(k, kap, a) / float(UNITS.velocity(k))
+    assert phase_time(rectangular(V0, a), Et) == pytest.approx(closed, rel=1e-6)
+
+
+def _winful_gap(V0, a, Et, x0):
+    """tau_phase against tau_dwell - Im(A_R e^{-2ik x0})/(k v) on the barrier
+    (x0, x0 + a), relative to tau_phase (Winful, PRL 91, 260401 (2003)): the
+    dwell time plus the self-interference delay of the incident and
+    reflected waves in front of the barrier."""
+    pot = PiecewisePotential(((x0, x0 + a, V0),))
+    k = float(UNITS.wavenumber(Et))
+    v = float(UNITS.velocity(k))
+    tau = phase_time(pot, Et)
+    dwell = dwell_time_stationary(pot, Et, RegionMarkers(x0, x0 + a))
+    self_interference = -(solve(pot, Et).A_R[0] * np.exp(-2j * k * x0)).imag / (k * v)
+    return abs(dwell + self_interference - tau) / tau
+
+
+@given(V0=floats(1.0, 20.0), ratio=floats(0.005, 0.995),
+       kappa_a=floats(-2.0, np.log10(700.0)).map(lambda p: 10.0**p),
+       x0=floats(-50.0, 50.0))
+def test_winful_identity_below_the_barrier(V0, ratio, kappa_a, x0):
+    Et = ratio * V0
+    a = kappa_a / float(UNITS.decay_constant(V0, Et))
+    assert _winful_gap(V0, a, Et, x0) < 1e-6
+
+
+@given(V0=floats(1.0, 20.0), ratio=floats(1.05, 3.0), kpa=floats(0.01, 20.0),
+       x0=floats(-50.0, 50.0))
+def test_winful_identity_above_the_barrier(V0, ratio, kpa, x0):
+    # k'a <= 20 and E >= 1.05 V0: over-barrier resonances no sharper than the
+    # central difference's step resolves
+    Et = ratio * V0
+    a = kpa / float(UNITS.wavenumber(Et - V0))
+    assert _winful_gap(V0, a, Et, x0) < 1e-6
+
+
 # ------------------------------------------------------------------ BL time
 
 def test_bl_time_width_proportionality():
@@ -248,6 +293,26 @@ def test_two_phase_times_match_direct_routes(a, Etest):
     tau_ph2, tau_z2 = two_phase_times(pot, Etest)
     assert tau_ph2 == pytest.approx(phase_time(pot, Etest), rel=1e-6)
     assert tau_z2 == pytest.approx(bl_time(pot, Etest), rel=1e-6)
+
+
+def test_two_phase_times_build_one_table_per_round(monkeypatch):
+    # ln sin(phi1) + i phi2 is one complex function: one stacked table of
+    # 2 x 9 energies serves both derivatives, and tau_z equals the BL time
+    # to the bit
+    pot = rectangular(V0, 4.0)
+    Es = np.linspace(2.0, 8.0, 9)
+    builds = []
+    init = SolutionTable.__init__
+
+    def spy(self, pot, Es):
+        builds.append(len(np.atleast_1d(Es)))
+        init(self, pot, Es)
+
+    monkeypatch.setattr(SolutionTable, "__init__", spy)
+    _, tau_z = two_phase_times(pot, Es)
+    assert builds == [18]
+    monkeypatch.undo()
+    assert np.array_equal(tau_z, bl_time(pot, Es))
 
 
 def test_two_phase_route_grid_equality():
