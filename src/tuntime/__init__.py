@@ -7,7 +7,6 @@ associated causality predicates.
 
 from .core import (
     UNITS,
-    BranchResolutionError,
     ContractViolation,
     Grid1D,
     NoSuchFluxError,

@@ -34,10 +34,6 @@ class QuadratureError(RuntimeError):
     """A quadrature failed its convergence or tail-capture requirement."""
 
 
-class BranchResolutionError(RuntimeError):
-    """Phase-branch bookkeeping could not reproduce the input amplitudes."""
-
-
 class NoSuchFluxError(RuntimeError):
     """The requested sign-component of the flux carries no weight.
 

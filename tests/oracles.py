@@ -129,11 +129,11 @@ def cavity_factor(V0: float, a: float, L: float, E: float) -> float:
 
 def solve_exact(V0: float, a: float, L: float, E: float) -> DoubleBarrierSolution:
     """Exact coefficients of the barriers (0, a) and (L, L + a) for unit
-    incidence, read from the transfer-matrix table's scaled region pairs.
+    incidence, read from the table's (psi, psi') at the regions' right ends.
 
-    Each ratio to region III's amplitude A_T is formed from the pairs (f, b)
-    with their log scales subtracted before anything is exponentiated, so a
-    field is 0 only where its own value lies below the double range.
+    Each ratio to region III's amplitude A_T is formed from one joint's
+    values with their log scale left out, so a field is 0 only where its own
+    value lies below the double range.
     """
     if not (0 < E < V0):
         raise ContractViolation("double-barrier analysis needs 0 < E < V0")
@@ -141,25 +141,34 @@ def solve_exact(V0: float, a: float, L: float, E: float) -> DoubleBarrierSolutio
         raise ContractViolation("need a > 0 and L >= a")
     k, chi = float(UNITS.wavenumber(E)), float(UNITS.decay_constant(V0, E))
     table = solve(double_rectangular(V0, a, L), E)
-    f, b, s = table.f[0], table.b[0], table.log_scale[0]
-    d = 1j * table.q[0] * (table.ends - table.refs)  # log of e^{iqd} across each region
+    psi, dpsi, s = (column[:, 0] for column in table._at_ends)
 
-    def pair(j, shift=0.0):
-        """Region j's forward and backward amplitudes at its left edge, times e^{shift}."""
-        return f[j] * np.exp(s[j] + shift), b[j] * np.exp(s[j] + d[j] + shift)
+    def split(j, q):
+        """The e^{iqx} and e^{-iqx} parts of psi at region j's right end,
+        without its log scale (q = i chi in a barrier)."""
+        return 0.5 * (psi[j] + dpsi[j] / (1j * q)), 0.5 * (psi[j] - dpsi[j] / (1j * q))
 
-    alpha, beta = pair(1)
-    if L > a:  # regions I, barrier, cavity III, barrier', V
-        ika = 1j * k * a
-        A_T = f[2] * np.exp(s[2] - ika)
-        Ap_R = b[2] / f[2] * np.exp(d[2] + 2 * ika)
-        alphap, betap = (c / f[2] for c in pair(3, ika - s[2]))
-        Ap_T = np.exp(table.log_abs_A_T[0] - s[2] + 1j * table.arg_A_T[0] + ika) / f[2]
+    def barrier(j, shift=0.0):
+        """(alpha, beta) of the barrier that is region j at its left edge,
+        times e^{shift}, each read at the edge where it is the larger part:
+        alpha at the left, beta (the part that grows to the right) at the
+        right."""
+        return (split(j - 1, 1j * chi)[0] * np.exp(s[j - 1] + shift),
+                split(j, 1j * chi)[1] * np.exp(s[j] - chi * a + shift))
+
+    alpha, beta = barrier(1)
+    if L > a:  # regions I, barrier, cavity III, barrier', V; the cavity's parts at x = L
+        fwd, bwd = split(2, k)
+        ikL = 1j * k * L
+        A_T = fwd * np.exp(s[2] - ikL)
+        Ap_R = bwd / fwd * np.exp(2 * ikL)
+        alphap, betap = (c / fwd for c in barrier(3, ikL - s[2]))
+        Ap_T = np.exp(table.log_abs_A_T[0] - s[2] + 1j * table.arg_A_T[0] + ikL) / fwd
         # invert A_T = e^{-chi a} e^{-ikL} A; real off resonance, opaque
-        A_fac = f[2] * np.exp(s[2] - ika + 1j * k * L + chi * a)
+        A_fac = fwd * np.exp(s[2] + chi * a)
     else:  # no cavity: the full first-barrier transmission is attributed at x = a
         A_T, Ap_R, Ap_T = table.A_T[0], 0j, 1 + 0j
-        alphap, betap = pair(2)
+        alphap, betap = barrier(2)
         A_fac = cavity_factor(V0, a, L, E)
 
     flags = ("on_resonance",) if on_resonance(V0, a, L, E) else ()

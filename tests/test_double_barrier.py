@@ -65,9 +65,10 @@ def test_opaque_coefficients_agree_with_exact():
 
 @pytest.mark.parametrize("chi_a", [100.0, 300.0, 800.0])
 def test_exact_coefficients_at_high_opacity(chi_a):
-    # every field is formed from the table's scaled pairs, so it matches the
-    # opaque closed form wherever that is a normal double and is 0 where it
-    # underflows: no overflow, and no field lost to another's underflow
+    # every field is formed from the table's scaled joint values, so it
+    # matches the opaque closed form wherever that is a normal double and is
+    # 0 where it underflows: no overflow, and no field lost to another's
+    # underflow
     E = 5.0
     a = chi_a / float(UNITS.decay_constant(V0, E))
     ex, op = solve_exact(V0, a, a + 7.0, E), opaque_coefficients(V0, a, a + 7.0, E)

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis.strategies import floats
 
 from tuntime.core import UNITS, ContractViolation
 from tuntime.potential import (
@@ -19,7 +21,6 @@ from tuntime.potential import (
 )
 from tuntime import scattering
 from tuntime.scattering import (
-    _RESCALE_LIMIT,
     SolutionTable,
     s_matrix,
     solve,
@@ -107,7 +108,6 @@ def test_unitarity_random_potentials():
         for E in np.linspace(0.08, 14.0, 50):
             sol = solve(pot, float(E))
             assert abs(abs(sol.A_T) ** 2 + abs(sol.A_R) ** 2 - 1.0) < UNITARITY_TOL
-            assert sol.boundary_residual() < 1e-10
 
 
 def test_reciprocity():
@@ -148,22 +148,13 @@ def test_composition_matches_product_of_transfers():
 
 
 def test_wavefunction_continuity_at_joints():
-    # evaluate the two adjoining region representations exactly at each joint:
-    # psi and psi' must agree to 1e-10 relative
-    # from the table's scaled pairs, psi_j = e^{s_j} (f_j e^{iq_j(x - l_j)}
-    # + b_j e^{-iq_j(x - r_j)})
-    table = SolutionTable(double_rectangular(10.0, 4.0, 10.0), [2.0, 6.0, 9.0])
-    f, b, s, q = table.f, table.b, table.log_scale, table.q
-
-    def psi_dpsi(j, x):
-        ef = f[:, j] * np.exp(s[:, j] + 1j * q[:, j] * (x - table.refs[j]))
-        eb = b[:, j] * np.exp(s[:, j] - 1j * q[:, j] * (x - table.ends[j]))
-        return ef + eb, 1j * q[:, j] * (ef - eb)
-
-    assert q.shape == (3, 5)
-    for j in range(q.shape[1] - 1):
-        edge = table.bounds[j + 1]
-        (psiL, dpsiL), (psiR, dpsiR) = psi_dpsi(j, edge), psi_dpsi(j + 1, edge)
+    # a joint belongs to the region on its right, and the float just left of
+    # it to the region on its left: the two regions' carries of (psi, psi')
+    # agree there to 1e-10 relative
+    table = SolutionTable(double_rectangular(10.0, 4.0, 10.0), [2.0, 6.0, 9.0, 10.0])
+    for edge in table.bounds[1:-1]:
+        psiL, dpsiL = table.psi_dpsi(np.nextafter(edge, -np.inf))
+        psiR, dpsiR = table.psi_dpsi(edge)
         assert np.all(np.abs(psiL - psiR) / np.maximum(np.abs(psiR), 1e-30) < 1e-10)
         assert np.all(np.abs(dpsiL - dpsiR) / np.maximum(np.abs(dpsiR), 1e-30) < 1e-10)
 
@@ -186,10 +177,14 @@ def test_psi_at_many_positions_matches_psi_dpsi():
     assert all(a.shape == (0, 64) for a in table.psi_dpsi([]))
 
 
-def test_degeneracy_shift_flag():
-    sol = solve(rectangular(10.0, 2.0), 10.0)  # E exactly at the barrier top
-    assert sol.shifted[0] and sol.E[0] > 10.0
-    assert np.isfinite(sol.A_T[0])
+@pytest.mark.parametrize("V0, a", [(10.0, 3.0), (4.0, 7.5), (0.5, 40.0)])
+def test_threshold_transmission_closed_form(V0, a):
+    # at E = V0 exactly the barrier region's matrix is [[1, -a], [0, 1]]
+    # (q = 0), so |A_T|^2 = 1/(1 + (ka/2)^2) with no nudge of the energy
+    sol = solve(rectangular(V0, a), V0)
+    assert sol.E[0] == V0
+    k = float(UNITS.wavenumber(V0))
+    assert abs(abs(sol.A_T[0]) ** 2 - 1.0 / (1.0 + (0.5 * k * a) ** 2)) < 1e-14
 
 
 def test_extreme_opacity_log_form():
@@ -205,16 +200,14 @@ def test_extreme_opacity_log_form():
 @pytest.mark.parametrize("kappa_a", [700.0, 2000.0, 1e4])
 def test_arbitrarily_opaque_barrier(kappa_a):
     # the module docstring's claim: past the e^{-745} underflow line log|A_T|
-    # stays exact, every region coefficient is finite, psi is finite and
-    # continuous across the barrier (no warning is raised) and the entry
-    # joint reproduces the incident wave
+    # stays exact, the solve is unitary, psi is finite and continuous across
+    # the barrier (no warning is raised) and the entry joint reproduces the
+    # incident and reflected waves
     V0, E = 10.0, 5.0  # k = kappa, so |A_T| = 2 e^{-kappa a} / (1 + e^{-2 kappa a})
     a = kappa_a / float(UNITS.decay_constant(V0, E))
     table = SolutionTable(rectangular(V0, a), [E])
     assert table.log_abs_A_T[0] == pytest.approx(np.log(2.0) - kappa_a, rel=1e-13)
-    for column in (table.f, table.b, table.log_scale):
-        assert np.all(np.isfinite(column))
-    assert table.boundary_residual()[0] < 1e-10
+    assert abs(abs(table.A_T[0]) ** 2 + abs(table.A_R[0]) ** 2 - 1.0) < UNITARITY_TOL
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         psi, dpsi = zip(*(table.psi_dpsi(x) for x in a * np.array([0.0, 1e-3, 0.5, 1.0])))
@@ -231,16 +224,16 @@ LATTICE = PiecewisePotential(tuple((10.0 * i, 10.0 * i + 4.0, 3.0) for i in rang
 
 def test_transmission_callers_skip_the_region_coefficients(monkeypatch):
     # phase, BL, resonance and mapped phase times read only the transmission,
-    # so none of their tables, nor solve's, runs the backward substitution;
-    # a region read needs it
+    # so none of their tables, nor solve's, forms (psi, psi') at the region
+    # ends; a region read needs it
     from tuntime.double_barrier import find_resonances
     from tuntime.emguide import WaveguideSpec, mapped_phase_time
     from tuntime.stationary_times import bl_time, phase_time
 
     def refuse(self):
-        raise AssertionError("backward substitution run")
+        raise AssertionError("region values formed")
 
-    monkeypatch.setattr(SolutionTable, "_regions", property(refuse))
+    monkeypatch.setattr(SolutionTable, "_at_ends", property(refuse))
     pot = double_rectangular(10.0, 4.0, 10.0)
     assert np.all(np.isfinite(phase_time(pot, np.array([2.0, 5.0, 9.0]))))
     assert np.isfinite(phase_time(LATTICE, 2.0)) and np.isfinite(bl_time(LATTICE, 2.0))
@@ -248,8 +241,8 @@ def test_transmission_callers_skip_the_region_coefficients(monkeypatch):
     assert find_resonances(10.0, 5.0, 15.0, (0.5, 9.5))
     assert np.isfinite(mapped_phase_time(WaveguideSpec(a=2.3, b=4.6, m=1, n=0, L=10.0, lam=6.0)))
     table = solve(pot, 5.0)
-    with pytest.raises(AssertionError, match="backward substitution"):
-        table.boundary_residual()
+    with pytest.raises(AssertionError, match="region values"):
+        table.psi_dpsi(1.0)
 
     # BL times and resonance searches read only log_abs_A_T, so none of them
     # derives the angle, the complex transmission or the reflection; a phase
@@ -271,24 +264,28 @@ def test_transmission_callers_skip_the_region_coefficients(monkeypatch):
 @pytest.mark.parametrize("pot", [rectangular(10.0, 5.0), double_rectangular(10.0, 4.0, 10.0),
                                  LATTICE], ids=["rectangular", "double", "lattice40"])
 def test_region_coefficients_independent_of_read_order(pot):
-    # the backward substitution runs once, on first use: the coefficients read
-    # before the transmission equal those read after it, and every row equals
-    # a one-energy table's (the per-region factors are formed for all energies)
+    # the region values are formed once, on first use: psi, psi' and the
+    # density read before the transmission equal those read after it, and
+    # every row equals a one-energy table's
     Es = np.linspace(0.5, 9.5, 37)
+    xs = np.linspace(pot.x_left - 3.0, pot.x_right + 3.0, 41)
+
+    def regions(table):
+        return (*table.psi_dpsi(xs), table.density_integral(pot.x_left - 1.0, pot.x_right))
+
     first = SolutionTable(pot, Es)
-    coefficients = first.f, first.b, first.log_scale
+    coefficients = regions(first)
     later = SolutionTable(pot, Es)
     transmission = later.A_T, later.A_R, later.log_abs_A_T, later.arg_A_T
-    for got, want in zip((later.f, later.b, later.log_scale), coefficients):
+    for got, want in zip(regions(later), coefficients):
         assert np.array_equal(got, want)
     for got, want in zip((first.A_T, first.A_R, first.log_abs_A_T, first.arg_A_T), transmission):
         assert np.array_equal(got, want)
-    assert first._regions is first._regions
+    assert first._at_ends is first._at_ends
     for i in (0, 17, 36):
         one = SolutionTable(pot, Es[i:i + 1])
-        for got, want in zip((one.f, one.b, one.log_scale, one.A_T),
-                             (first.f, first.b, first.log_scale, first.A_T)):
-            assert np.array_equal(got[0], want[i])
+        for got, want in zip((*regions(one), one.A_T), (*coefficients, first.A_T)):
+            assert np.array_equal(got[..., 0], want[..., i])
 
 
 @pytest.mark.parametrize("kappa_a", [300.0, 800.0, 1e4])
@@ -310,6 +307,23 @@ def test_two_phase_reconstruction_roundtrip():
     A_T, A_R = two_phase(sol).reconstruct()
     assert abs(A_T[0] - sol.A_T[0]) < 1e-9
     assert abs(A_R[0] - sol.A_R[0]) < 1e-9
+
+
+@example(V0=10.0, ratio=0.99, kappa_a=1e4, x_left=-50.0)
+@given(V0=floats(0.5, 20.0), ratio=floats(0.001, 0.999),
+       kappa_a=floats(-3.0, 4.0).map(lambda p: 10.0**p), x_left=floats(-50.0, 50.0))
+def test_two_phase_reconstruction_holds_everywhere(V0, ratio, kappa_a, x_left):
+    # (phi1, phi2) are read from the table's own columns, so the roundtrip
+    # gives back its A_T and A_R on every sub-barrier rectangular barrier up
+    # to kappa a = 1e4: to 1e-12 plus the rounding of the phase ka that
+    # phi2 carries (8e-12 at ka = 5.5e4)
+    E = ratio * V0
+    a = kappa_a / float(UNITS.decay_constant(V0, E))
+    table = solve(PiecewisePotential(((x_left, x_left + a, V0),)), E)
+    k = table.k[0]
+    A_T, A_R = two_phase(table).reconstruct()
+    residual = abs(A_T[0] - table.A_T[0]) + abs(A_R[0] * np.exp(2j * k * x_left) - table.A_R[0])
+    assert residual < 1e-12 + 4.0 * np.finfo(float).eps * k * a
 
 
 def test_two_phase_matches_closed_form_phi1():
@@ -400,34 +414,36 @@ def _asymmetric_potentials():
             *_segment_family(np.random.default_rng(7), 6)]
 
 
+def _with_heights(pot):
+    """S_ENERGIES and every segment height of pot, where Q2 = 0 in that
+    segment."""
+    return np.concatenate([S_ENERGIES, [v for _, _, v in pot.segments]])
+
+
 def test_s_matrix_unitary_on_asymmetric_potentials():
     # S01 is the reflection for incidence from the right, not a copy of A_R,
-    # so S is unitary with no symmetry: to 1e-12 at every energy off the
-    # segment heights, and to 1e-10 where E equals a height and the table
-    # nudges it by DEGENERACY_REL_SHIFT (|q| ~ 3e-5 / A there)
+    # so S is unitary with no symmetry: to 1e-12 at every energy, those
+    # equal to a segment height included
     for pot in _asymmetric_potentials():
-        table = SolutionTable(pot, S_ENERGIES)
-        S = s_matrix(table)
+        S = s_matrix(SolutionTable(pot, _with_heights(pot)))
         defect = np.abs(S.conj().transpose(0, 2, 1) @ S - np.eye(2)).max(axis=(1, 2))
-        assert np.max(defect[~table.shifted]) < 1e-12
-        assert np.max(defect) < 1e-10
+        assert np.max(defect) < 1e-12
     S = s_matrix(solve(_asymmetric_potentials()[0], 3.0))[0]
     assert abs(S[0, 1] - S[1, 0]) > 0.1  # the two reflections differ in phase
 
 
 def test_r_prime_is_the_mirrored_potentials_reflection():
-    # the two reflections come from two transfer-matrix passes, so they agree
-    # to rounding: 1e-15 on the step barrier, 1e-14 over the seven regions of
-    # a lattice, and 1e-11 where E equals a height and both tables nudge it
+    # the two reflections come from two sweeps, so they agree to rounding:
+    # 1e-15 on the step barrier and 1e-14 over the seven regions of a
+    # lattice, at segment heights too
     step = _asymmetric_potentials()[0]
     Es = [2.0, 3.0, 6.0, 9.0]
     table, mirror = SolutionTable(step, Es), SolutionTable(_mirrored(step), Es)
     assert np.max(np.abs(table.r_prime - mirror.A_R)) < 1e-15
     for pot in _asymmetric_potentials():
-        table, mirror = SolutionTable(pot, S_ENERGIES), SolutionTable(_mirrored(pot), S_ENERGIES)
-        miss = np.abs(table.r_prime - mirror.A_R)
-        assert np.max(miss[~table.shifted]) < 1e-14
-        assert np.max(miss) < 1e-11
+        Es = _with_heights(pot)
+        table, mirror = SolutionTable(pot, Es), SolutionTable(_mirrored(pot), Es)
+        assert np.max(np.abs(table.r_prime - mirror.A_R)) < 1e-14
     assert solve(PiecewisePotential(()), 3.0).r_prime == 0.0
 
 
@@ -443,10 +459,10 @@ def _segment_family(rng, n_rows):
 
 
 FAMILIES = {  # case: the potentials of the rows, their energies (one per row or one for all)
-    # kappa a from 0.5 to 1e4: one chunk, several chunks and rescaled rows in one table
+    # kappa a from 0.5 to 1e4, past the underflow of A_T, in one table
     "rect-a": ([rectangular(10.0, kappa_a / float(UNITS.decay_constant(10.0, 5.0)))
                 for kappa_a in (0.5, 8.0, 299.0, 450.0, 800.0, 3000.0, 1e4)], 5.0),
-    # V0 = E puts the fourth row on the degeneracy nudge
+    # V0 = E puts the fourth row's barrier at Q2 = 0
     "rect-V0": ([rectangular(V0, 3.0) for V0 in (2.0, 4.0, 4.9, 5.0, 7.5, 12.0)], 5.0),
     "double-a-gap": ([double_rectangular(10.0, a, a + gap) for a in (1.5, 4.0)
                       for gap in (1.0, 5.0, 9.0)], np.linspace(1.0, 9.0, 6)),
@@ -465,17 +481,14 @@ def test_geometry_rows_equal_one_row_tables(case):
     x_i = np.array([p.x_left - 0.7 for p in pots])
     x_f = np.array([0.5 * (p.x_left + p.x_right) + 0.3 * i for i, p in enumerate(pots)])
     density = family.density_integral(x_i, x_f)
-    residual = family.boundary_residual()
-    if case == "rect-V0":
-        assert family.shifted.tolist() == [False, False, False, True, False, False]
     for i, (pot, E) in enumerate(zip(pots, Es)):
         one = SolutionTable(pot, [E])
-        for name in ("E", "k", "q", "A_T", "A_R", "log_abs_A_T", "arg_A_T", "f", "b",
-                     "log_scale", "shifted"):
+        for name in ("E", "k", "A_T", "A_R", "r_prime", "log_abs_A_T", "arg_A_T"):
             assert np.array_equal(getattr(family, name)[i], getattr(one, name)[0]), (i, name)
-        assert np.array_equal(residual[i], one.boundary_residual()[0])
+        for got, want in zip(family._at_ends, one._at_ends):
+            assert np.array_equal(got[:, i], want[:, 0]), i
         assert np.array_equal(density[i], one.density_integral(x_i[i], x_f[i])[0])
-        for name in ("refs", "ends", "bounds"):
+        for name in ("ends", "bounds"):
             assert np.array_equal(getattr(family, name)[i], getattr(one, name)), (i, name)
 
 
@@ -491,84 +504,42 @@ def test_geometry_rows_refuse_single_geometry_reads():
         SolutionTable([rectangular(10.0, 2.0)] * 3, [4.0, 5.0])
 
 
-def _forward_reference(table):
-    """The forward pass as first written: from the identity, with a rescale
-    check after every step, on the table's own (nudged) energies, in the
-    (n, 2, 2) layout."""
-    q = table.q.T
-    widths = table.ends - table.refs
-    nreg, n = q.shape
-    T = np.zeros((n, 2, 2), dtype=complex)
-    T[:, 0, 0] = T[:, 1, 1] = 1.0
-    logscale = np.zeros(n)
-
-    def rescale(T):
-        mags = np.abs(T).max(axis=(1, 2))
-        big = mags > _RESCALE_LIMIT
-        T[big] /= mags[big, None, None]
-        logscale[big] += np.log(mags[big])
-
-    for j in range(nreg - 1):
-        if widths[j] > 0:
-            chunks = 1 + (q[j].imag * (widths[j] / 300.0)).astype(int)
-            ph = np.exp(1j * q[j] * (widths[j] / chunks))
-            for step in range(chunks.max()):
-                p = np.where(step < chunks, ph, 1.0)
-                T[:, 0, :] *= p[:, None]
-                T[:, 1, :] /= p[:, None]
-                rescale(T)
-        r = q[j] / q[j + 1]
-        a, b = (0.5 * (1 + r))[:, None], (0.5 * (1 - r))[:, None]
-        T0, T1 = T[:, 0], T[:, 1]  # the joint [[a, b], [b, a]] @ T, elementwise
-        T = np.stack([a * T0 + b * T1, b * T0 + a * T1], axis=1)
-        rescale(T)
-    x1, xm, k = table.refs[0], table.ends[-1], table.k
-    return (-logscale - np.log(np.abs(T[:, 1, 1])),
-            -np.angle(T[:, 1, 1]) + k * (x1 - xm),
-            -T[:, 1, 0] / T[:, 1, 1] * np.exp(2j * k * x1))
-
-
-def test_trimmed_forward_pass_equals_the_reference():
-    # the build starts from M[0] instead of M[0] @ identity and checks for a
-    # rescale only when its growth bound nears the limit: neither changes a bit
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        n_seg = int(rng.integers(1, 5))
-        edges = np.cumsum(rng.uniform(0.2, 5.0, 2 * n_seg)) - 4.0
-        heights = rng.uniform(0.5, 20.0, n_seg)
-        opaque = int(rng.integers(n_seg))  # one segment at kappa d in [700, 1e4] at E = V/2
-        stretch = rng.uniform(700.0, 1e4) / float(UNITS.decay_constant(heights[opaque],
-                                                                       0.5 * heights[opaque]))
-        edges[2 * opaque + 1:] += stretch - (edges[2 * opaque + 1] - edges[2 * opaque])
-        pot = PiecewisePotential(tuple((float(edges[2 * i]), float(edges[2 * i + 1]),
-                                        float(heights[i])) for i in range(n_seg)))
-        Es = np.concatenate([[0.5 * heights[opaque]], rng.uniform(0.05, 25.0, 6)])
-        table = SolutionTable(pot, Es)
-        for got, want in zip((table.log_abs_A_T, table.arg_A_T, table.A_R),
-                             _forward_reference(table)):
-            assert np.array_equal(got, want)
-
-
-def _mp_amplitudes(mpmath, pot, E):
-    """(log|A_T|, arg A_T, A_R) at 60 digits, from plane waves A e^{iqx} +
-    B e^{-iqx} in absolute coordinates matched joint by joint from the
-    transmitted wave e^{ikx}: the textbook product, with no scaling, chunking
-    or edge referencing (mpmath's exponent range holds any opacity)."""
+def _mp_sweep(mpmath, pot, E, xs=()):
+    """(log|A_T|, arg A_T, A_R, psi at each of xs, psi) at 60 digits, from
+    the textbook (psi, psi') product from the transmitted wave e^{ikx}
+    leftwards: a region carries (psi, psi') across y by [[cos qy,
+    y sinc qy], [-q^2 y sinc qy, cos qy]], which mpmath takes at q = 0 and
+    at any opacity, and psi at x is carried from the right edge of its
+    region."""
     with mpmath.workdps(60):
-        regions = pot.interior_regions()
-        heights = [0.0, *(v for _, _, v in regions), 0.0]
-        joints = [regions[0][0], *(hi for _, hi, _ in regions)]
         c, E = mpmath.mpf(UNITS.hbar2_over_2m), mpmath.mpf(float(E))
-        q = [mpmath.sqrt((E - mpmath.mpf(v)) / c) for v in heights]
-        A, B = mpmath.mpc(1), mpmath.mpc(0)
-        for j in range(len(joints) - 1, -1, -1):
-            x, ql, qr = mpmath.mpf(joints[j]), q[j], q[j + 1]
-            fwd, bwd = A * mpmath.exp(1j * qr * x), B * mpmath.exp(-1j * qr * x)
-            ratio = qr / ql
-            A = 0.5 * (fwd + bwd + ratio * (fwd - bwd)) * mpmath.exp(-1j * ql * x)
-            B = 0.5 * (fwd + bwd - ratio * (fwd - bwd)) * mpmath.exp(1j * ql * x)
-        return (float(-mpmath.log(abs(A))), float(-mpmath.arg(A)),
-                complex(B / A))
+        k = mpmath.sqrt(E / c)
+        x1, xm = mpmath.mpf(pot.x_left), mpmath.mpf(pot.x_right)
+
+        def carry(V, y, v):
+            Q2 = (E - mpmath.mpf(V)) / c
+            C, S = mpmath.cos(mpmath.sqrt(Q2) * y), y * mpmath.sinc(mpmath.sqrt(Q2) * y)
+            return C * v[0] + S * v[1], -Q2 * S * v[0] + C * v[1]
+
+        v, ends = (mpmath.mpf(1), 1j * k), []  # (psi, psi') / (A_T e^{ik xm})
+        for lo, hi, V in reversed(pot.interior_regions()):
+            ends.append((mpmath.mpf(lo), mpmath.mpf(hi), V, v))
+            v = carry(V, mpmath.mpf(lo) - mpmath.mpf(hi), v)
+        D = v[0] + v[1] / (1j * k)
+        A_T = 2 * mpmath.exp(1j * k * (x1 - xm)) / D
+        A_R = (v[0] - v[1] / (1j * k)) / D * mpmath.exp(2j * k * x1)
+
+        def psi(x):
+            x = mpmath.mpf(x)
+            if x < x1:
+                return mpmath.exp(1j * k * x) + A_R * mpmath.exp(-1j * k * x)
+            for lo, hi, V, v in ends:
+                if lo <= x < hi:
+                    return A_T * mpmath.exp(1j * k * xm) * carry(V, x - hi, v)[0]
+            return A_T * mpmath.exp(1j * k * x)
+
+        return (float(mpmath.log(abs(A_T))), float(mpmath.arg(A_T)), complex(A_R),
+                [complex(psi(float(x))) for x in xs], psi)
 
 
 def _random_potential(rng, widen):
@@ -586,38 +557,77 @@ def _random_potential(rng, widen):
     return pot, float(heights[i])
 
 
-def test_forward_pass_matches_a_60_digit_product():
+def test_sweep_matches_a_60_digit_product():
     # an independent high-precision reference: log|A_T| and arg A_T (mod 2 pi)
     # to 1e-12 relative to max(1, |value|) and A_R to 1e-11, on single
-    # potentials (one segment at kappa d up to ~3800) and on a family's rows
+    # potentials (one segment at kappa d up to ~3800) at random energies and
+    # at every segment height, and on a family's rows; psi at the joints, the
+    # middle of each region and outside the potential to 1e-11 relative, and
+    # on the first three potentials that are not widened the density integral
+    # to 1e-11 of an mpmath quadrature of |psi|^2
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(29)
     tables = []
     for i in range(20):
         pot, V = _random_potential(rng, widen=i % 2 == 1)
-        Es = [rng.uniform(0.02, 0.5) * V, *rng.uniform(0.05, 25.0, 3)]
-        tables.append((SolutionTable(pot, Es), [pot] * 4))
+        Es = [rng.uniform(0.02, 0.5) * V, *rng.uniform(0.05, 25.0, 3),
+              *(v for _, _, v in pot.segments)]
+        tables.append((SolutionTable(pot, Es), [pot] * len(Es), i < 6 and i % 2 == 0))
     family = _segment_family(np.random.default_rng(5), 6)
-    tables.append((SolutionTable(family, np.linspace(0.5, 16.0, 6)), family))
-    for table, pots in tables:
-        for pot, E, log_abs, arg, A_R in zip(pots, table.E, table.log_abs_A_T,
-                                             table.arg_A_T, table.A_R):
-            want_log, want_arg, want_R = _mp_amplitudes(mpmath, pot, E)
+    tables.append((SolutionTable(family, np.linspace(0.5, 16.0, 6)), family, False))
+    for table, pots, quad in tables:
+        pot = pots[0]
+        regions = pot.interior_regions()
+        xs = np.array([pot.x_left - 1.3, pot.x_right, pot.x_right + 2.1,
+                       *(x for lo, hi, _ in regions for x in (lo, 0.5 * (lo + hi)))])
+        psi = None if table.family else table.psi_dpsi(xs)[0]
+        cuts = [pot.x_left - 0.9, *(lo for lo, _, _ in regions), pot.x_right, pot.x_right + 0.7]
+        if quad:
+            density = table.density_integral(cuts[0], cuts[-1])
+        for row, (pot, E) in enumerate(zip(pots, table.E)):
+            want_log, want_arg, want_R, want_psi, mp_psi = _mp_sweep(mpmath, pot, E, xs)
+            log_abs = table.log_abs_A_T[row]
             assert abs(log_abs - want_log) <= 1e-12 * max(1.0, abs(want_log)), (pot, E)
+            arg = table.arg_A_T[row]
             turn = (arg - want_arg + np.pi) % (2 * np.pi) - np.pi
             assert abs(turn) <= 1e-12 * max(1.0, abs(arg)), (pot, E)
-            assert abs(A_R - want_R) <= 1e-11, (pot, E)
+            assert abs(table.A_R[row] - want_R) <= 1e-11, (pot, E)
+            if psi is None:
+                continue
+            for got, want in zip(psi[:, row], want_psi):
+                assert abs(got - want) <= 1e-11 * abs(want), (pot, E, got, want)
+            if quad:
+                with mpmath.workdps(20):
+                    want = mpmath.quad(lambda x: abs(mp_psi(x)) ** 2, cuts,
+                                       method="gauss-legendre")
+                assert abs(density[row] - want) <= 1e-11 * want, (pot, E)
 
 
 def test_rescale_runs_only_near_the_limit(monkeypatch):
-    # below the growth bound's reach no entry can pass _RESCALE_LIMIT, so
-    # such a table never calls the rescale step; an opaque one does
-    calls = []
+    # within the growth and scale bounds no entry can leave the rescale
+    # range, so rect, double and lattice tables, an opaque barrier included,
+    # never call the rescale step; 400 barriers are
+    # rescaled up in a pass band (their scale e^{-sum kappa d} would
+    # underflow) and down in the gap at the barriers' height, and match the
+    # 60-digit product to 1e-11 (800 regions in a pass band round to ~4e-12)
+    mpmath = pytest.importorskip("mpmath")
+    logs = []
     original = scattering._rescale
-    monkeypatch.setattr(scattering, "_rescale",
-                        lambda T, logscale: calls.append(1) or original(T, logscale))
-    for pot in (rectangular(10.0, 5.0), double_rectangular(10.0, 4.0, 10.0), LATTICE):
+
+    def traced(P, logscale):
+        P, logscale = original(P, logscale)
+        logs.append(logscale)
+        return P, logscale
+
+    monkeypatch.setattr(scattering, "_rescale", traced)
+    for pot in (rectangular(10.0, 5.0), rectangular(10.0, 1e3),
+                double_rectangular(10.0, 4.0, 10.0), LATTICE):
         SolutionTable(pot, np.linspace(0.5, 12.0, 9))
-    assert calls == []
-    opaque = SolutionTable(rectangular(10.0, 1e3), [5.0])
-    assert calls and opaque.log_abs_A_T[0] < -1000.0
+    assert logs == []
+    long = PiecewisePotential(tuple((10.0 * i, 10.0 * i + 4.0, 3.0) for i in range(400)))
+    table = SolutionTable(long, [2.0, 3.0])
+    assert logs[-1][0] < 0.0 < logs[-1][1]
+    for row, E in enumerate(table.E):
+        want_log, want_arg, want_R, _, _ = _mp_sweep(mpmath, long, E)
+        assert abs(table.log_abs_A_T[row] - want_log) <= 1e-11 * max(1.0, abs(want_log))
+        assert abs(table.A_R[row] - want_R) < 1e-11
