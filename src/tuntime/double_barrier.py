@@ -14,7 +14,8 @@ forms here are re-derived from the matching conditions:
 with A = 2 chi k / [2 chi k cos k(L-a) + (chi^2 - k^2) sin k(L-a)] real, and
 the total transmission A_T A'_T = -e^{-2 chi a} e^{-ik(L+a)} 4ik chi/(ik-chi)^2 A
 whose phase reference e^{ik(L+a)} removes all a and L dependence off
-resonance: the generalized Hartman effect.
+resonance: the generalized Hartman effect.  On a resonance, a pole
+E_r - i Gamma of the S-matrix (find_resonances), the delay is hbar/Gamma.
 """
 
 from __future__ import annotations
@@ -26,13 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS, ContractViolation, bracket_search
+from .core import (OPACITY_HARD_FLOOR, OPACITY_WARN_BELOW, UNITS, ContractViolation,
+                   QuadratureError)
 from .potential import double_rectangular
 from .scattering import SolutionTable
 from .stationary_times import phase_time
 
 RESONANCE_DENOMINATOR_TOL = 1e-6
-RESONANCE_SCAN = 2001  # energies of find_resonances' scan over its window
+RESONANCE_SCAN = 2001  # energies of find_resonances' scan; its interior maxima seed Newton
+# a seed within a scan step of its pole takes 3 or 4 Newton steps; a last
+# step below NEWTON_TOL |E| leaves it at rounding level.  dD/dE over E +- h
+NEWTON_STEPS, NEWTON_TOL, NEWTON_REL_STEP = 6, 1e-9, 1e-6  # h = NEWTON_REL_STEP Re E
 
 
 class OpacityWarning(UserWarning):
@@ -169,7 +174,9 @@ def opaque_phase_time(V0: float, E: float) -> float:
 
 @dataclass(frozen=True)
 class Resonance:
-    """A located transmission peak: position, half-width, peak transmission."""
+    """The S-matrix pole E_r - i Gamma and T_peak = |A_T(E_r)|^2.  Gamma is
+    the peak's half-width at half maximum; below 1e-12 eV (rounding) it is
+    None and resolved False: the pole is reported by its position alone."""
 
     E_r: float
     Gamma: float | None
@@ -178,49 +185,42 @@ class Resonance:
 
 
 def find_resonances(V0: float, a: float, L: float, E_range: tuple) -> list:
-    """Locate Fabry-Perot transmission resonances of the double barrier.
+    """The Fabry-Perot resonances of the double barrier inside E_range, as
+    poles of A_T in complex energy (Siegert, Phys. Rev. 56, 750 (1939)).
 
-    Scans log |A_T,total|^2 on RESONANCE_SCAN energies (whose inter-resonance
-    dips span the whole level spacing, so even Gamma << scan step peaks are
-    bracketed) and narrows every peak together by core.bracket_search.  Gamma
-    is the mean distance from E_r to the half-maximum crossings, each searched
-    inside E_range between E_r and the nearest scan energy below half; a side
-    without one gives no width.  Peaks whose half-width falls below 1e-12 eV,
-    or that have no width on either side, are reported position-only.
+    Every interior maximum of log|A_T| on RESONANCE_SCAN energies (even a
+    peak far narrower than the scan step is one) seeds Newton's method on
+    the transmission denominator, D e^{scale} = 2 e^{-log_abs_A_T} D/|D|,
+    all seeds in one table per step.  No convergence within NEWTON_STEPS, a
+    pole above the real axis beyond 1e-12 eV and a pole farther from its
+    seed than max(5 Gamma, scan step) raise QuadratureError.
     """
     lo, hi = float(E_range[0]), float(E_range[1])
     if not (0 < lo < hi < V0):
         raise ContractViolation("E_range must lie inside (0, V0)")
     pot = double_rectangular(V0, a, L)
-    if L == a:
-        return []
-
-    def logT(Es):
-        return 2.0 * SolutionTable(pot, Es).log_abs_A_T
-
     Es = np.linspace(lo, hi, RESONANCE_SCAN)
-    scan = logT(Es)
-    i = 1 + np.nonzero((scan[1:-1] >= scan[:-2]) & (scan[1:-1] >= scan[2:]))[0]
-    if not len(i):
+    scan = SolutionTable(pot, Es).log_abs_A_T
+    seeds = Es[1 + np.nonzero((scan[1:-1] > scan[:-2]) & (scan[1:-1] >= scan[2:]))[0]]
+    if not len(seeds):
         return []
-    E_r = bracket_search(logT, Es[i - 1], Es[i + 1], "max", 1e-14 * (Es[i - 1] + Es[i + 1]))
-    peak = logT(E_r)
-    genuine = np.exp(peak) > np.exp(scan[i - 1]) * 1.0000001  # not a flat plateau
-    E_r, peak = E_r[genuine], peak[genuine]
-
-    # each crossing is searched from E_r to the nearest scan energy below half
-    half = peak + math.log(0.5)
-    below = scan <= half[:, None]
-    far = np.concatenate([np.where(below & (Es < E_r[:, None]), Es, -np.inf).max(axis=1),
-                          np.where(below & (Es > E_r[:, None]), Es, np.inf).min(axis=1)])
-    found, near = np.isfinite(far), np.tile(E_r, 2)  # a side without one: width 0
-    cross = bracket_search(logT, near, np.where(found, far, near), "sign", 0.0,
-                           level=np.tile(half, 2))
-    n_widths = found.reshape(2, -1).sum(axis=0)
-    Gamma = np.abs(cross - near).reshape(2, -1).sum(axis=0) / np.maximum(n_widths, 1)
-    out = []
-    for E, T, G, n in zip(E_r, np.exp(peak), Gamma, n_widths):
-        resolved = bool(n and G >= 1e-12)
-        out.append(Resonance(E_r=float(E), Gamma=float(G) if resolved else None,
-                             T_peak=float(T), resolved=resolved))
-    return out
+    E, todo = seeds.astype(complex), np.ones(len(seeds), dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        h = NEWTON_REL_STEP * E[todo].real
+        t = SolutionTable(pot, np.concatenate([E[todo], E[todo] - h, E[todo] + h]))
+        phase = (t.D / np.hypot(t.D.real, t.D.imag)).reshape(3, -1)
+        log_abs = t.log_abs_A_T.reshape(3, -1)
+        ratio = phase[1:] / phase[0] * np.exp(log_abs[0] - log_abs[1:])  # D(E +- h) / D(E)
+        step = 2.0 * h / (ratio[1] - ratio[0])
+        E[todo] -= step
+        todo[todo] = ~(np.abs(step) <= NEWTON_TOL * np.abs(E[todo]))  # nan stays
+        if not todo.any():
+            break
+    Gamma = -E.imag
+    if todo.any() or (Gamma < -1e-12).any() or (
+            np.abs(E - seeds) > np.maximum(5.0 * Gamma, Es[1] - Es[0])).any():
+        raise QuadratureError(f"no pole of A_T converged near the peaks at {seeds} eV")
+    T_peak = np.exp(2.0 * SolutionTable(pot, E.real).log_abs_A_T)
+    return [Resonance(E_r=float(E_r), Gamma=float(G) if G >= 1e-12 else None,
+                      T_peak=float(T), resolved=bool(G >= 1e-12))
+            for E_r, G, T in zip(E.real, Gamma, T_peak)]

@@ -423,7 +423,7 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
     def gap(ts):
         return np.maximum(prop.flux(x_f, ts), 0.0) - free.flux(x_f, ts)
 
-    t0 = float(bracket_search(gap, t_lo, t_hi, "sign", 1e-12)[0])
+    t0 = float(bracket_search(gap, t_lo, t_hi, 1e-12)[0])
     sel = tg.points <= t0
     before = Grid1D(tg.points[sel], tg.weights[sel])
     margin = _moments(J_fin_p[sel], before)[1] - _moments(J_in[sel], before)[1]

@@ -5,13 +5,13 @@ constant height V:
 
     M(y) = [[C, S], [-Q2 S, C]],  C = cos(qy),  S = sin(qy)/q,  Q2 = q^2,
 
-with Q2 = (E - V)/(hbar^2/2m).  M is real and entire in Q2 (C and S are
-power series in Q2 y^2), so it is exact at Q2 = 0, where E equals the
-region's height, and needs no branch of q.  Below the level (Q2 < 0) its
-growth e^{kappa |y|} is moved into a log scale (_region_matrix), so no
-opacity overflows.
+with Q2 = (E - V)/(hbar^2/2m).  M is entire in Q2 (C and S are power series
+in Q2 y^2) and real for real E, so it is exact at Q2 = 0, where E equals the
+region's height, and needs no branch of q.  Its growth e^{|Im q| |y|}
+(e^{kappa |y|} below the level) is moved into a log scale (_region_matrix),
+so no opacity overflows.
 
-A table makes one right-to-left sweep of the real 2x2 products M_j(-d_j)
+A table makes one right-to-left sweep of the 2x2 products M_j(-d_j)
 from x_m, the right edge of the potential, to x_1, its left edge; the
 product at each joint carries the transmitted wave's (psi, psi') there.  A
 running product whose entries pass _RESCALE_LIMIT is divided by its largest
@@ -36,7 +36,10 @@ which differences the angle of A_T, fails from kappa a ~ 717, where A_T is
 subnormal (8e-7 relative at kappa a = 720, 8% at 730), and raises once A_T
 is 0.  s_matrix assembles the exact two-port S from these columns, unitary
 for every potential, and two_phase reads its angles from log_abs_A_T,
-arg_A_T and |A_R|, so both hold at any opacity.
+arg_A_T and |A_R|, so both hold at any opacity.  A table also takes complex
+energies (Re E > 0), where the resonance poles E_r - i Gamma lie, with k the
+outgoing (principal) root; there only D and log_abs_A_T = log|2/D| (D
+unscaled) mean something.
 
 The partial product at each joint, applied to the transmitted wave A_T
 e^{ik xm} (1, ik), is (psi, psi') at that joint: the data of the region to
@@ -82,7 +85,15 @@ def _region_matrix(Q2, y):
     broadcast Q2 and y.  Above the level C = cos(qy), S = y sinc(qy) and
     g = 0; below it g = kappa |y|, C = (1 + e^{-2g})/2 and S = y (1 -
     e^{-2g})/(2g), so C and |S| / |y| lie in (0, 1] at any opacity; at
-    Q2 = 0, C = 1 and S = y."""
+    Q2 = 0, C = 1 and S = y.  A complex Q2 takes g = |Im qy|."""
+    if np.iscomplexobj(Q2):  # cos, sin of qy = a + ib from cosh(b) e^{-g}, sinh(b) e^{-g}
+        q = np.sqrt(Q2)
+        a, b = (q * y).real, (q * y).imag
+        g = np.abs(b)
+        half = 0.5 * np.expm1(-2.0 * g)
+        ch, sh = 1.0 + half, np.copysign(half, b)
+        S = (ch * np.sin(a) + 1j * sh * np.cos(a)) / np.where(q != 0, q, 1.0)
+        return ch * np.cos(a) - 1j * sh * np.sin(a), np.where(q != 0, S, y), g
     root = np.sqrt(np.abs(Q2))
     t = root * y  # q y above the level, kappa y below
     below = Q2 < 0
@@ -101,18 +112,13 @@ def _carry(Q2, y, psi, dpsi):
     return C * psi + S * dpsi, C * dpsi - Q2 * S * psi, g
 
 
-def _geometry(pots):
+@functools.lru_cache(maxsize=1024)
+def _regions(pot):
     """Region heights, right ends (x_m for the transmitted region) and
-    bounds, one row per potential; the potentials must share one region
-    count."""
-    rows = []
-    for pot in pots:
-        lo, hi, v = np.reshape(pot.interior_regions(), (-1, 3)).T
-        x1, xm = pot.x_left, pot.x_right
-        rows.append(([0.0, *v, 0.0], [x1, *hi, xm], [-np.inf, *lo, xm, np.inf]))
-    if len({len(row[0]) for row in rows}) != 1:
-        raise ContractViolation("the potentials of a table must share one region count")
-    return [np.array(g) for g in zip(*rows)]
+    bounds of one potential, formed once: a family repeats its potentials."""
+    lo, hi, v = np.reshape(pot.interior_regions(), (-1, 3)).T
+    x1, xm = pot.x_left, pot.x_right
+    return (0.0, *v, 0.0), (x1, *hi, xm), (-np.inf, *lo, xm, np.inf)
 
 
 def _rescale(P, logscale):
@@ -135,7 +141,7 @@ class SolutionTable:
     all tables, and every consumer reads their columns.  The transmission is
     held as log_abs_A_T and arg_A_T, both parts of ln A_T from one table per
     central-difference round.  E is the energies as given, also where one
-    equals a segment height.
+    equals a segment height, or complex (see the module docstring).
 
     pot is one potential, or a sequence of potentials that share one region
     count (a geometry family: a width or height scan), one per row, with Es
@@ -144,27 +150,30 @@ class SolutionTable:
     potential; pot is then the first row's potential, and psi_dpsi,
     two_phase and s_matrix, which read a single geometry, refuse the table.
 
-    A build runs the sweep and stores log_abs_A_T, which every consumer
-    reads.  arg_A_T, A_T, A_R and r_prime are derived from the full product
-    on their first read, so a caller that reads only the modulus (a BL time,
-    a resonance search) never forms them.  (psi, psi') at the regions' right
-    ends is formed from the partial products on the first read of psi_dpsi
-    or density_integral, so a caller that reads only the transmission never
-    forms it.
+    A build runs the sweep and stores the transmission denominator D (in
+    units of the scale) and log_abs_A_T.  arg_A_T, A_T, A_R and r_prime are
+    derived from the full product on their first read, so a caller that
+    reads only the modulus (a BL time) or D (a pole search) never forms
+    them.  (psi, psi') at the regions' right ends is formed from the partial
+    products on the first read of psi_dpsi or density_integral, so a caller
+    that reads only the transmission never forms it.
     """
 
     def __init__(self, pot: PiecewisePotential | Sequence[PiecewisePotential], Es):
         self.family = not isinstance(pot, PiecewisePotential)
         pots = tuple(pot) if self.family else (pot,)
-        Es = np.atleast_1d(np.asarray(Es, dtype=float))
+        Es = np.atleast_1d(np.asarray(Es, dtype=complex if np.iscomplexobj(Es) else float))
         if self.family:
             if len(Es) not in (1, len(pots)):
                 raise ContractViolation("a family needs one energy per potential or one for all")
             Es = np.broadcast_to(Es, len(pots)).copy()
-        if (Es <= 0).any():
-            raise ContractViolation("scattering energies must be positive")
+        if (Es.real <= 0).any():
+            raise ContractViolation("scattering energies must have a positive real part")
         self.pot = pots[0]
-        heights, ends, bounds = _geometry(pots)
+        rows = [_regions(p) for p in pots]
+        if len({len(row[0]) for row in rows}) != 1:
+            raise ContractViolation("the potentials of a table must share one region count")
+        heights, ends, bounds = (np.array(g) for g in zip(*rows))
         self.E = Es
         self.k = UNITS.wavenumber(Es)
         n = len(Es)
@@ -178,7 +187,7 @@ class SolutionTable:
         # product P' = M P is C P + [S P1; -Q2 S P0], that is C P + X P[::-1]
         Q2, b = self._Q2[-2:0:-1], bounds.T
         C, S, g = _region_matrix(Q2, b[-3:0:-1] - b[-2:1:-1])
-        X = np.empty((len(C), 2, 1, n))
+        X = np.empty((len(C), 2, 1, n), dtype=S.dtype)
         X[:, 0, 0] = S
         np.multiply(-Q2, S, out=X[:, 1, 0])
         # the log scale of each joint's product, x_m first
@@ -205,18 +214,18 @@ class SolutionTable:
         if check:
             self._joint_logs += rescales
 
-        # D = P00 + P11 + i(k P01 - P10/k), so that A_T = 2 e^{ik(x1 - xm)} / D
-        # in units of the scale; modulus and phase are kept apart so that
-        # derivatives of either can avoid the (possibly underflowed) A_T
+        # A_T = 2 e^{ik(x1 - xm)} / D in units of the scale; its modulus and
+        # phase are read from D apart, so that derivatives of either can
+        # avoid the (possibly underflowed) A_T
         (P00, P01), (P10, P11) = P
-        self._D = (P00 + P11, self.k * P01 - P10 / self.k)
+        self.D = P00 + P11 + 1j * (self.k * P01 - P10 / self.k)
         self.log_abs_A_T = (math.log(2.0) - self._joint_logs[-1]
-                            - np.log(np.hypot(*self._D)))
+                            - np.log(np.hypot(self.D.real, self.D.imag)))
 
     @functools.cached_property
     def arg_A_T(self):
         """arg A_T, not reduced to (-pi, pi]; exact at any opacity."""
-        return self.k * (self._x1 - self._xm) - np.arctan2(self._D[1], self._D[0])
+        return self.k * (self._x1 - self._xm) - np.angle(self.D)
 
     @functools.cached_property
     def A_T(self):
@@ -226,26 +235,26 @@ class SolutionTable:
 
     @functools.cached_property
     def _reflected(self):
-        """(P00 - P11, k P01 + P10/k, D) of the full product: A_R and r_prime
+        """(P00 - P11, k P01 + P10/k) of the full product: A_R and r_prime
         are (+-(P00 - P11) + i(k P01 + P10/k)) / D up to their phase
         references."""
         (P00, P01), (P10, P11) = self._products[-1]
-        return P00 - P11, self.k * P01 + P10 / self.k, self._D[0] + 1j * self._D[1]
+        return P00 - P11, self.k * P01 + P10 / self.k
 
     @functools.cached_property
     def A_R(self):
         """The reflection, psi = e^{ikx} + A_R e^{-ikx} left of the
         potential."""
-        diff, odd, D = self._reflected
-        return (diff + 1j * odd) / D * np.exp(2j * self.k * self._x1)
+        diff, odd = self._reflected
+        return (diff + 1j * odd) / self.D * np.exp(2j * self.k * self._x1)
 
     @functools.cached_property
     def r_prime(self):
         """The reflection for incidence from the right, psi = e^{-ikx} +
         r_prime e^{ikx} right of the potential: the A_R of the mirrored
         potential V(-x)."""
-        diff, odd, D = self._reflected
-        return (1j * odd - diff) / D * np.exp(-2j * self.k * self._xm)
+        diff, odd = self._reflected
+        return (1j * odd - diff) / self.D * np.exp(-2j * self.k * self._xm)
 
     @functools.cached_property
     def _at_ends(self):

@@ -4,6 +4,8 @@ None of these is part of the package: each is a second route to a number
 that `SolutionTable` already computes (the rectangular amplitudes, phase
 slope and dwell, the double-barrier coefficients) or a quadrature rule that
 only the tests' spatial integrals use, kept here as an independent check.
+The 60-digit transfer product (mp_sweep, mp_pole) needs mpmath, which each
+of its callers imports first with pytest.importorskip.
 """
 
 import cmath
@@ -180,3 +182,72 @@ def solve_exact(V0: float, a: float, L: float, E: float) -> DoubleBarrierSolutio
         A_real_factor=complex(A_fac), delta=cmath.phase((1j * k + chi) / (1j * k - chi)),
         flags=flags,
     )
+
+
+def _mp_product(pot, E):
+    """(k, D, (psi, psi') at x_1, region data, carry) of the transmitted wave
+    e^{ik(x - xm)} at the working precision, carried leftwards by the
+    textbook region matrix [[cos qy, y sinc qy], [-q^2 y sinc qy, cos qy]],
+    which mpmath takes at q = 0, at any opacity and at complex E, with k
+    the principal root.  The region data are (lo, hi, height, (psi, psi')
+    at hi), right to left; D = psi + psi'/(ik) at x_1 is the transmission
+    denominator, A_T = 2 e^{ik(x1 - xm)} / D."""
+    import mpmath
+
+    c, E = mpmath.mpf(UNITS.hbar2_over_2m), mpmath.mpmathify(E)
+    k = mpmath.sqrt(E / c)
+
+    def carry(V, y, v):
+        q = mpmath.sqrt((E - mpmath.mpf(V)) / c)
+        C, S = mpmath.cos(q * y), y * mpmath.sinc(q * y)
+        return C * v[0] + S * v[1], -q * q * S * v[0] + C * v[1]
+
+    v, ends = (mpmath.mpf(1), 1j * k), []
+    for lo, hi, V in reversed(pot.interior_regions()):
+        ends.append((mpmath.mpf(lo), mpmath.mpf(hi), V, v))
+        v = carry(V, mpmath.mpf(lo) - mpmath.mpf(hi), v)
+    return k, v[0] + v[1] / (1j * k), v, ends, carry
+
+
+def mp_sweep(pot, E, xs=()):
+    """(log|A_T|, arg A_T, A_R, psi at each of xs, psi) at 60 digits; psi at
+    x is carried from the right edge of its region.  E may be complex."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        k, D, v, ends, carry = _mp_product(pot, E)
+        x1, xm = mpmath.mpf(pot.x_left), mpmath.mpf(pot.x_right)
+        A_T = 2 * mpmath.exp(1j * k * (x1 - xm)) / D
+        A_R = (v[0] - v[1] / (1j * k)) / D * mpmath.exp(2j * k * x1)
+
+        def psi(x):
+            x = mpmath.mpf(x)
+            if x < x1:
+                return mpmath.exp(1j * k * x) + A_R * mpmath.exp(-1j * k * x)
+            for lo, hi, V, w in ends:
+                if lo <= x < hi:
+                    return A_T * mpmath.exp(1j * k * xm) * carry(V, x - hi, w)[0]
+            return A_T * mpmath.exp(1j * k * x)
+
+        return (float(mpmath.log(abs(A_T))), float(mpmath.arg(A_T)), complex(A_R),
+                [complex(psi(float(x))) for x in xs], psi)
+
+
+def mp_denominator(pot, E) -> tuple:
+    """(ln|D|, arg D) of the transmission denominator at complex E, at 60
+    digits (D itself passes the double range at kappa d past ~710)."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        D = _mp_product(pot, E)[1]
+        return float(mpmath.log(abs(D))), float(mpmath.arg(D))
+
+
+def mp_pole(pot, E0) -> complex:
+    """The zero of D nearest the complex guess E0, at 60 digits: a pole of
+    A_T and of the S-matrix, E_r - i Gamma."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        return complex(mpmath.findroot(lambda E: _mp_product(pot, E)[1], mpmath.mpc(E0),
+                                       tol=mpmath.mpf(10) ** -50))

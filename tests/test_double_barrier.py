@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis.strategies import floats
 
 from tuntime.core import UNITS, ContractViolation
 from tuntime.double_barrier import (
@@ -18,10 +20,10 @@ from tuntime.double_barrier import (
     resonance_denominator,
 )
 from tuntime.potential import double_rectangular, rectangular
-from tuntime.scattering import solve
+from tuntime.scattering import SolutionTable, solve
 from tuntime.stationary_times import phase_time, resonance_delay
 
-from oracles import cavity_factor, solve_exact
+from oracles import cavity_factor, mp_pole, solve_exact
 
 V0 = 10.0
 PLATEAU = 0.13164239138  # 2/(v chi) at E = 5 eV
@@ -188,6 +190,28 @@ def test_opaque_phase_time_scale():
     assert tau == pytest.approx(2.0 / (v * chi), rel=1e-9)
 
 
+@given(V0=floats(4.0, 20.0), ratio=floats(0.1, 0.9), chi_a=floats(5.0, 25.0),
+       gap=floats(1.0, 20.0))
+def test_two_barrier_hartman_effect_off_resonance(V0, ratio, chi_a, gap):
+    # the generalized Hartman effect: off resonance the total phase time of
+    # two opaque barriers is the one-barrier plateau 2/(v chi), whatever the
+    # widths and the gap, to e^{-2 chi a} order; the cavity factor A grows
+    # towards a resonance, and draws within 20 Gamma of a pole are skipped.
+    # The bound is 100 A^2 e^{-2 chi a} + 1e-6 (the central difference's
+    # floor), relative to the plateau; 300 random draws reached 0.38 of it
+    E = ratio * V0
+    a = chi_a / float(UNITS.decay_constant(V0, E))
+    L = a + gap
+    poles = find_resonances(V0, a, L, (0.05 * V0, 0.95 * V0))
+    assume(all(abs(E - r.E_r) > 20.0 * (r.Gamma or 1e-12) for r in poles))
+    plateau = opaque_phase_time(V0, E)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the ResonanceWarning's opaque test
+        tau = phase_time_total(V0, a, L, E)
+    A = cavity_factor(V0, a, L, E)
+    assert abs(tau - plateau) / plateau <= 100.0 * A * A * math.exp(-2.0 * chi_a) + 1e-6
+
+
 # ------------------------------------------------------------------ resonances
 
 def test_find_resonances_match_denominator_roots():
@@ -246,17 +270,67 @@ def test_find_resonances_batches_its_solves(monkeypatch, E_range):
     monkeypatch.setattr(scattering.SolutionTable, "__init__", counted_init)
     assert find_resonances(V0, 5.0, 15.0, E_range)
     assert "solve" not in vars(double_barrier)  # the module binds no one-energy solve
-    assert counts["tables"] <= 40
+    assert counts["tables"] <= 8  # the scan, the Newton steps and the peak heights
 
 
-def test_half_width_searched_inside_window():
-    # a window ending above half maximum, just past the peak, measures Gamma
-    # from the lower crossing alone: the search never leaves E_range
+def test_pole_independent_of_the_window():
+    # a window ending half a width past the peak gives the same pole as a
+    # wide one, to rounding: nothing is measured from the window's edges
     r = find_resonances(V0, 5.0, 15.0, (2.0, 6.0))[-1]
     window = (r.E_r - 10 * r.Gamma, r.E_r + 0.5 * r.Gamma)
     (one_sided,) = find_resonances(V0, 5.0, 15.0, window)
-    assert one_sided.E_r == pytest.approx(r.E_r, abs=1e-3 * r.Gamma)
-    assert one_sided.Gamma == pytest.approx(r.Gamma, rel=1e-2)
+    assert abs(one_sided.E_r - r.E_r) <= 1e-12
+    assert abs(one_sided.Gamma - r.Gamma) <= 1e-12
+
+
+@pytest.mark.parametrize("case, E_range", [
+    ((10.0, 3.0, 13.0), (4.0, 5.5)),  # Gamma 1.2e-3 eV
+    ((11.0, 5.0, 15.0), (4.5, 5.0)),  # benchmark-like: Gamma 3.8e-6 eV
+    ((10.0, 2.0, 12.0), (4.0, 5.5)),  # broad: Gamma 1.3e-2 eV
+])
+def test_pole_matches_a_60_digit_pole(case, E_range):
+    # E_r - i Gamma against a 60-digit root of the transmission denominator,
+    # to 1e-12 eV in both parts; (10, 3, 13) is 4.662968157 - 0.001183263i
+    pytest.importorskip("mpmath")
+    (r,) = find_resonances(*case, E_range)
+    want = mp_pole(double_rectangular(*case), complex(r.E_r, -r.Gamma))
+    assert abs(r.E_r - want.real) <= 1e-12 and abs(r.Gamma + want.imag) <= 1e-12
+    assert r.resolved and 0.99 < r.T_peak < 1.01
+
+
+def _winding(pot, Es):
+    """The winding number of D along the closed polygon Es, one table; every
+    step of its phase must stay below pi/2, so that none is missed."""
+    turns = np.diff(np.unwrap(np.angle(SolutionTable(pot, np.append(Es, Es[:1])).D)))
+    assert np.all(np.abs(turns) < 0.5 * np.pi)
+    return turns.sum() / (2.0 * np.pi)
+
+
+def test_argument_principle_counts_the_poles():
+    # D winds once around each pole, and a contour around a window holds as
+    # many zeros of D as find_resonances reports there (the real scale of the
+    # table leaves the phase of D alone)
+    a, L, lo, hi, depth = 3.0, 13.0, 0.5, 9.5, 0.05
+    pot = double_rectangular(V0, a, L)
+    res = find_resonances(V0, a, L, (lo, hi))
+    assert len(res) == 4 and max(r.Gamma for r in res) < depth
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    for r in res:
+        assert round(_winding(pot, complex(r.E_r, -r.Gamma) + 0.5 * r.Gamma * circle)) == 1
+    x, y = np.linspace(lo, hi, 20001), np.linspace(-depth, depth, 201)
+    box = np.concatenate([x - 1j * depth, hi + 1j * y, x[::-1] + 1j * depth, lo - 1j * y[::-1]])
+    assert round(_winding(pot, box)) == len(res)
+
+
+def test_pole_within_rounding_of_the_axis_is_position_only():
+    # Gamma = 6.6e-13 eV at 60 digits, below the 1e-12 eV rounding level:
+    # the position alone is reported, to 1e-12 eV
+    pytest.importorskip("mpmath")
+    case = (10.0, 8.0, 24.0)
+    (r,) = find_resonances(*case, (0.45, 0.7))
+    assert r.Gamma is None and not r.resolved and 0.99 < r.T_peak < 1.01
+    want = mp_pole(double_rectangular(*case), r.E_r)
+    assert 0.0 < -want.imag < 1e-12 and abs(r.E_r - want.real) <= 1e-12
 
 
 def test_phase_time_fits_lorentzian_near_resonance():

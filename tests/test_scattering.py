@@ -28,7 +28,7 @@ from tuntime.scattering import (
 )
 from tuntime.stationary_times import two_phase_times
 
-from oracles import ORACLE_TOL, UNITARITY_TOL, rect_amplitude
+from oracles import ORACLE_TOL, UNITARITY_TOL, mp_denominator, mp_sweep, rect_amplitude
 
 
 def test_free_particle():
@@ -42,6 +42,8 @@ def test_energy_contract():
         solve(rectangular(10, 5), -1.0)
     with pytest.raises(ContractViolation):
         solve(rectangular(10, 5), 0.0)
+    with pytest.raises(ContractViolation, match="positive real part"):
+        SolutionTable(rectangular(10, 5), [2.0 - 0.1j, -1.0 - 0.1j])
 
 
 def test_rect_amplitude_matches_solve():
@@ -504,44 +506,6 @@ def test_geometry_rows_refuse_single_geometry_reads():
         SolutionTable([rectangular(10.0, 2.0)] * 3, [4.0, 5.0])
 
 
-def _mp_sweep(mpmath, pot, E, xs=()):
-    """(log|A_T|, arg A_T, A_R, psi at each of xs, psi) at 60 digits, from
-    the textbook (psi, psi') product from the transmitted wave e^{ikx}
-    leftwards: a region carries (psi, psi') across y by [[cos qy,
-    y sinc qy], [-q^2 y sinc qy, cos qy]], which mpmath takes at q = 0 and
-    at any opacity, and psi at x is carried from the right edge of its
-    region."""
-    with mpmath.workdps(60):
-        c, E = mpmath.mpf(UNITS.hbar2_over_2m), mpmath.mpf(float(E))
-        k = mpmath.sqrt(E / c)
-        x1, xm = mpmath.mpf(pot.x_left), mpmath.mpf(pot.x_right)
-
-        def carry(V, y, v):
-            Q2 = (E - mpmath.mpf(V)) / c
-            C, S = mpmath.cos(mpmath.sqrt(Q2) * y), y * mpmath.sinc(mpmath.sqrt(Q2) * y)
-            return C * v[0] + S * v[1], -Q2 * S * v[0] + C * v[1]
-
-        v, ends = (mpmath.mpf(1), 1j * k), []  # (psi, psi') / (A_T e^{ik xm})
-        for lo, hi, V in reversed(pot.interior_regions()):
-            ends.append((mpmath.mpf(lo), mpmath.mpf(hi), V, v))
-            v = carry(V, mpmath.mpf(lo) - mpmath.mpf(hi), v)
-        D = v[0] + v[1] / (1j * k)
-        A_T = 2 * mpmath.exp(1j * k * (x1 - xm)) / D
-        A_R = (v[0] - v[1] / (1j * k)) / D * mpmath.exp(2j * k * x1)
-
-        def psi(x):
-            x = mpmath.mpf(x)
-            if x < x1:
-                return mpmath.exp(1j * k * x) + A_R * mpmath.exp(-1j * k * x)
-            for lo, hi, V, v in ends:
-                if lo <= x < hi:
-                    return A_T * mpmath.exp(1j * k * xm) * carry(V, x - hi, v)[0]
-            return A_T * mpmath.exp(1j * k * x)
-
-        return (float(mpmath.log(abs(A_T))), float(mpmath.arg(A_T)), complex(A_R),
-                [complex(psi(float(x))) for x in xs], psi)
-
-
 def _random_potential(rng, widen):
     """1-5 segments with random edges and heights; with widen, one segment is
     stretched by 100-3000 Angstrom.  Returns the potential and the height of
@@ -585,7 +549,7 @@ def test_sweep_matches_a_60_digit_product():
         if quad:
             density = table.density_integral(cuts[0], cuts[-1])
         for row, (pot, E) in enumerate(zip(pots, table.E)):
-            want_log, want_arg, want_R, want_psi, mp_psi = _mp_sweep(mpmath, pot, E, xs)
+            want_log, want_arg, want_R, want_psi, mp_psi = mp_sweep(pot, E, xs)
             log_abs = table.log_abs_A_T[row]
             assert abs(log_abs - want_log) <= 1e-12 * max(1.0, abs(want_log)), (pot, E)
             arg = table.arg_A_T[row]
@@ -603,6 +567,41 @@ def test_sweep_matches_a_60_digit_product():
                 assert abs(density[row] - want) <= 1e-11 * want, (pot, E)
 
 
+def _phase_length(pot, E):
+    """sum over regions of |Re q| d: the phase a sweep at E accumulates."""
+    return sum(abs(np.sqrt((E - V) / UNITS.hbar2_over_2m).real) * (hi - lo)
+               for lo, hi, V in pot.interior_regions())
+
+
+def test_complex_energies_match_a_60_digit_product():
+    # below the real axis, where the poles of A_T lie, the sweep's D
+    # matches the 60-digit product's: ln|D|, through log_abs_A_T = ln|2/D|,
+    # to 1e-12 relative to max(1, |value|), and its phase to 1e-14 of the
+    # phase the sweep accumulates (up to ~2600 rad here; 3e-16 measured),
+    # on single potentials (one segment at kappa d up to ~3800) and a
+    # family's rows; on the real axis a complex table is the real one
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    cases = []
+    for i in range(12):
+        pot, V = _random_potential(rng, widen=i % 2 == 1)
+        Es = np.concatenate([rng.uniform(0.05, 25.0, 4), [0.3 * V]])
+        cases.append((pot, [pot] * len(Es), Es - 1j * rng.uniform(0.0, 0.5, len(Es))))
+    family = _segment_family(np.random.default_rng(7), 6)
+    cases.append((family, family, np.linspace(0.5, 16.0, 6) - 0.05j))
+    for pot_or_family, pots, Es in cases:
+        table = SolutionTable(pot_or_family, Es)
+        for row, (pot, E) in enumerate(zip(pots, Es)):
+            log_D, arg_D = mp_denominator(pot, E)
+            want_log, got_log = np.log(2.0) - log_D, table.log_abs_A_T[row]
+            assert abs(got_log - want_log) <= 1e-12 * max(1.0, abs(want_log)), (pot, E)
+            turn = (np.angle(table.D[row]) - arg_D + np.pi) % (2 * np.pi) - np.pi
+            assert abs(turn) <= 1e-14 * max(1.0, _phase_length(pot, E)), (pot, E)
+        real = SolutionTable(pot_or_family, Es.real).log_abs_A_T
+        on_axis = SolutionTable(pot_or_family, Es.real + 0j).log_abs_A_T
+        assert np.all(np.abs(on_axis - real) <= 1e-14 * np.maximum(1.0, np.abs(real)))
+
+
 def test_rescale_runs_only_near_the_limit(monkeypatch):
     # within the growth and scale bounds no entry can leave the rescale
     # range, so rect, double and lattice tables, an opaque barrier included,
@@ -610,7 +609,7 @@ def test_rescale_runs_only_near_the_limit(monkeypatch):
     # rescaled up in a pass band (their scale e^{-sum kappa d} would
     # underflow) and down in the gap at the barriers' height, and match the
     # 60-digit product to 1e-11 (800 regions in a pass band round to ~4e-12)
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
     logs = []
     original = scattering._rescale
 
@@ -628,6 +627,6 @@ def test_rescale_runs_only_near_the_limit(monkeypatch):
     table = SolutionTable(long, [2.0, 3.0])
     assert logs[-1][0] < 0.0 < logs[-1][1]
     for row, E in enumerate(table.E):
-        want_log, want_arg, want_R, _, _ = _mp_sweep(mpmath, long, E)
+        want_log, want_arg, want_R, _, _ = mp_sweep(long, E)
         assert abs(table.log_abs_A_T[row] - want_log) <= 1e-11 * max(1.0, abs(want_log))
         assert abs(table.A_R[row] - want_R) < 1e-11
