@@ -175,6 +175,7 @@ def resolve(raw: dict) -> dict:
             if not _is_number(m.get(key)):
                 _fail(f"markers.{key}", "a number, required when markers are given")
         cfg["markers"] = {"x_i": float(m["x_i"]), "x_f": float(m["x_f"])}
+        _built("markers.x_i", lambda m: RegionMarkers(**m), cfg["markers"])
         if "causality" in obs and m["x_f"] < pot.x_right:
             _fail("markers.x_f", f"causality needs x_f at or past the right edge {pot.x_right!r}")
 
@@ -408,10 +409,11 @@ def _obs_or_times(cfg: dict):
 def _obs_causality(cfg: dict):
     pot = _build_potential(cfg["potential"])
     packet = _build_packet(cfg["packets"][0], pot.max_height)
-    x_f = cfg.get("markers", {}).get("x_f", pot.x_right)
+    markers = cfg.get("markers", {})
     rows = []
     for variant in ("integral", "delay", "effective"):
-        res = causality_check(pot, packet, x_f, variant)
+        res = causality_check(pot, packet, markers.get("x_f", pot.x_right), variant,
+                              x_i=markers.get("x_i"))
         passed = -1 if res.passed is None else int(res.passed)
         rows.append([variant, passed, res.margin, res.detail, *_OK_FLAGS.values()])
     header = ["variant", "passed", "margin_fs", "detail", *FLAGS]

@@ -1,5 +1,5 @@
 """Shared numerical plumbing: the unit system, the error types, quadrature
-grids, the package's one numerical derivative and its one bracket search.
+grids and the package's one numerical derivative.
 
 Internal units are eV / Angstrom / fs throughout.  The only physical inputs
 are hbar, the kinetic constant hbar^2/(2 m_e), and the speed of light, fixed
@@ -7,9 +7,7 @@ in UNITS, which every module reads; every wavenumber, velocity and time in
 the package derives from these three.
 Every stationary time that is an energy (or wavenumber) derivative takes it
 through `central_difference` of ln|A_T|, i arg A_T or ln A_T, evaluated once
-on a stacked array of shifted arguments; the one crossing search, the
-`delay` causality instant, goes through `bracket_search`, one vectorised call
-per round for all brackets.
+on a stacked array of shifted arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-BRACKET_SAMPLES = 33  # samples per bracket and round: each round narrows 32 fold
 # opacity (decay constant x width: chi a of a barrier, L kappa_em of a guide)
 # below which the opaque-limit closed forms are refused, and below which they warn
 OPACITY_HARD_FLOOR = 5.0
@@ -198,27 +195,3 @@ def central_difference(f, x, rel_step: float = 1e-6):
         rel_step *= 0.01
     return out[0].item() if x.ndim == 0 else out.reshape(x.shape)
 
-
-def bracket_search(f, lo, hi, tol):
-    """Narrow the brackets [lo_i, hi_i] of a sign change of f together until
-    each is within tol_i; returns their midpoints as a 1-d array.
-
-    Each round calls the vectorised f once on BRACKET_SAMPLES evenly spaced
-    samples (endpoints included) of every bracket still wider than its tol and
-    keeps the spacing up to the first sample whose sign differs from the
-    sample at lo.  A bracket may run backwards (hi < lo), to search from lo.
-    A bracket that rounding no longer lets shrink stops where it is.
-    """
-    lo, hi, tol = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi, tol))
-    s = np.linspace(0.0, 1.0, BRACKET_SAMPLES)
-    todo = np.abs(hi - lo) > tol
-    while np.any(todo):
-        x = lo[todo, None] + (hi - lo)[todo, None] * s
-        y = np.asarray(f(x.ravel())).reshape(x.shape)
-        i1 = 1 + np.argmax(np.sign(y[:, 1:]) != np.sign(y[:, :1]), axis=1)
-        rows = np.arange(len(x))
-        width = np.abs(hi[todo] - lo[todo])
-        lo[todo], hi[todo] = x[rows, i1 - 1], x[rows, i1]
-        narrowed = np.abs(hi[todo] - lo[todo])
-        todo[todo] = (narrowed > tol[todo]) & (narrowed < width)
-    return 0.5 * (lo + hi)

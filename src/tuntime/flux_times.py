@@ -35,7 +35,6 @@ from .core import (
     Grid1D,
     NoSuchFluxError,
     QuadratureError,
-    bracket_search,
     central_difference,
     integrate,
 )
@@ -361,19 +360,23 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
                     variant: str, x_i: float | None = None) -> CausalityResult:
     """Causality predicates comparing the final flux against free propagation.
 
+    integral and delay read J_fin,+(x_f) and J_in(x_f) on the grid of the
+    wider of the two flux series at x_f (both start from suggest_window(x_f)).
+
     integral:  min over t of integral_-inf^t [J_in(x_f) - J_fin,+(x_f)] dtau,
                which must stay >= 0 (the integral final flux never leads the
                integral free flux) even when the final peak arrives early.
-    delay:     time-averaged forward-front delay up to the first post-peak
-               envelope crossing t0; inapplicable when the attenuated final
-               envelope stays entirely beneath the free one (passed=None).
-               Samples whose gap |J_fin,+ - J_in| is within FLUX_NOISE_FLOOR
-               (1e-12) of the peak J_in carry no sign, so the rounding-level
-               tail places no crossing; gaps all within that floor read
-               "fluxes identical" (passed, margin 0).
+    delay:     time-averaged forward-front delay over the samples t <= t0;
+               inapplicable when the attenuated final envelope stays
+               entirely beneath the free one (passed=None).  Samples whose
+               gap |J_fin,+ - J_in| is within FLUX_NOISE_FLOOR (1e-12) of
+               the peak J_in carry no sign: t0 is the secant root of the gap
+               between the first post-peak pair of samples above that floor
+               whose signs differ, and gaps all within it read "fluxes
+               identical" (passed, margin 0).
     effective: t_eff(x_f) - t_eff(x_i) with t_eff = <t> +- sigma, the
                spread-widened arrival/start instants; x_i defaults to the
-               barrier's left edge.
+               barrier's left edge and must not exceed x_f.
     """
     if variant not in ("integral", "delay", "effective"):
         raise ContractViolation(f"unknown causality variant {variant!r}")
@@ -383,6 +386,8 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
 
     if variant == "effective":
         xi = pot.x_left if x_i is None else x_i
+        if xi > x_f:
+            raise ContractViolation(f"effective causality needs x_i <= x_f, not {xi} > {x_f}")
         stat_f = _stats(prop, x_f, "+")
         stat_i = _stats(prop, xi, "+")
         margin = (stat_f.mean + stat_f.std_dev) - (stat_i.mean - stat_i.std_dev)
@@ -390,8 +395,8 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
                                detail=f"x_i={xi}")
 
     free = prop.free
-    windows = [_captured(p.flux_series(x_f)).t_grid for p in (prop, free)]
-    tg = Grid1D.uniform(min(g.lo for g in windows), max(g.hi for g in windows), 8192)
+    tg = max((_captured(p.flux_series(x_f)).t_grid for p in (prop, free)),
+             key=lambda g: g.hi - g.lo)
     J_fin = prop.flux(x_f, tg.points)
     J_fin_p = np.where(J_fin > 0, J_fin, 0.0)
     J_in = free.flux(x_f, tg.points)
@@ -418,12 +423,9 @@ def causality_check(pot: PiecewisePotential, packet: SpectralPacket, x_f: float,
             detail="no post-peak envelope crossing: final flux stays beneath "
                    "the free envelope; condition inapplicable",
         )
-    t_lo, t_hi = tg.points[kept[sign_change[0]:sign_change[0] + 2]]
-
-    def gap(ts):
-        return np.maximum(prop.flux(x_f, ts), 0.0) - free.flux(x_f, ts)
-
-    t0 = float(bracket_search(gap, t_lo, t_hi, 1e-12)[0])
+    pair = kept[sign_change[0]:sign_change[0] + 2]
+    (t_lo, t_hi), (d_lo, d_hi) = tg.points[pair], diff[pair]
+    t0 = float(t_lo - d_lo * (t_hi - t_lo) / (d_hi - d_lo))
     sel = tg.points <= t0
     before = Grid1D(tg.points[sel], tg.weights[sel])
     margin = _moments(J_fin_p[sel], before)[1] - _moments(J_in[sel], before)[1]

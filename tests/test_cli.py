@@ -143,6 +143,9 @@ RUN_FAILURES_REFUSED = {  # case: (config keys, the field named)
     "marker-non-numeric": ({"observables": ["causality"],
                             "packet": {"E_bar": 5.0, "delta_k": 0.02},
                             "markers": {"x_i": "left", "x_f": 8.0}}, "markers.x_i"),
+    "marker-x_i-past-x_f": ({"observables": ["causality"],
+                             "packet": {"E_bar": 5.0, "delta_k": 0.02},
+                             "markers": {"x_i": 9.0, "x_f": 8.0}}, "markers.x_i"),
     "causality-x_f-inside": ({"observables": ["causality"],
                               "packet": {"E_bar": 5.0, "delta_k": 0.02},
                               "markers": {"x_i": -30.0, "x_f": 2.0}}, "markers.x_f"),
@@ -383,6 +386,20 @@ def test_resolve_fills_only_what_the_config_uses():
     with pytest.raises(cli.ConfigError, match="potential.V0"):
         cli.resolve({"potential": {"kind": "double", "a": 1.0, "L": 4.0},
                      "observables": ["phase-time"]})
+
+
+def test_run_causality_reads_markers_x_i(tmp_path):
+    # the effective check starts at the configured x_i, not the barrier edge
+    cfg = write(tmp_path, "causality.json", {
+        "observables": ["causality"], "potential": {"kind": "rectangular", "V0": 10.0, "a": 5.0},
+        "packet": {"E_bar": 5.0, "delta_k": 0.02, "n_k": 128},
+        "markers": {"x_i": -30.0, "x_f": 5.0},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    with (tmp_path / "out" / "causality.csv").open() as fh:
+        rows = {row["variant"]: row for row in csv.DictReader(fh)}
+    assert rows["effective"]["detail"] == "x_i=-30.0"
+    assert rows["effective"]["passed"] == "1"
 
 
 def test_run_deterministic_csv(tmp_path):

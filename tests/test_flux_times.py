@@ -480,12 +480,15 @@ def test_causality_delay_ignores_rounding_level_crossings():
 def test_causality_delay_genuine_crossing():
     # the final envelope crosses the free one well above the noise floor;
     # the margin is held to 1e-12, as the goldens are, since BLAS threading
-    # moves its last digits
+    # moves its last digits.  The same margin on an 8192-sample grid, with
+    # t0 narrowed to 1e-12 fs, was -0.10229119940318993: the two agree to
+    # 1e-7 relative, and a 65536-sample reference lies 6e-9 from both
     pk = gaussian_packet(float(UNITS.wavenumber(4.5)), 0.06, n_k=256)
     res = causality_check(rectangular(6.0, 5.0), pk, 7.0, "delay")
     assert res.passed is False
     assert res.detail == "t0=5.1001 fs"
-    assert res.margin == pytest.approx(-0.10229119940318993, rel=1e-12)
+    assert res.margin == pytest.approx(-0.1022912006679233, rel=1e-12)
+    assert res.margin == pytest.approx(-0.10229119940318993, rel=1e-7)
 
 
 def test_causality_delay_slow_crossing_through_noise_floor():
@@ -495,7 +498,57 @@ def test_causality_delay_slow_crossing_through_noise_floor():
     pk = gaussian_packet(float(UNITS.wavenumber(5.0)), 0.06, n_k=256)
     res = causality_check(rectangular(6.7, 4.8), pk, 7.2, "delay")
     assert res.passed is False
-    assert res.detail == "t0=5.0600 fs"
+    assert res.detail == "t0=5.0601 fs"
+    assert float(res.detail[3:-3]) == pytest.approx(5.0600, abs=1e-3)
+
+
+def test_causality_reads_only_its_flux_series(monkeypatch):
+    # integral and delay compare the two series at x_f on their own grid,
+    # so once both series are built neither variant evaluates a wave
+    pk = gaussian_packet(float(UNITS.wavenumber(4.5)), 0.06, n_k=256)
+    pot = rectangular(6.0, 5.0)
+    prop = propagator(pot, pk)
+    prop.flux_series(7.0), prop.free.flux_series(7.0)
+    calls = []
+    contract = Propagator._contract
+    monkeypatch.setattr(Propagator, "_contract",
+                        lambda self, rows, ts: calls.append(len(ts)) or contract(self, rows, ts))
+    for variant in ("integral", "delay"):
+        causality_check(pot, pk, 7.0, variant)
+    assert calls == []
+
+
+def test_causality_evaluates_the_narrower_series_once_on_the_wider_window(monkeypatch):
+    # above this barrier the final series needs one more tail extension than
+    # the free one, so its window contains the free one's: the free flux is
+    # evaluated once on the final series' grid and then read from the memo
+    pk = gaussian_packet(float(UNITS.wavenumber(2.5)), 0.04, n_k=128)
+    pot = rectangular(2.0, 10.0)
+    prop = propagator(pot, pk)
+    wide, narrow = prop.flux_series(12.0).t_grid, prop.free.flux_series(12.0).t_grid
+    assert wide.lo < narrow.lo and narrow.hi < wide.hi
+    calls = []
+    contract = Propagator._contract
+    monkeypatch.setattr(Propagator, "_contract",
+                        lambda self, rows, ts: calls.append(len(ts)) or contract(self, rows, ts))
+    for variant in ("integral", "delay"):
+        causality_check(pot, pk, 12.0, variant)
+    assert calls == [len(wide)]
+
+
+@pytest.mark.parametrize("V0, a, E, dk, x_f", [
+    (10.0, 5.0, 5.0, 0.02, 5.0), (10.0, 8.0, 5.0, 0.03, 8.0), (8.0, 4.0, 3.0, 0.03, 7.0),
+])
+def test_causality_photon_packets(V0, a, E, dk, x_f):
+    # the photon analog of the particle claim: a sub-barrier (cut-off)
+    # photon packet's integral final flux never leads the free one and its
+    # effective instants stay ordered; its envelope stays beneath the free
+    # one, so the delay condition does not apply
+    pk = gaussian_packet(float(UNITS.wavenumber(E)), dk, n_k=256, cutoff=V0, dispersion=PHOTON)
+    pot = rectangular(V0, a)
+    for variant in ("integral", "effective"):
+        assert causality_check(pot, pk, x_f, variant).passed, variant
+    assert causality_check(pot, pk, x_f, "delay").passed is None
 
 
 def test_causality_effective_zaichenko_penetration(packet):
@@ -515,3 +568,8 @@ def test_causality_effective_zaichenko_penetration(packet):
 def test_causality_bad_variant(packet):
     with pytest.raises(ContractViolation):
         causality_check(POT, packet, 5.0, "telepathic")
+
+
+def test_causality_effective_refuses_x_i_past_x_f(packet):
+    with pytest.raises(ContractViolation, match="x_i <= x_f"):
+        causality_check(POT, packet, 5.0, "effective", x_i=6.0)
