@@ -150,7 +150,8 @@ def integrate(values, grid: Grid1D):
 
 
 def central_difference(f, x, rel_step: float = 1e-6):
-    """Central-difference derivative df/dx at x > 0, a scalar or an array.
+    """Central-difference derivative df/dx at finite x > 0, a scalar or an
+    array (an empty one returns an empty array).
 
     f is vectorised: it is called once as f(xs, rows) on the stacked array
     xs = [x - h, x + h] with h = rel_step * x, where rows gives the index
@@ -167,31 +168,32 @@ def central_difference(f, x, rel_step: float = 1e-6):
     if not 0 < rel_step < 1:
         raise ContractViolation("central_difference needs 0 < rel_step < 1")
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
-        raise ContractViolation("central_difference needs x > 0")
+    if not ((x > 0) & (x < np.inf)).all():
+        raise ContractViolation("central_difference needs finite x > 0")
     xs = x.ravel()
     out = np.empty(xs.shape, dtype=complex)
-    todo = np.arange(len(xs))
-    while len(todo):
-        h = rel_step * xs[todo]
-        vals = np.asarray(f(np.concatenate([xs[todo] - h, xs[todo] + h]),
-                            np.concatenate([todo, todo])))
-        lo, hi = vals[: len(todo)], vals[len(todo):]
-        bad = ~(np.isfinite(lo) & np.isfinite(hi))
-        if np.any(bad):
-            raise ContractViolation(f"non-finite function value near x={xs[todo][bad][0]}")
-        diff = hi - lo
+    # the first round takes every entry whole; a refinement round indexes
+    # the entries that swing
+    todo, rows = slice(None), np.arange(len(xs))
+    while len(rows):
+        at = xs[todo]
+        h = rel_step * at
+        vals = np.asarray(f(np.concatenate([at - h, at + h]), np.concatenate([rows, rows])))
+        if not np.isfinite(vals).all():
+            bad = ~np.isfinite(vals).reshape(2, -1).all(axis=0)
+            raise ContractViolation(f"non-finite function value near x={at[bad][0]}")
+        diff, h2 = vals[len(rows):] - vals[: len(rows)], 2.0 * h
         if not np.iscomplexobj(diff):  # no phase: one pass
-            out = diff / (2.0 * h)
+            out = diff / h2
             break
-        turn = diff.imag - 2.0 * np.pi * np.round(diff.imag / (2.0 * np.pi))
-        out.real[todo], out.imag[todo] = diff.real / (2.0 * h), turn / (2.0 * h)
+        turn = diff.imag - 2.0 * np.pi * np.rint(diff.imag / (2.0 * np.pi))
+        out.real[todo], out.imag[todo] = diff.real / h2, turn / h2
         swing = np.abs(turn) > 0.5 * np.pi
-        if np.any(swing) and rel_step < 1e-13:
+        if swing.any() and rel_step < 1e-13:
             raise QuadratureError(
-                f"phase swings faster than any resolvable step at x={xs[todo][swing][0]}"
+                f"phase swings faster than any resolvable step at x={at[swing][0]}"
             )
-        todo = todo[swing]
+        todo = rows = rows[swing]
         rel_step *= 0.01
     return out[0].item() if x.ndim == 0 else out.reshape(x.shape)
 

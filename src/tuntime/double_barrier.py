@@ -191,7 +191,8 @@ def find_resonances(V0: float, a: float, L: float, E_range: tuple) -> list:
     Every interior maximum of log|A_T| on RESONANCE_SCAN energies (even a
     peak far narrower than the scan step is one) seeds Newton's method on
     the transmission denominator, D e^{scale} = 2 e^{-log_abs_A_T} D/|D|,
-    all seeds in one table per step.  No convergence within NEWTON_STEPS, a
+    all seeds in one table per step.  No convergence within NEWTON_STEPS, an
+    iterate that leaves the tables' domain (non-finite, or Re E <= 0), a
     pole above the real axis beyond 1e-12 eV and a pole farther from its
     seed than max(5 Gamma, scan step) raise QuadratureError.
     """
@@ -214,10 +215,11 @@ def find_resonances(V0: float, a: float, L: float, E_range: tuple) -> list:
         step = 2.0 * h / (ratio[1] - ratio[0])
         E[todo] -= step
         todo[todo] = ~(np.abs(step) <= NEWTON_TOL * np.abs(E[todo]))  # nan stays
-        if not todo.any():
+        outside = ~(np.isfinite(E) & (E.real > 0))  # no table takes these
+        if not todo.any() or outside.any():
             break
     Gamma = -E.imag
-    if todo.any() or (Gamma < -1e-12).any() or (
+    if todo.any() or outside.any() or (Gamma < -1e-12).any() or (
             np.abs(E - seeds) > np.maximum(5.0 * Gamma, Es[1] - Es[0])).any():
         raise QuadratureError(f"no pole of A_T converged near the peaks at {seeds} eV")
     T_peak = np.exp(2.0 * SolutionTable(pot, E.real).log_abs_A_T)

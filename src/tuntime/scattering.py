@@ -13,16 +13,19 @@ so no opacity overflows.
 
 A table makes one right-to-left sweep of the 2x2 products M_j(-d_j)
 from x_m, the right edge of the potential, to x_1, its left edge; the
-product at each joint carries the transmitted wave's (psi, psi') there.  A
-running product whose entries pass _RESCALE_LIMIT is divided by its largest
-entry and the log of that entry joins the scale, and so is one whose entries
-all fall below 1/_RESCALE_LIMIT, as the scale's e^{-kappa d} can make them
-in a long lattice or a resonant stack of opaque barriers.  The check runs
-only in a table where some row's growth bound (the sum over regions of the
-log of each scaled matrix's row-sum norm), or its total scale where two or
-more regions lie below the level, comes within a factor e of the limit, as
-in a long lattice.  Every step is elementwise per energy, so every row of a
-table is bit-identical to its own one-row table.
+product at each joint carries the transmitted wave's (psi, psi') there.  The
+product at x_m is the identity, unbroadcast, and the sweep starts from the
+rightmost region's matrix, built directly.  A running product whose entries
+pass _RESCALE_LIMIT is divided by its largest entry and the log of that
+entry joins the scale, and so is one whose entries all fall below
+1/_RESCALE_LIMIT, as the scale's e^{-kappa d} can make them in a long
+lattice or a resonant stack of opaque barriers.  The check runs only in a
+table with two or more interior regions (one scaled region matrix has
+entries of at most max(1, d, kappa/2, q)) where some row's growth bound (the
+sum over regions of the log of each scaled matrix's row-sum norm), or its
+total scale where two or more regions lie below the level, comes within a
+factor e of the limit, as in a long lattice.  Every step is elementwise per
+energy, so every row of a table is bit-identical to its own one-row table.
 
 The full product P is the whole two-port.  The free outer regions split
 (psi, psi') into e^{+-ikx} waves, and with D = P00 + P11 + i(k P01 - P10/k):
@@ -52,11 +55,14 @@ phase, BL or resonance search) never forms them.
 
 SolutionTable is the one solution format: solve(pot, E) is a one-row table.
 The free potential is the empty product, for which D = 2, A_T = 1 and A_R =
-0 exactly.  A table's rows may also carry their own geometry: a sequence of
-potentials with one region count (a width or height scan) is one table,
-whose heights, widths and edges have a row axis through the sweep and the
-density integral, and each of whose rows is bit-identical to the one-row
-table of its own potential.
+0 exactly.  Each potential's region heights, right ends and bounds are
+formed once and cached as read-only region-major columns (_regions), which
+a one-potential table reads as they are.  A table's rows may also carry
+their own geometry: a sequence of potentials with one region count (a width
+or height scan) is one table, which stacks its potentials' columns, whose
+heights, widths and edges have a row axis through the sweep and the density
+integral, and each of whose rows is bit-identical to the one-row table of
+its own potential.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ from .potential import PiecewisePotential
 _RESCALE_LIMIT = 1e150
 _RESCALE_LOG_LIMIT = math.log(_RESCALE_LIMIT)
 _IDENTITY = np.eye(2)[:, :, None]
+_IDENTITY.flags.writeable = False  # every table's x_m joint shares it
 # (1 - sin z / z) / z^2 = sum_n (-1)^n z^{2n} / (2n + 3)!, highest power
 # first, for |z|^2 < 1, where its truncation and the direct form's
 # cancellation both stay below 2e-15 relative
@@ -101,8 +108,9 @@ def _region_matrix(Q2, y):
     half = 0.5 * np.expm1(-2.0 * g)
     C = np.where(below, 1.0 + half, np.cos(t))
     S = np.where(below, np.copysign(half, y), np.sin(t))
-    np.divide(S, root, out=S, where=root > 0)
-    return C, np.where(root > 0, S, y), g
+    live = root > 0
+    np.divide(S, root, out=S, where=live)
+    return C, np.where(live, S, y), g
 
 
 def _carry(Q2, y, psi, dpsi):
@@ -115,10 +123,18 @@ def _carry(Q2, y, psi, dpsi):
 @functools.lru_cache(maxsize=1024)
 def _regions(pot):
     """Region heights, right ends (x_m for the transmitted region) and
-    bounds of one potential, formed once: a family repeats its potentials."""
+    bounds of one potential, and the displacements -d of its interior
+    regions, right to left, formed once as read-only region-major columns:
+    a one-potential table reads them as they are, and a family repeats its
+    potentials."""
     lo, hi, v = np.reshape(pot.interior_regions(), (-1, 3)).T
     x1, xm = pot.x_left, pot.x_right
-    return (0.0, *v, 0.0), (x1, *hi, xm), (-np.inf, *lo, xm, np.inf)
+    bounds = np.array([-np.inf, *lo, xm, np.inf])
+    columns = (np.array([0.0, *v, 0.0]), np.array([x1, *hi, xm]), bounds,
+               bounds[-3:0:-1] - bounds[-2:1:-1])
+    for column in columns:
+        column.flags.writeable = False
+    return tuple(column[:, None] for column in columns)
 
 
 def _rescale(P, logscale):
@@ -141,7 +157,9 @@ class SolutionTable:
     all tables, and every consumer reads their columns.  The transmission is
     held as log_abs_A_T and arg_A_T, both parts of ln A_T from one table per
     central-difference round.  E is the energies as given, also where one
-    equals a segment height, or complex (see the module docstring).
+    equals a segment height, or complex (see the module docstring): a scalar
+    or a 1-d array, each finite with a positive real part.  No energies make
+    an empty table, whose columns are empty.
 
     pot is one potential, or a sequence of potentials that share one region
     count (a geometry family: a width or height scan), one per row, with Es
@@ -150,62 +168,84 @@ class SolutionTable:
     potential; pot is then the first row's potential, and psi_dpsi,
     two_phase and s_matrix, which read a single geometry, refuse the table.
 
-    A build runs the sweep and stores the transmission denominator D (in
-    units of the scale) and log_abs_A_T.  arg_A_T, A_T, A_R and r_prime are
-    derived from the full product on their first read, so a caller that
-    reads only the modulus (a BL time) or D (a pole search) never forms
-    them.  (psi, psi') at the regions' right ends is formed from the partial
-    products on the first read of psi_dpsi or density_integral, so a caller
-    that reads only the transmission never forms it.
+    A build reads the potentials' cached geometry (a family stacks it),
+    runs the sweep from the rightmost region's matrix and stores the
+    transmission denominator D (in units of the scale) and log_abs_A_T.
+    arg_A_T, A_T, A_R and r_prime are derived from the full product on
+    their first read, so a caller that reads only the modulus (a BL time)
+    or D (a pole search) never forms them.  (psi, psi') at the regions'
+    right ends is formed from the partial products on the first read of
+    psi_dpsi or density_integral, so a caller that reads only the
+    transmission never forms it.
     """
 
     def __init__(self, pot: PiecewisePotential | Sequence[PiecewisePotential], Es):
         self.family = not isinstance(pot, PiecewisePotential)
         pots = tuple(pot) if self.family else (pot,)
-        Es = np.atleast_1d(np.asarray(Es, dtype=complex if np.iscomplexobj(Es) else float))
+        if not pots:
+            raise ContractViolation("a family needs at least one potential")
+        Es = np.asarray(Es, dtype=complex if np.iscomplexobj(Es) else float)
+        if Es.ndim > 1:
+            raise ContractViolation("a table's energies are a scalar or a 1-d array")
+        Es = Es.reshape(-1)
         if self.family:
             if len(Es) not in (1, len(pots)):
                 raise ContractViolation("a family needs one energy per potential or one for all")
             Es = np.broadcast_to(Es, len(pots)).copy()
-        if (Es.real <= 0).any():
-            raise ContractViolation("scattering energies must have a positive real part")
+        if not (np.isfinite(Es) & (Es.real > 0)).all():
+            raise ContractViolation("scattering energies must be finite with a positive real part")
         self.pot = pots[0]
         rows = [_regions(p) for p in pots]
         if len({len(row[0]) for row in rows}) != 1:
             raise ContractViolation("the potentials of a table must share one region count")
-        heights, ends, bounds = (np.array(g) for g in zip(*rows))
+        # region-major columns, a row axis of length 1 or n: one geometry's
+        # cached arrays as they are, a family's stacked
+        heights, ends, bounds, steps = rows[0] if len(rows) == 1 else (
+            np.concatenate(g, axis=1) for g in zip(*rows))
         self.E = Es
         self.k = UNITS.wavenumber(Es)
         n = len(Es)
         # one geometry keeps region vectors; a family has a row axis
-        self.ends, self.bounds = (ends, bounds) if self.family else (ends[0], bounds[0])
-        self._edges = ends.T, bounds.T  # region-major, a row axis of length 1 or n
-        self._x1, self._xm = bounds[:, 1], ends[:, -1]
-        self._Q2 = (Es - heights.T) / UNITS.hbar2_over_2m  # (n_regions, n)
+        self.ends, self.bounds = (ends.T, bounds.T) if self.family else (ends[:, 0], bounds[:, 0])
+        self._edges = ends, bounds
+        self._x1, self._xm = bounds[1], ends[-1]
+        self._Q2 = (Es - heights) / UNITS.hbar2_over_2m  # (n_regions, n)
 
         # the interior regions' matrices M(-d), right to left; the running
         # product P' = M P is C P + [S P1; -Q2 S P0], that is C P + X P[::-1]
-        Q2, b = self._Q2[-2:0:-1], bounds.T
-        C, S, g = _region_matrix(Q2, b[-3:0:-1] - b[-2:1:-1])
+        Q2 = self._Q2[-2:0:-1]
+        C, S, g = _region_matrix(Q2, steps)
         X = np.empty((len(C), 2, 1, n), dtype=S.dtype)
         X[:, 0, 0] = S
         np.multiply(-Q2, S, out=X[:, 1, 0])
         # the log scale of each joint's product, x_m first
         self._joint_logs = np.zeros((len(C) + 1, n))
-        np.cumsum(g, axis=0, out=self._joint_logs[1:])
+        g.cumsum(axis=0, out=self._joint_logs[1:])
         # no entry of P exceeds e^{growth}, the product of the scaled
         # matrices' row-sum norms 1 + max(|S|, |Q2 S|); |det P| = e^{-2 sum g}
         # keeps its largest entry above e^{-sum g}/sqrt(2), and a product
         # with one scaled region keeps it above e^{-growth}/8.  A table whose
-        # rows stay a factor e inside these bounds is never rescaled
-        growth = np.log1p(np.abs(X).max(axis=1)).sum(axis=0)
-        check = (growth.max() > _RESCALE_LOG_LIMIT - 1.0
-                 or (self._joint_logs[-1].max() > _RESCALE_LOG_LIMIT - 1.0
-                     and np.count_nonzero(g, axis=0).max() > 1))
-        P = np.broadcast_to(_IDENTITY, (2, 2, n))
+        # rows stay a factor e inside these bounds is never rescaled, nor is
+        # one with a single interior region, whose one scaled matrix has
+        # entries of at most max(1, d, kappa/2, q)
+        check = len(C) > 1 and (
+            np.log1p(np.maximum(np.abs(S), np.abs(X[:, 1, 0]))).sum(axis=0).max(initial=0.0)
+            > _RESCALE_LOG_LIMIT - 1.0
+            or (self._joint_logs[-1].max(initial=0.0) > _RESCALE_LOG_LIMIT - 1.0
+                and np.count_nonzero(g, axis=0).max(initial=0) > 1))
+        # the x_m joint's product is the identity, unbroadcast (the free
+        # potential's whole product); the next is the rightmost region's
+        # matrix [[C, S], [-Q2 S, C]] itself, whose entries need no rescale
+        P = _IDENTITY
+        self._products = [P]
+        if len(C):
+            P = np.empty((2, 2, n), dtype=S.dtype)
+            P[0, 0] = P[1, 1] = C[0]
+            P[0, 1], P[1, 0] = X[0, :, 0]
+            self._products.append(P)
         rescale = np.zeros(n)
-        self._products, rescales = [P], [rescale]
-        for Cj, Xj in zip(C, X):
+        rescales = [rescale] * len(self._products)
+        for Cj, Xj in zip(C[1:], X[1:]):
             P = Cj * P + Xj * P[::-1]
             if check:
                 P, rescale = _rescale(P, rescale)
@@ -261,7 +301,8 @@ class SolutionTable:
         """(psi, psi', s), region-major: psi and psi' at each region's right
         end (x_m for the transmitted region) are e^s times the pair, the
         partial product there applied to A_T e^{ik xm} (1, ik)."""
-        P = np.stack(self._products[::-1] + self._products[:1])
+        identity = np.broadcast_to(_IDENTITY, (2, 2, len(self)))
+        P = np.stack([*self._products[:0:-1], identity, identity])
         s = np.concatenate([self._joint_logs[::-1], self._joint_logs[:1]]) + self.log_abs_A_T
         turn = np.exp(1j * (self.arg_A_T + self.k * self._xm))
         ik = 1j * self.k

@@ -26,7 +26,11 @@ def _is_family(pot) -> bool:
 
 def _energies(pot, E):
     """E, broadcast over the rows of a family of potentials."""
-    return np.broadcast_to(np.asarray(E, dtype=float), len(pot)) if _is_family(pot) else E
+    if not _is_family(pot):
+        return E
+    if not len(pot):
+        raise ContractViolation("a family needs at least one potential")
+    return np.broadcast_to(np.asarray(E, dtype=float), len(pot))
 
 
 def _potentials(pot, rows):
@@ -72,8 +76,8 @@ def phase_time(
     given, one per potential: one table per difference round serves every
     row, and each row equals the scalar call on its own potential.
     """
-    x_i, x_f = _markers_or_extent(pot, markers)
     E = _energies(pot, E)
+    x_i, x_f = _markers_or_extent(pot, markers)
 
     def phase(Es, rows):
         A_T = SolutionTable(_potentials(pot, rows), Es).A_T
@@ -100,7 +104,7 @@ def bl_time(pot: PiecewisePotential | Sequence[PiecewisePotential], E):
     E = _energies(pot, E)
     E_arr = np.asarray(E)
     top = np.array([p.max_height for p in pot]) if _is_family(pot) else pot.max_height
-    if not np.all((E_arr > 0) & (E_arr < top)):
+    if not ((E_arr > 0) & (E_arr < top)).all():
         raise ContractViolation("bl_time is defined in the sub-barrier regime")
     dlog = central_difference(
         lambda Es, rows: SolutionTable(_potentials(pot, rows), Es).log_abs_A_T, E)
@@ -119,11 +123,11 @@ def dwell_time_stationary(pot: PiecewisePotential | Sequence[PiecewisePotential]
     a family of potentials, one per row, as in phase_time, with one set of
     markers per row.
     """
+    E = _energies(pot, E)
     x_i, x_f = _markers_or_extent(pot, markers)
     if not (np.asarray(x_f) > x_i).all():
         raise ContractViolation("markers must span a nonempty interval")
-    E = _energies(pot, E)
-    rho = SolutionTable(pot, E).density_integral(x_i, x_f).reshape(np.shape(E))
+    rho = SolutionTable(pot, np.ravel(E)).density_integral(x_i, x_f).reshape(np.shape(E))
     return _like(E, rho / UNITS.velocity(UNITS.wavenumber(E)))
 
 

@@ -138,11 +138,19 @@ def test_ddE_small_energy_step_reduction():
 
 
 def test_ddE_contract():
-    for x in (0.0, -1.0, np.array([1.0, 0.0])):
+    for x in (0.0, -1.0, np.nan, np.inf, np.array([1.0, 0.0])):
         with pytest.raises(ContractViolation):
             central_difference(lambda E, _: E, x)
     with pytest.raises(ContractViolation):
         central_difference(lambda E, _: np.full_like(E, np.nan), 1.0)
+    assert central_difference(lambda E, _: E, np.array([])).shape == (0,)
+    # the error names the first x with a non-finite value, here one whose
+    # x + h alone passes 2.5, for a real f and for a phase f
+    xs = np.array([1.0, 2.5, 4.0])
+    for f in (lambda E, _: np.where(E > 2.5, np.inf, E),
+              lambda E, _: 1j * np.where(E > 2.5, np.nan, np.angle(np.exp(1j * E)))):
+        with pytest.raises(ContractViolation, match=r"near x=2\.5$"):
+            central_difference(f, xs)
 
 
 def test_ddE_array_matches_scalar():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis.strategies import floats
 
-from tuntime.core import UNITS, ContractViolation
+from tuntime.core import UNITS, ContractViolation, QuadratureError
 from tuntime.double_barrier import (
     OpacityWarning,
     find_resonances,
@@ -252,6 +252,25 @@ def test_resonance_peaks_dominate_background():
 
 def test_no_resonances_without_cavity():
     assert find_resonances(V0, 5.0, 5.0, (0.5, 9.5)) == []
+
+
+@pytest.mark.parametrize("fake_D", [lambda E: E + 5.0, lambda E: E * np.nan])
+def test_newton_iterate_outside_the_domain_raises(monkeypatch, fake_D):
+    # a denominator with its root at Re E < 0, or one that is not finite,
+    # sends Newton's iterates out of the tables' domain: QuadratureError,
+    # and no table is built on them
+    from tuntime import double_barrier
+
+    class Table(SolutionTable):
+        def __init__(self, pot, Es):
+            super().__init__(pot, Es)
+            if np.iscomplexobj(Es):
+                self.D = fake_D(self.E)
+                self.log_abs_A_T = np.log(2.0 / np.abs(self.D))
+
+    monkeypatch.setattr(double_barrier, "SolutionTable", Table)
+    with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):  # nan / nan
+        find_resonances(V0, 5.0, 15.0, (0.5, 9.5))
 
 
 @pytest.mark.parametrize("E_range", [(0.5, 9.5), (2.0, 6.0)])

@@ -16,6 +16,7 @@ from hypothesis.strategies import floats
 from tuntime.core import UNITS, ContractViolation
 from tuntime.potential import (
     PiecewisePotential,
+    RegionMarkers,
     double_rectangular,
     rectangular,
 )
@@ -26,7 +27,7 @@ from tuntime.scattering import (
     solve,
     two_phase,
 )
-from tuntime.stationary_times import two_phase_times
+from tuntime.stationary_times import dwell_time_stationary, two_phase_times
 
 from oracles import ORACLE_TOL, UNITARITY_TOL, mp_denominator, mp_sweep, rect_amplitude
 
@@ -38,12 +39,24 @@ def test_free_particle():
 
 
 def test_energy_contract():
-    with pytest.raises(ContractViolation):
-        solve(rectangular(10, 5), -1.0)
-    with pytest.raises(ContractViolation):
-        solve(rectangular(10, 5), 0.0)
-    with pytest.raises(ContractViolation, match="positive real part"):
-        SolutionTable(rectangular(10, 5), [2.0 - 0.1j, -1.0 - 0.1j])
+    pot = rectangular(10, 5)
+    for E in (-1.0, 0.0, np.nan):
+        with pytest.raises(ContractViolation):
+            solve(pot, E)
+    for Es in ([2.0 - 0.1j, -1.0 - 0.1j], [np.inf], [5.0 + np.nan * 1j], [2.0, -np.inf]):
+        with pytest.raises(ContractViolation, match="finite with a positive real part"):
+            SolutionTable(pot, Es)
+    with pytest.raises(ContractViolation, match="finite"):
+        dwell_time_stationary(pot, np.nan, RegionMarkers(0.0, 5.0))
+    with pytest.raises(ContractViolation, match="1-d"):
+        SolutionTable(pot, np.full((2, 2), 5.0))
+    with pytest.raises(ContractViolation, match="at least one potential"):
+        SolutionTable([], 5.0)
+    # no energies make an empty table, whose columns are empty
+    empty = SolutionTable(pot, [])
+    assert len(empty) == 0
+    for column in (empty.log_abs_A_T, empty.A_T, empty.A_R, empty.density_integral(0.0, 5.0)):
+        assert column.shape == (0,)
 
 
 def test_rect_amplitude_matches_solve():

@@ -91,7 +91,8 @@ def test_array_energies_match_scalar_calls():
     # one stacked table for all 512 packet nodes gives the per-node values
     # exactly: each table row is independent of the other energies, also at
     # kappa a = 700, where the barrier's scale e^{kappa a} passes the rescale
-    # gate (phase_time raises there by design: |A_T| is near underflow)
+    # gate (phase_time raises there by design: |A_T| is near underflow);
+    # energies of any shape give that shape, and no energies an empty array
     Es = gaussian_packet(KAPPA, 0.02, n_k=512).E
     thin, opaque = rectangular(V0, 5.0), rectangular(V0, 700.0 / KAPPA)
     cases = [(phase_time, thin), (bl_time, thin), (bl_time, opaque),
@@ -102,6 +103,8 @@ def test_array_energies_match_scalar_calls():
         assert isinstance(taus, np.ndarray) and taus.shape == Es.shape
         scalar = np.array([fn(pot, float(Ee)) for Ee in Es])
         assert np.array_equal(taus, scalar)
+        assert np.array_equal(fn(pot, Es.reshape(16, 32)), taus.reshape(16, 32))
+        assert fn(pot, np.array([])).shape == (0,)
 
 
 def _resonant_family():
@@ -143,6 +146,9 @@ def test_geometry_families_match_scalar_calls():
                           [dwell_time_stationary(p, E, m) for p, m in zip(rects[:5], markers)])
     with pytest.raises(ContractViolation):
         bl_time(heights, E)  # V0 = 4 eV lies below E
+    for fn in (phase_time, bl_time, dwell):
+        with pytest.raises(ContractViolation, match="at least one potential"):
+            fn([], E)
 
 
 @given(V0=floats(1.0, 20.0), ratio=floats(0.005, 0.995),
